@@ -1,6 +1,6 @@
 """blocksketch benchmark: one workload, one process, one JSON result line.
 
-    python3 perfbench/run.py --workload threshold-sweep --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload threshold-sweep --seed 1 --seconds 45 --trace 0
 
 Run from the root of a source checkout; the package is imported from
 ./src. --trace 0 reports the end-to-end metrics, measured untraced;
@@ -29,10 +29,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-TAIL_PERCENTILES = (99, 95, 90, 75, 50)
-# cold start of a user process: interpreter, package import, the workload's inputs
-SETUP_CODE = ("import sys; sys.path.insert(0, sys.argv[1]); import blocksketch as bs; "
-              "bs.SbmParams.from_rates(400, 30.0, 2.0); bs.gamma_star(30.0, 2.0)")
+PASSES = 4  # times an untraced run times each unit; the median over them counts
+# cold start of a user process: interpreter start and package import
+SETUP_CODE = "import sys; sys.path.insert(0, sys.argv[1]); import blocksketch"
 
 
 def parse_args(argv):
@@ -87,17 +86,16 @@ def measure_setup(repeats: int) -> list:
     return times
 
 
-def tail(samples):
-    """(percentile, value): the highest of TAIL_PERCENTILES with at least ten
-    samples beyond it. Below 20 samples no tail is resolvable and the median
-    is reported, marked as p50."""
-    xs = sorted(samples)
-    for pct in TAIL_PERCENTILES:
-        if len(xs) * (1 - pct / 100) >= 10:
-            break
-    if len(xs) == 1:
-        return pct, xs[0]
-    return pct, statistics.quantiles(xs, n=100, method="inclusive")[pct - 1]
+def trial_ms_over_passes(passes) -> list:
+    """Per trial, the median of its times over the passes; unit by unit, trial order."""
+    return [statistics.median(ms) for units in zip(*passes)
+            for ms in zip(*(u.trial_ms for u in units))]
+
+
+def unit_trials_per_s(passes) -> float:
+    """Trials over the summed wall time of each unit, its median over the passes."""
+    wall = [statistics.median(u.wall_s for u in units) for units in zip(*passes)]
+    return sum(u.trials for u in passes[0]) / sum(wall)
 
 
 def compare_units(a, b, what: str, errors: list) -> int:
@@ -116,45 +114,67 @@ def compare_units(a, b, what: str, errors: list) -> int:
     return failed
 
 
-def summed_outcomes(phases) -> dict:
+def distinct_outcomes(*passes) -> dict:
+    """Outcomes summed over distinct units: each unit index counts once."""
+    units = {}
+    for ps in passes:
+        for u in ps:
+            units.setdefault(u.index, u)
     out = {}
-    for ph in phases:
-        for u in ph.units:
-            for g, (s, t) in u.outcomes.items():
-                acc = out.setdefault(g, [0, 0])
-                acc[0] += s
-                acc[1] += t
+    for u in units.values():
+        for g, (s, t) in u.outcomes.items():
+            acc = out.setdefault(g, [0, 0])
+            acc[0] += s
+            acc[1] += t
     return out
 
 
 def run_untraced(wl, args, tmp: Path, errors: list):
-    # cold starts spread over the run, so their median sees the host's drift as
-    # the other metrics do; children do not count in this process's peak RSS
-    setup = measure_setup(3)
-    j1 = wl.phase(args.seed, 1, args.seconds * 2 / 3, tmp)
-    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    setup += measure_setup(2)
-    j2 = wl.phase(args.seed, 2, args.seconds / 3, tmp)
-    setup += measure_setup(2)
-    failed = sum(u.failed for ph in (j1, j2) for u in ph.units)
-    failed += compare_units(j1.units, j2.units, "jobs=1 and jobs=2", errors)
-    errors.extend(wl.check(summed_outcomes([j1, j2])))
-    attempted = j1.trials + j2.trials
-    samples = [ms for u in j1.units for ms in u.trial_ms]
-    pct, tail_ms = tail(samples)
+    """PASSES passes over the same units at jobs=1 and at jobs=2, interleaved
+    (jobs=1, jobs=2, jobs=1, ...) so that each unit's repeats are spread over
+    the whole run. The first pass of each is a closed loop that fixes its
+    unit count; each later pass reruns those units."""
+    budget = args.seconds / PASSES
+    setup = measure_setup(2)
+    j1, j2 = [], []
+    for p in range(PASSES):
+        if p == 0:
+            j1.append(wl.closed_loop(args.seed, 1, budget * 2 / 3, tmp))
+            j2.append(wl.closed_loop(args.seed, 2, budget / 3, tmp))
+        else:
+            j1.append(wl.rerun(args.seed, j1[0], 1, tmp))
+            j2.append(wl.rerun(args.seed, j2[0], 2, tmp))
+        # cold starts spread over the run see the host's drift as the passes do
+        setup += measure_setup(2)
+    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # excludes workers
+
+    runs = [u for ps in j1 + j2 for u in ps]
+    failed = sum(u.failed for u in runs)
+    for ps in j1[1:]:
+        failed += compare_units(j1[0], ps, "repeated jobs=1", errors)
+    for ps in j2[1:]:
+        failed += compare_units(j2[0], ps, "repeated jobs=2", errors)
+    failed += compare_units(j1[0], j2[0], "jobs=1 and jobs=2", errors)
+    errors.extend(wl.check(distinct_outcomes(j1[0], j2[0])))
+    attempted = sum(u.trials for u in runs)
+    trial_ms = trial_ms_over_passes(j1)
+    tail_ms = statistics.quantiles(trial_ms, n=100, method="inclusive")[wl.tail_pct - 1]
     metrics = {
         "setup_s": (statistics.median(setup), "s"),
-        "trials_per_s": (j1.trials_per_s, "1/s"),
-        "trials_per_s_jobs2": (j2.trials_per_s, "1/s"),
-        "trial_ms_p50": (statistics.median(samples), "ms"),
+        "trials_per_s": (1e3 * len(trial_ms) / sum(trial_ms), "1/s"),
+        "trials_per_s_jobs2": (unit_trials_per_s(j2), "1/s"),
+        "trial_ms_p50": (statistics.median(trial_ms), "ms"),
         "trial_ms_tail": (tail_ms, "ms"),
         "peak_rss_mb": (rss_mb, "MB"),
         "ops_ok_frac": (1 - failed / attempted, "fraction"),
     }
-    notes = {"trial_ms_tail": f"p{pct:g} of {len(samples)} trials",
-             "trial_ms_p50": f"{len(samples)} trials",
-             "trials_per_s": f"{j1.trials} trials in {j1.elapsed_s:.2f} s",
-             "trials_per_s_jobs2": f"{j2.trials} trials in {j2.elapsed_s:.2f} s"}
+    notes = {"setup_s": f"median of {len(setup)} cold starts",
+             "trial_ms_tail": f"p{wl.tail_pct} of {len(trial_ms)} trials, "
+                              f"each its median over {PASSES} passes",
+             "trial_ms_p50": f"{len(trial_ms)} trials, each its median over {PASSES} passes",
+             "trials_per_s": f"{len(trial_ms)} trials, each its median over {PASSES} passes",
+             "trials_per_s_jobs2": f"{sum(u.trials for u in j2[0])} trials in {len(j2[0])} "
+                                   f"units, each unit its median over {PASSES} passes"}
     return metrics, notes, attempted, failed, None
 
 
@@ -163,21 +183,32 @@ def run_traced(wl, args, tmp: Path, errors: list):
     from tracing import Tracer
     from workloads import closed_loop
     tr = Tracer()
-    traced = closed_loop(lambda i: wl.traced_unit(args.seed, i, tr, tmp, i == 0),
-                         args.seconds / 2)
-    j1 = wl.phase(args.seed, 1, args.seconds / 4, tmp)
-    j2 = wl.phase(args.seed, 2, args.seconds / 4, tmp)
-    failed = sum(u.failed for ph in (traced, j1, j2) for u in ph.units)
-    failed += compare_units(j1.units, traced.units, "traced and untraced", errors)
-    failed += compare_units(j1.units, j2.units, "jobs=1 and jobs=2", errors)
-    errors.extend(wl.check(summed_outcomes([traced, j1, j2])))
-    attempted = traced.trials + j1.trials + j2.trials
+    variants = (
+        lambda i: wl.traced_unit(args.seed, i, tr, tmp, i == 0),
+        lambda i: wl.run_unit(args.seed, i, 1, tmp),
+        lambda i: wl.run_unit(args.seed, i, 2, tmp),
+    )
 
-    # tracing overhead on the units both the traced and the untraced phase ran
-    k = min(len(traced.units), len(j1.units))
-    traced_s = sum(sum(u.trial_ms) for u in traced.units[:k]) / 1e3
-    plain_s = sum(sum(u.trial_ms) for u in j1.units[:k]) / 1e3
-    trials = traced.trials
+    def step(i):
+        # the three runs of unit i back to back, in an order that rotates
+        # with i, so that host drift cancels out of their ratios
+        out = [None] * 3
+        for k in range(3):
+            v = (i + k) % 3
+            out[v] = variants[v](i)
+        return out
+
+    units = closed_loop(step, args.seconds)
+    traced, j1, j2 = (list(us) for us in zip(*units))
+    failed = sum(u.failed for u in traced + j1 + j2)
+    failed += compare_units(j1, traced, "traced and untraced", errors)
+    failed += compare_units(j1, j2, "jobs=1 and jobs=2", errors)
+    errors.extend(wl.check(distinct_outcomes(j1)))
+    attempted = sum(u.trials for u in traced + j1 + j2)
+
+    trials = sum(u.trials for u in traced)
+    traced_s = sum(u.wall_s for u in traced)
+    plain_s = sum(sum(u.trial_ms) for u in j1) / 1e3
     self_s = tr.self_times()
     c = tr.counts
     solves = len(c["sdp.iterations"])
@@ -215,13 +246,11 @@ def run_traced(wl, args, tmp: Path, errors: list):
         "vote.ties": (mean("vote.ties"), "count"),
         "pipeline.subsample_ms": (per_trial_ms("pipeline.subsample"), "ms"),
         "pipeline.overhead_ms": (per_trial_ms("pipeline.trial"), "ms"),
-        "pipeline.jobs2_speedup": (j2.trials_per_s / j1.trials_per_s, "x"),
+        "pipeline.jobs2_speedup": (sum(u.wall_s for u in j1) / sum(u.wall_s for u in j2), "x"),
         "trace.overhead_frac": (traced_s / plain_s - 1, "fraction"),
     }
     outside = ("sdp.round", "sbm.write_graph", "sbm.read_graph")  # not in a trial span
     layer_ms = 1e3 * (sum(self_s.values()) - sum(self_s[n] for n in outside)) / trials
-    traced_ms = sum(sum(u.trial_ms) for u in traced.units) / trials
-    plain_ms = 1e3 * plain_s / sum(u.trials for u in j1.units[:k])
     notes = {
         "sdp.solve_ms": f"per solve, {solves} solves; includes rounding and certificate",
         "sdp.round_ms": "leading_eigenvector re-run on the returned factor, outside the trial",
@@ -229,10 +258,12 @@ def run_traced(wl, args, tmp: Path, errors: list):
                               "round-tripped outside the trial",
         "sbm.read_graph_ms": "per file, same graphs",
         "pipeline.overhead_ms": "self time of the trial span",
-        "trace.overhead_frac": f"traced / untraced trial time - 1 over {k} common units",
-        "pipeline.jobs2_speedup": f"{j2.trials} jobs=2 trials vs {j1.trials} jobs=1 trials",
+        "trace.overhead_frac": f"traced / untraced trial time - 1 over {len(units)} units, "
+                               "each run both ways back to back",
+        "pipeline.jobs2_speedup": f"jobs=1 / jobs=2 wall time over the same {len(units)} units",
         "layer_sum": f"per-layer self times sum to {layer_ms:.3f} ms per traced trial "
-                     f"(traced trial wall {traced_ms:.3f} ms, untraced {plain_ms:.3f} ms)",
+                     f"(traced trial wall {1e3 * traced_s / trials:.3f} ms, "
+                     f"untraced {1e3 * plain_s / trials:.3f} ms)",
     }
     return metrics, notes, attempted, failed, tr
 
