@@ -1,12 +1,15 @@
 """blocksketch benchmark: one workload, one process, one JSON result line.
 
-    python3 perfbench/run.py --workload threshold-sweep --seed 1 --seconds 45 --trace 0
+    python3 perfbench/run.py --workload threshold-sweep --seed 1 --seconds 50 --trace 0
 
 Run from the root of a source checkout; the package is imported from
 ./src. --trace 0 reports the end-to-end metrics, measured untraced;
 --trace 1 reports the per-layer metrics of a traced run plus the tracing
-overhead. The last line of stdout is the JSON result; the lines before it
-repeat each metric with its unit and record the environment. Exit code 0
+overhead. End-to-end times except set-up are scaled to a reference host
+speed measured beside each unit (hostspeed.py), so that the shared host's
+slow stretches cancel. The last line of stdout is the JSON result; the
+lines before it repeat each metric with its unit and record the
+environment. Exit code 0
 means every output check passed, 1 that a check failed, 2 a usage error
 or a tree without the package sources. See README.md beside this file.
 """
@@ -29,7 +32,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-PASSES = 4  # times an untraced run times each unit; the median over them counts
+PASSES = 2  # times an untraced run times each unit; the median over them counts
 # cold start of a user process: interpreter start and package import
 SETUP_CODE = "import sys; sys.path.insert(0, sys.argv[1]); import blocksketch"
 
@@ -86,15 +89,17 @@ def measure_setup(repeats: int) -> list:
     return times
 
 
-def trial_ms_over_passes(passes) -> list:
+def trial_ms_over_passes(passes, scaled: bool) -> list:
     """Per trial, the median of its times over the passes; unit by unit, trial order."""
     return [statistics.median(ms) for units in zip(*passes)
-            for ms in zip(*(u.trial_ms for u in units))]
+            for ms in zip(*([t * (u.scale if scaled else 1) for t in u.trial_ms]
+                            for u in units))]
 
 
-def unit_trials_per_s(passes) -> float:
+def unit_trials_per_s(passes, scaled: bool) -> float:
     """Trials over the summed wall time of each unit, its median over the passes."""
-    wall = [statistics.median(u.wall_s for u in units) for units in zip(*passes)]
+    wall = [statistics.median(u.wall_s * (u.scale if scaled else 1) for u in units)
+            for units in zip(*passes)]
     return sum(u.trials for u in passes[0]) / sum(wall)
 
 
@@ -135,7 +140,7 @@ def run_untraced(wl, args, tmp: Path, errors: list):
     the whole run. The first pass of each is a closed loop that fixes its
     unit count; each later pass reruns those units."""
     budget = args.seconds / PASSES
-    setup = measure_setup(2)
+    setup = measure_setup(3)
     j1, j2 = [], []
     for p in range(PASSES):
         if p == 0:
@@ -145,7 +150,7 @@ def run_untraced(wl, args, tmp: Path, errors: list):
             j1.append(wl.rerun(args.seed, j1[0], 1, tmp))
             j2.append(wl.rerun(args.seed, j2[0], 2, tmp))
         # cold starts spread over the run see the host's drift as the passes do
-        setup += measure_setup(2)
+        setup += measure_setup(3)
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # excludes workers
 
     runs = [u for ps in j1 + j2 for u in ps]
@@ -157,24 +162,36 @@ def run_untraced(wl, args, tmp: Path, errors: list):
     failed += compare_units(j1[0], j2[0], "jobs=1 and jobs=2", errors)
     errors.extend(wl.check(distinct_outcomes(j1[0], j2[0])))
     attempted = sum(u.trials for u in runs)
-    trial_ms = trial_ms_over_passes(j1)
-    tail_ms = statistics.quantiles(trial_ms, n=100, method="inclusive")[wl.tail_pct - 1]
+
+    def tail(ms):
+        return statistics.quantiles(ms, n=100, method="inclusive")[wl.tail_pct - 1]
+
+    trial_ms = trial_ms_over_passes(j1, True)
+    raw_ms = trial_ms_over_passes(j1, False)
     metrics = {
         "setup_s": (statistics.median(setup), "s"),
         "trials_per_s": (1e3 * len(trial_ms) / sum(trial_ms), "1/s"),
-        "trials_per_s_jobs2": (unit_trials_per_s(j2), "1/s"),
+        "trials_per_s_jobs2": (unit_trials_per_s(j2, True), "1/s"),
         "trial_ms_p50": (statistics.median(trial_ms), "ms"),
-        "trial_ms_tail": (tail_ms, "ms"),
+        "trial_ms_tail": (tail(trial_ms), "ms"),
         "peak_rss_mb": (rss_mb, "MB"),
         "ops_ok_frac": (1 - failed / attempted, "fraction"),
     }
-    notes = {"setup_s": f"median of {len(setup)} cold starts",
-             "trial_ms_tail": f"p{wl.tail_pct} of {len(trial_ms)} trials, "
-                              f"each its median over {PASSES} passes",
-             "trial_ms_p50": f"{len(trial_ms)} trials, each its median over {PASSES} passes",
-             "trials_per_s": f"{len(trial_ms)} trials, each its median over {PASSES} passes",
+    from hostspeed import REF_MS  # numpy is loaded by now; see run_traced
+    speed = statistics.median(1 / u.scale for ps in j1 + j2 for u in ps)
+    each = f"each its median over {PASSES} passes"
+    notes = {"setup_s": f"median of {len(setup)} cold starts, not scaled",
+             "trial_ms_tail": f"p{wl.tail_pct} of {len(trial_ms)} trials, {each}; "
+                              f"raw {tail(raw_ms):.4g} ms",
+             "trial_ms_p50": f"{len(trial_ms)} trials, {each}; "
+                             f"raw {statistics.median(raw_ms):.4g} ms",
+             "trials_per_s": f"{len(trial_ms)} trials, {each}; "
+                             f"raw {1e3 * len(raw_ms) / sum(raw_ms):.4g} /s",
              "trials_per_s_jobs2": f"{sum(u.trials for u in j2[0])} trials in {len(j2[0])} "
-                                   f"units, each unit its median over {PASSES} passes"}
+                                   f"units, {each}; "
+                                   f"raw {unit_trials_per_s(j2, False):.4g} /s",
+             "host_speed": f"times are scaled to reference host speed: the reference "
+                           f"kernel took {speed:.3f} x {REF_MS} ms here (median over units)"}
     return metrics, notes, attempted, failed, None
 
 
@@ -304,8 +321,9 @@ def main(argv=None) -> int:
     for name, (value, unit) in metrics.items():
         note = f"  ({notes[name]})" if name in notes else ""
         print(f"{name} {value:.6g} {unit}{note}")
-    if "layer_sum" in notes:
-        print(notes["layer_sum"])
+    for extra in ("host_speed", "layer_sum"):
+        if extra in notes:
+            print(notes[extra])
     for e in errors:
         print(f"CHECK FAILED: {e}")
     print(json.dumps({

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 import blocksketch as bs
+from hostspeed import timed
 from tracing import CountingCSR, Tracer
 
 GAMMA_STAR = bs.gamma_star(30.0, 2.0)
@@ -36,6 +37,7 @@ class Unit:
     failed: int
     outcomes: dict           # gamma -> [successes, trials]
     fingerprint: str = None  # masked sweep CSV, compared across jobs; None when traced
+    scale: float = 1.0       # scales wall_s and trial_ms to reference host speed
 
     @property
     def trials(self) -> int:
@@ -136,11 +138,15 @@ class SweepWorkload:
 
     def run_unit(self, seed: int, i: int, jobs: int, tmp: Path) -> Unit:
         log = tmp / f"trials-j{jobs}-{i}.jsonl"
-        t0 = time.perf_counter()
-        table = bs.run_sweep([self.n], [self.alpha], [self.beta], self.gammas,
-                             self.trials_per_cell, unit_seed(seed, i),
-                             jobs=jobs, trial_log=log)
-        wall = time.perf_counter() - t0
+
+        def sweep():
+            t0 = time.perf_counter()
+            table = bs.run_sweep([self.n], [self.alpha], [self.beta], self.gammas,
+                                 self.trials_per_cell, unit_seed(seed, i),
+                                 jobs=jobs, trial_log=log)
+            return table, time.perf_counter() - t0
+
+        (table, wall), scale = timed(sweep)
         recs = [json.loads(ln) for ln in log.read_text().splitlines()]
         log.unlink()
         # a trial fails on an error tag, a degenerate sample, or a full
@@ -149,7 +155,7 @@ class SweepWorkload:
                      or (r["overall_success"] and not r["subgraph_success"]))
         outcomes = {c.gamma: [c.successes, c.trials] for c in table.cells}
         return Unit(i, wall, [r["wall_time"] * 1e3 for r in recs], failed, outcomes,
-                    _masked_csv(table.to_csv()))
+                    _masked_csv(table.to_csv()), scale)
 
     def closed_loop(self, seed: int, jobs: int, budget_s: float, tmp: Path) -> list:
         return closed_loop(lambda i: self.run_unit(seed, i, jobs, tmp), budget_s)
