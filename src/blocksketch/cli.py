@@ -62,7 +62,8 @@ def _resolve_seed(args) -> int:
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rank", type=int, default=None)
     p.add_argument("--max-iters", type=int, default=500)
-    p.add_argument("--restarts", type=int, default=5)
+    p.add_argument("--restarts", type=int, default=5,
+                   help="upper bound; the solve stops at the first certified restart")
 
 
 def _sdp_config(args, seed: int, balanced: bool = False, lam: float = 0.0) -> SdpConfig:

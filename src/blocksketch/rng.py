@@ -18,7 +18,6 @@ STREAM_SBM = 0
 STREAM_SUBSAMPLE = 1
 STREAM_SDP = 2
 STREAM_TIEBREAK = 3
-STREAM_GRAPH = 4
 
 
 def seed_sequence(seed: RngSeed, *stream: int) -> np.random.SeedSequence:

@@ -8,6 +8,12 @@ projection instead of penalizing it.
 
 The lambda * J term is never materialized: its gradient contribution is the
 rank-one correction lambda * 1 (1^T Y).
+
+Restarts stop at the first one whose rounded labels carry a dual
+certificate (Abbe-Bandeira-Hall, arXiv:1405.3267): with
+D = diag(((A - mu J) x) * x), the matrix S = D - A + mu J satisfies S x = 0,
+so S >= 0 proves x x^T optimal for the relaxation and x optimal for the
+integral program.
 """
 from __future__ import annotations
 
@@ -25,7 +31,9 @@ _ARMIJO = 1e-4
 _MAX_HALVINGS = 30
 _RANK_CAP = 32
 _BRUTE_FORCE_CAP = 22
-_POWER_SEED = 0x9E3779B9  # fixed start vector: rounding is a pure function of the factor
+_START_SEED = 0x9E3779B9  # fixed start vectors: rounding and the dual check are pure functions
+_DUAL_RTOL = 1e-9         # lambda_min(S) tolerance, relative to 1 + |rounded objective|
+_LANCZOS_STEPS = 80       # Krylov dimension cap of the dual check
 
 
 def default_rank(n: int) -> int:
@@ -38,7 +46,7 @@ class SdpConfig:
     max_iters: int = 500
     step_tol: float = 1e-10         # stop on relative objective change below this
     grad_tol: float = 1e-8          # stationarity tolerance on the projected gradient
-    restarts: int = 5
+    restarts: int = 5               # upper bound: stops at the first dual-certified restart
     balanced_mode: bool = False
     lam: float = 0.0
     seed: RngSeed = 0
@@ -196,7 +204,7 @@ def leading_eigenvector(factor: np.ndarray, tol: float = 1e-13, max_iters: int =
     """
     y = np.asarray(factor, dtype=np.float64)
     n = y.shape[0]
-    rng = np.random.default_rng(_POWER_SEED)
+    rng = np.random.default_rng(_START_SEED)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
     for it in range(1, max_iters + 1):
@@ -257,24 +265,55 @@ def _certificate_from_values(objective: float, rounded_objective: float,
 
 
 def certificate_check(sol, gap_tol: Optional[float] = None) -> Certificate:
-    """Tight iff sol.objective - sol.rounded_objective <= gap_tol.
+    """Gap test: tight iff sol.objective - sol.rounded_objective <= gap_tol.
 
-    Default gap_tol is 1e-6 * (1 + |objective|). A tight certificate means
-    the rounded labels attain the relaxation value, so they are a global
-    optimum of the integral program.
+    Default gap_tol is 1e-6 * (1 + |objective|). This is the cheap
+    precondition of the solver's certificate, not a proof of optimality: a
+    local ascent can stall at a value its rounding attains while the
+    relaxation is higher. The solver's `certificate.tight` also requires a
+    converged ascent and the dual check.
     """
     return _certificate_from_values(sol.objective, sol.rounded_objective, gap_tol)
 
 
-def _popcount(masks: np.ndarray) -> np.ndarray:
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(masks).astype(np.int64)
-    out = np.zeros(masks.shape, dtype=np.int64)
-    mm = masks.copy()
-    while mm.any():
-        out += mm & 1
-        mm >>= 1
-    return out
+def _dual_certified(adj, x: np.ndarray, mu: float, tol: float) -> bool:
+    """True iff lambda_min(S) >= -tol for S = diag(((A - mu J) x) * x) - A + mu J.
+
+    Lanczos with full reorthogonalization on S + x x^T / n, which moves the
+    zero eigenvalue of x to 1, from a fixed start vector; J and S are never
+    formed. The smallest Ritz value never undershoots lambda_min, so one
+    below -tol rejects at once; acceptance needs its residual within tol.
+    No convergence within _LANCZOS_STEPS means "not certified".
+    """
+    x = x.astype(np.float64)
+    n = x.size
+    d = (adj @ x - mu * x.sum()) * x
+
+    def apply(v):
+        return d * v - adj @ v + mu * v.sum() + x * ((x @ v) / n)
+
+    steps = min(n, _LANCZOS_STEPS)
+    basis = np.empty((steps, n))
+    tri = np.zeros((steps + 1, steps + 1))
+    v = np.random.default_rng(_START_SEED).standard_normal(n)
+    v /= np.linalg.norm(v)
+    for j in range(steps):
+        basis[j] = v
+        w = apply(v)
+        q = basis[: j + 1]
+        h = q @ w
+        tri[j, j] = h[j]
+        w -= q.T @ h
+        w -= q.T @ (q @ w)  # a second pass keeps the basis orthonormal
+        beta = float(np.linalg.norm(w))
+        theta, s = np.linalg.eigh(tri[: j + 1, : j + 1])
+        if theta[0] < -tol:
+            return False
+        if beta * abs(s[j, 0]) <= tol or j + 1 == n:
+            return True
+        tri[j, j + 1] = tri[j + 1, j] = beta
+        v = w / beta
+    return False
 
 
 def brute_force_mle(g: Graph, *, balanced: bool = False, size: Optional[int] = None,
@@ -304,7 +343,7 @@ def brute_force_mle(g: Graph, *, balanced: bool = False, size: Optional[int] = N
         diff += (masks >> u ^ masks >> v) & 1
     quad = 2.0 * (g.m - 2 * diff)  # x^T A x
 
-    pop = _popcount(masks)
+    pop = np.bitwise_count(masks).astype(np.int64)
     if balanced:
         sel = pop == n // 2
         obj = quad
@@ -329,6 +368,20 @@ def brute_force_mle(g: Graph, *, balanced: bool = False, size: Optional[int] = N
     return labels, float(best)
 
 
+def _round_and_certify(g: Graph, y: np.ndarray, f: float, converged: bool,
+                       lam: float, balanced: bool):
+    """Round a factor; tight iff converged, gap-tight and dual-certified."""
+    labels, pi_ok = _round_with_info(y, balanced)
+    rounded_obj = labeling_objective(g, labels, lam=lam)
+    cert = _certificate_from_values(f, rounded_obj)
+    # mu = lam is the Lagrangian program's own multiplier; on the balanced
+    # program any mu gives a dual point, and mu = 1 is Abbe-Bandeira-Hall's
+    tight = cert.tight and converged and _dual_certified(
+        g.adjacency, labels, 1.0 if balanced else lam,
+        _DUAL_RTOL * (1.0 + abs(rounded_obj)))
+    return labels, pi_ok, rounded_obj, Certificate(tight=tight, gap=cert.gap)
+
+
 def _solve(g: Graph, cfg: SdpConfig, balanced: bool) -> SdpSolution:
     require_nonempty(g)
     n = g.n
@@ -336,7 +389,7 @@ def _solve(g: Graph, cfg: SdpConfig, balanced: bool) -> SdpSolution:
     lam = 0.0 if balanced else cfg.lam
     adj = g.adjacency
 
-    best = None
+    best = rounding = None
     restart_objs = []
     total_iters = 0
     for k in range(cfg.restarts):
@@ -345,20 +398,20 @@ def _solve(g: Graph, cfg: SdpConfig, balanced: bool) -> SdpSolution:
         restart_objs.append(out[1])
         total_iters += out[2]
         if best is None or out[1] > best[1]:
-            best = out
+            best, rounding = out, None
+            if out[4]:
+                rounding = _round_and_certify(g, out[0], out[1], True, lam, balanced)
+                if rounding[3].tight:
+                    break
     y, f, iters, grad_norm, converged, obj_trace, dev_trace = best
-
-    labels, pi_ok = _round_with_info(y, balanced)
-    rounded_obj = labeling_objective(g, labels, lam=lam)
-    cert = _certificate_from_values(f, rounded_obj)
-    if not converged:
-        # never report tightness off a run that hit its iteration cap
-        cert = Certificate(tight=False, gap=cert.gap)
+    if rounding is None:  # the best restart hit its iteration cap: never tight
+        rounding = _round_and_certify(g, y, f, converged, lam, balanced)
+    labels, pi_ok, rounded_obj, cert = rounding
     cs = y.sum(axis=0)
     diag = SolveDiagnostics(
         converged=converged,
         iterations_total=total_iters,
-        restarts_used=cfg.restarts,
+        restarts_used=len(restart_objs),
         final_grad_norm=grad_norm,
         power_iteration_converged=pi_ok,
         lambda_used=lam,

@@ -13,9 +13,8 @@ import numpy as np
 
 from .errors import ParameterError
 from .rng import RngSeed
-from .sbm import Graph, SampleMask, is_complete, partitions_equal, subsample_nodes
-
-UNASSIGNED = 0
+from .sbm import (UNASSIGNED, Graph, SampleMask, is_complete, partitions_equal,
+                  subsample_nodes)
 
 
 @dataclass(eq=False)
@@ -51,7 +50,7 @@ def majority_vote(g: Graph, mask: SampleMask, sample_labels) -> VoteOutcome:
 
     off = np.ones(g.n, dtype=bool)
     off[kept] = False
-    labels = np.zeros(g.n, dtype=np.int8)
+    labels = np.full(g.n, UNASSIGNED, dtype=np.int8)
     labels[kept] = lab
     labels[off] = np.sign(margins[off]).astype(np.int8)
     tie_count = int((margins[off] == 0).sum())

@@ -1,12 +1,17 @@
 """Low-rank solver, rounding, certificate, and the exhaustive oracle."""
 import itertools
 import math
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import blocksketch as bs
+from blocksketch import sdp
 from blocksketch.errors import CapacityError, EmptyGraphError, ParameterError
 from blocksketch.sdp import objective_and_gradient
 
@@ -382,6 +387,75 @@ class TestCertificate:
         assert bs.certificate_check(sol).tight
         sol2 = SimpleNamespace(objective=1000.0, rounded_objective=1000.0 - 2e-3)
         assert not bs.certificate_check(sol2).tight
+
+
+class TestDualCertificate:
+    @settings(max_examples=150, deadline=None)
+    @given(k1=st.integers(1, 6), k2=st.integers(1, 6),
+           pq=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted),
+           graph_seed=st.integers(0, 2**32 - 1), mu=st.floats(0.0, 1.5),
+           pick=st.sampled_from(["truth", "mle", "random"]),
+           label_seed=st.integers(0, 2**32 - 1))
+    def test_lanczos_verdict_matches_dense_and_oracle(self, k1, k2, pq, graph_seed, mu,
+                                                      pick, label_seed):
+        q, p = pq
+        g = bs.sample_sbm(bs.SbmParams.explicit(k1, k2, p, q), graph_seed)
+        if pick == "truth":
+            x = g.truth
+        elif pick == "mle":
+            x, _ = bs.brute_force_mle(g, lam=mu)
+        else:
+            x = np.random.default_rng(label_seed).choice([-1, 1], g.n).astype(np.int8)
+        obj = bs.labeling_objective(g, x, lam=mu)
+        tol = sdp._DUAL_RTOL * (1.0 + abs(obj))
+        a = g.adjacency.toarray()
+        xf = x.astype(np.float64)
+        s_mat = np.diag((a @ xf - mu * xf.sum()) * xf) - a + mu
+        lmin = np.linalg.eigvalsh(s_mat)[0]
+        certified = sdp._dual_certified(g.adjacency, x, mu, tol)
+        if not -2.0 * tol <= lmin <= -0.5 * tol:  # verdicts compared clear of tol only
+            assert certified == (lmin >= -tol)
+        if certified:
+            # S >= -tol I bounds the relaxation, hence every labeling, by obj + n tol
+            slack = g.n * tol
+            assert obj == pytest.approx(bs.brute_force_mle(g, lam=mu)[1], rel=0, abs=slack)
+            if xf.sum() == 0:  # any mu certifies a balanced x for the balanced program
+                assert bs.labeling_objective(g, x) == pytest.approx(
+                    bs.brute_force_mle(g, balanced=True)[1], rel=0, abs=slack)
+
+    def test_certified_restart_stops_the_solve(self):
+        g = two_cliques(4)
+        sol = bs.solve_lagrangian_sdp(g, bs.SdpConfig(lam=LAM_STAR, seed=1))
+        assert sol.certificate.tight
+        assert sol.diagnostics.restarts_used == 1 == len(sol.diagnostics.restart_objectives)
+
+    def test_uncertified_solve_runs_every_restart(self):
+        # seed 6 has a genuine relaxation gap (see test_tight_implies_exhaustive_optimum)
+        g = two_cliques(5, p=0.9, q=0.1, seed=6)
+        cfg = bs.SdpConfig(lam=LAM_STAR, seed=6)
+        sol = bs.solve_lagrangian_sdp(g, cfg)
+        assert not sol.certificate.tight
+        assert sol.diagnostics.restarts_used == cfg.restarts
+        assert len(sol.diagnostics.restart_objectives) == cfg.restarts
+
+    def test_lanczos_nonconvergence_is_not_tight(self, monkeypatch):
+        g = two_cliques(4)
+        cfg = bs.SdpConfig(lam=LAM_STAR, seed=1)
+        assert bs.solve_lagrangian_sdp(g, cfg).certificate.tight
+        monkeypatch.setattr(sdp, "_LANCZOS_STEPS", 1)
+        sol = bs.solve_lagrangian_sdp(g, cfg)
+        assert sol.certificate.gap <= 1e-6 * (1.0 + abs(sol.objective))
+        assert not sol.certificate.tight
+        assert sol.diagnostics.restarts_used == cfg.restarts
+
+    def test_import_loads_no_scipy_eigensolvers(self):
+        code = ("import sys, blocksketch; print(sorted(m for m in sys.modules"
+                " if m.startswith(('scipy.sparse.linalg', 'scipy.linalg'))))")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestLabelingObjective:
