@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .analytics import lambda_star
-from .errors import BlocksketchError, ParameterError
+from .errors import ParameterError
 from .rng import RngSeed, STREAM_TIEBREAK, rng_for, seed_fingerprint, seed_sequence
 from .sbm import (Graph, SampleMask, SbmParams, induced_subgraph, is_complete,
                   partitions_equal, require_nonempty, sample_sbm, subsample_nodes)
@@ -218,7 +218,7 @@ def _trial_task(args):
     t0 = time.perf_counter()
     try:
         rec = run_trial(params, cfg, seed)
-    except BlocksketchError as exc:
+    except Exception as exc:  # one bad trial must not sink the sweep
         rec = TrialRecord(params=params, gamma=cfg.gamma, seed=seed_fingerprint(seed),
                           sample_size=0, sdp_certificate=None, subgraph_success=False,
                           vote_ties=0, overall_success=False,
@@ -233,10 +233,11 @@ def run_sweep(n_values: Sequence[int], alpha_values: Sequence[float],
               jobs: int = 1, trial_log=None) -> SweepTable:
     """Full product sweep over (n, alpha, beta, gamma) with `trials` per cell.
 
-    The per-cell gamma overrides the template config's. Per-trial errors are
-    recorded as failed trials with an error tag rather than aborting the
-    sweep. `jobs` only sets the worker count; results are identical for any
-    value because trial seeds depend on cell and trial indices alone.
+    The per-cell gamma overrides the template config's. An exception of any
+    type inside a trial is recorded as a failed trial with an error tag
+    rather than aborting the sweep; a crashed worker process still aborts it.
+    `jobs` only sets the worker count; results are identical for any value
+    because trial seeds depend on cell and trial indices alone.
     """
     for name, ax in (("n", n_values), ("alpha", alpha_values),
                      ("beta", beta_values), ("gamma", gamma_values)):

@@ -2,9 +2,12 @@
 
 The relaxation max Tr(A X) - lambda Tr(X J), X PSD with unit diagonal, is
 solved through the factorization X = Y Y^T with unit-norm rows of Y, by
-projected gradient ascent with a backtracking line search. The balanced
-variant drives Tr(X J) = ||Y^T 1||^2 itself to zero by alternating
-projection instead of penalizing it.
+Riemannian gradient ascent on the product of spheres: Barzilai-Borwein
+steps with monotone Armijo backtracking (Wen-Yin, Math. Program. 142,
+2013). Each trial step costs one sparse product A Y, and the BB step
+mostly passes on its first trial. The balanced variant drives
+Tr(X J) = ||Y^T 1||^2 itself to zero by alternating projection instead of
+penalizing it.
 
 The lambda * J term is never materialized: its gradient contribution is the
 rank-one correction lambda * 1 (1^T Y).
@@ -145,6 +148,7 @@ def _ascent(adj, n: int, r: int, lam: float, balanced: bool, cfg: SdpConfig, rng
     obj_trace = []
     dev_trace = []
     step = 1.0
+    y_prev = d_prev = None
     grad_norm = 0.0
     converged = False
     iters = 0
@@ -159,35 +163,27 @@ def _ascent(adj, n: int, r: int, lam: float, balanced: bool, cfg: SdpConfig, rng
             converged = True
             iters -= 1
             break
+        if d_prev is not None:
+            # Barzilai-Borwein step, long and short formulas alternating
+            s, z = y - y_prev, direction - d_prev
+            sz = abs(float(np.sum(s * z)))
+            if sz:
+                bb = float(np.sum(s * s)) / sz if iters % 2 else sz / float(np.sum(z * z))
+                step = min(max(bb, 1e-10), 1e10)
         t = step
-        accepted = False
-        halvings = 0
-        while halvings < _MAX_HALVINGS:
+        for _ in range(_MAX_HALVINGS):
             cand = _project(y + t * direction, balanced)
             fc, ayc = _value(adj, cand, lam_eff)
             if fc >= f + _ARMIJO * t * gsq:
-                accepted = True
                 break
             t *= 0.5
-            halvings += 1
-        if not accepted:
+        else:  # no trial step passed the Armijo test
             converged = True
             iters -= 1
             break
-        # a barely-passing step can overshoot a ridge; prefer the half step
-        # while it strictly gains more, within the same halving budget
-        while halvings < _MAX_HALVINGS:
-            th = 0.5 * t
-            ch = _project(y + th * direction, balanced)
-            fh, ayh = _value(adj, ch, lam_eff)
-            halvings += 1
-            if fh > fc:
-                t, cand, fc, ayc = th, ch, fh, ayh
-            else:
-                break
         gain = fc - f
+        y_prev, d_prev = y, direction
         y, f, ay = cand, fc, ayc
-        step = min(1.0, 2.0 * t)
         obj_trace.append(f)
         dev_trace.append(float(np.abs(np.linalg.norm(y, axis=1) - 1.0).max()))
         if gain <= cfg.step_tol * (1.0 + abs(f)):

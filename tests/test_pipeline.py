@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import blocksketch as bs
+from blocksketch import pipeline
 from blocksketch.errors import ParameterError
 from blocksketch.pipeline import (CSV_HEADER, SketchConfig, TrialRecord,
                                   parse_sweep_csv, run_sweep, run_trial,
@@ -234,6 +235,25 @@ class TestRunSweep:
                             for d in ds]
         recs2 = [json.loads(ln) for ln in log2.read_text().splitlines()]
         assert strip(recs) == strip(recs2)
+
+    def test_non_package_error_is_a_failed_trial(self, monkeypatch, tmp_path):
+        calls = []
+
+        def flaky_trial(params, cfg, seed):
+            calls.append(seed)
+            if len(calls) == 2:
+                raise ValueError("injected fault")
+            return run_trial(params, cfg, seed)
+
+        monkeypatch.setattr(pipeline, "run_trial", flaky_trial)
+        log = tmp_path / "trials.jsonl"
+        tab = run_sweep([12], [2.0], [0.5], [1.0], trials=3, master_seed=5,
+                        trial_log=log)
+        assert len(calls) == 3
+        assert tab.cells[0].trials == 3
+        recs = [json.loads(ln) for ln in log.read_text().splitlines()]
+        assert [r["error"] for r in recs] == [None, "ValueError: injected fault", None]
+        assert not recs[1]["overall_success"] and not recs[1]["subgraph_success"]
 
     def test_gamma_override_per_cell(self):
         template = SketchConfig(gamma=0.123, lambda_mode="fixed", lambda_value=0.3)

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_matrix
 
 import blocksketch as bs
 from blocksketch import sdp
@@ -142,11 +143,14 @@ class TestSolver:
         assert sol.diagnostics.row_norm_dev_trace.max() <= 1e-9
 
     def test_monotone_ascent(self):
+        # both retractions: the balanced one centres columns before normalizing
         g = two_cliques(6, p=0.8, q=0.2, seed=5)
-        sol = bs.solve_lagrangian_sdp(g, bs.SdpConfig(lam=0.2, seed=0))
-        trace = sol.diagnostics.objective_trace
-        assert len(trace) >= 1
-        assert np.all(np.diff(trace) >= -1e-12)
+        for solve, cfg in ((bs.solve_lagrangian_sdp, bs.SdpConfig(lam=0.2, seed=0)),
+                           (bs.solve_balanced_sdp, bs.SdpConfig(balanced_mode=True, seed=0))):
+            sol = solve(g, cfg)
+            trace = sol.diagnostics.objective_trace
+            assert len(trace) >= 1
+            assert np.all(np.diff(trace) >= -1e-12)
 
     def test_relaxation_dominates_integral(self):
         rng = np.random.default_rng(31)
@@ -187,6 +191,25 @@ class TestSolver:
         assert a.objective == b.objective
         assert np.array_equal(a.rounded, b.rounded)
         assert a.certificate == b.certificate
+
+    def test_matmult_budget(self):
+        # below the recovery threshold no restart passes the gap test, so the
+        # dual check adds no Lanczos matvecs: every product is the ascent's
+        class CountingCSR(csr_matrix):
+            calls = 0
+
+            def __matmul__(self, other):
+                CountingCSR.calls += 1
+                return super().__matmul__(other)
+
+        params = bs.SbmParams.from_rates(300, 3, 1)
+        g = bs.sample_sbm(params, 0)
+        g.adjacency = CountingCSR(g.adjacency)
+        sol = bs.solve_lagrangian_sdp(
+            g, bs.SdpConfig(lam=bs.lambda_star(params.p, params.q)))
+        diag = sol.diagnostics
+        assert not sol.certificate.tight
+        assert CountingCSR.calls <= 1.5 * diag.iterations_total + diag.restarts_used
 
     def test_nonconvergence_blocks_certificate(self):
         g = two_cliques(15, p=0.7, q=0.2, seed=3)
