@@ -63,7 +63,8 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rank", type=int, default=None)
     p.add_argument("--max-iters", type=int, default=500)
     p.add_argument("--restarts", type=int, default=5,
-                   help="upper bound; the solve stops at the first certified restart")
+                   help="upper bound; the solve stops at the first certified restart, or "
+                        "at a second converged one matching the best objective and partition")
 
 
 def _sdp_config(args, seed: int, balanced: bool = False, lam: float = 0.0) -> SdpConfig:
@@ -287,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--master-seed", type=int, default=None)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None)
-    p.add_argument("--trial-log", default=None)
+    p.add_argument("--trial-log", default=None,
+                   help="JSONL file, one record per trial, written as each trial finishes")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("vote-oracle", help="oracle-initialized majority-vote trials")

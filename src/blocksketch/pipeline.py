@@ -10,6 +10,7 @@ import dataclasses
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
@@ -81,6 +82,8 @@ class TrialRecord:
     overall_success: bool
     wall_time: float
     error: Optional[str] = None
+    restarts_used: Optional[int] = None      # solver counters; None without a solve
+    iterations_total: Optional[int] = None
 
     def canonical_dict(self) -> dict:
         """Deterministic content; wall_time is the documented exemption."""
@@ -102,6 +105,8 @@ class TrialRecord:
             "vote_ties": self.vote_ties,
             "overall_success": self.overall_success,
             "error": self.error,
+            "restarts_used": self.restarts_used,
+            "iterations_total": self.iterations_total,
         }
 
     def json_dict(self) -> dict:
@@ -198,6 +203,7 @@ def run_trial(params: SbmParams, cfg: SketchConfig, seed: RngSeed) -> TrialRecor
         sub_ok = partitions_equal(res.solution.rounded, truth[res.mask.kept])
         overall = is_complete(res.labels) and partitions_equal(res.labels, truth)
     wall = time.perf_counter() - t0
+    diag = res.solution.diagnostics if res.solution else None
     return TrialRecord(
         params=params,
         gamma=cfg.gamma,
@@ -209,6 +215,8 @@ def run_trial(params: SbmParams, cfg: SketchConfig, seed: RngSeed) -> TrialRecor
         overall_success=bool(overall),
         wall_time=wall,
         error="degenerate-sample" if res.degenerate else None,
+        restarts_used=diag.restarts_used if diag else None,
+        iterations_total=diag.iterations_total if diag else None,
     )
 
 
@@ -237,7 +245,9 @@ def run_sweep(n_values: Sequence[int], alpha_values: Sequence[float],
     type inside a trial is recorded as a failed trial with an error tag
     rather than aborting the sweep; a crashed worker process still aborts it.
     `jobs` only sets the worker count; results are identical for any value
-    because trial seeds depend on cell and trial indices alone.
+    because trial seeds depend on cell and trial indices alone. Each
+    `trial_log` JSONL line is written as its trial's result arrives, in
+    (cell, trial) order.
     """
     for name, ax in (("n", n_values), ("alpha", alpha_values),
                      ("beta", beta_values), ("gamma", gamma_values)):
@@ -261,23 +271,24 @@ def run_sweep(n_values: Sequence[int], alpha_values: Sequence[float],
         for t in range(trials):
             tasks.append((params, cfg, master_seed, cell, t))
 
-    if jobs == 1:
-        results = [_trial_task(args) for args in tasks]
-    else:
-        chunk = max(1, len(tasks) // (jobs * 4))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_trial_task, tasks, chunksize=chunk))
-    results.sort(key=lambda item: (item[0], item[1]))
-
     by_cell = {}
-    for cell, t, rec in results:
-        by_cell.setdefault(cell, []).append(rec)
+    with ExitStack() as stack:
+        log = stack.enter_context(Path(trial_log).open("w")) if trial_log is not None else None
+        if jobs == 1:
+            results = map(_trial_task, tasks)
+        else:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+            results = pool.map(_trial_task, tasks, chunksize=max(1, len(tasks) // (jobs * 4)))
+        # tasks are in (cell, t) order and both maps yield in task order
+        for cell, _, rec in results:
+            by_cell.setdefault(cell, []).append(rec)
+            if log is not None:
+                log.write(json.dumps(rec.json_dict(), sort_keys=True) + "\n")
+                log.flush()
 
     cells = []
-    ordered_records = []
     for cell, n, a, b, gm in cell_axes:
         recs = by_cell[cell]
-        ordered_records.extend(recs)
         successes = sum(r.overall_success for r in recs)
         sub = sum(r.subgraph_success for r in recs)
         cells.append(CellStats(
@@ -289,10 +300,6 @@ def run_sweep(n_values: Sequence[int], alpha_values: Sequence[float],
             mean_tie_count=float(np.mean([r.vote_ties for r in recs])),
             mean_wall_ms=float(np.mean([r.wall_time for r in recs])) * 1e3,
         ))
-    if trial_log is not None:
-        with Path(trial_log).open("w") as fh:
-            for rec in ordered_records:
-                fh.write(json.dumps(rec.json_dict(), sort_keys=True) + "\n")
     return SweepTable(
         n_values=tuple(int(v) for v in n_values),
         alpha_values=tuple(float(v) for v in alpha_values),

@@ -16,7 +16,12 @@ Restarts stop at the first one whose rounded labels carry a dual
 certificate (Abbe-Bandeira-Hall, arXiv:1405.3267): with
 D = diag(((A - mu J) x) * x), the matrix S = D - A + mu J satisfies S x = 0,
 so S >= 0 proves x x^T optimal for the relaxation and x optimal for the
-integral program.
+integral program. Without a certificate, restarts stop at the second
+converged one whose objective is within the gap test's tolerance of the best
+and whose rounding is the best one's partition: at the default rank,
+converged restarts are expected to reach the same optimum
+(Boumal-Voroninski-Bandeira, arXiv:1606.04970). A restart that hit its
+iteration cap never counts as agreeing.
 """
 from __future__ import annotations
 
@@ -28,7 +33,7 @@ import numpy as np
 
 from .errors import CapacityError, ParameterError
 from .rng import RngSeed, STREAM_SDP, rng_for
-from .sbm import Graph, require_nonempty
+from .sbm import Graph, partitions_equal, require_nonempty
 
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 30
@@ -50,6 +55,7 @@ class SdpConfig:
     step_tol: float = 1e-10         # stop on relative objective change below this
     grad_tol: float = 1e-8          # stationarity tolerance on the projected gradient
     restarts: int = 5               # upper bound: stops at the first dual-certified restart
+                                    # or a second converged one with the best's value and labels
     balanced_mode: bool = False
     lam: float = 0.0
     seed: RngSeed = 0
@@ -393,12 +399,20 @@ def _solve(g: Graph, cfg: SdpConfig, balanced: bool) -> SdpSolution:
         out = _ascent(adj, n, r, lam, balanced, cfg, rng)
         restart_objs.append(out[1])
         total_iters += out[2]
+        prev, prev_rounding = best, rounding
         if best is None or out[1] > best[1]:
             best, rounding = out, None
             if out[4]:
                 rounding = _round_and_certify(g, out[0], out[1], True, lam, balanced)
                 if rounding[3].tight:
                     break
+        # a second converged restart within the gap test's tolerance of the
+        # best objective, rounding to the best's partition, ends the solve
+        if (prev is not None and prev[4] and out[4]
+                and _certificate_from_values(best[1], min(prev[1], out[1])).tight):
+            labels = rounding[0] if best is out else _round_with_info(out[0], balanced)[0]
+            if partitions_equal(labels, prev_rounding[0]):
+                break
     y, f, iters, grad_norm, converged, obj_trace, dev_trace = best
     if rounding is None:  # the best restart hit its iteration cap: never tight
         rounding = _round_and_certify(g, y, f, converged, lam, balanced)

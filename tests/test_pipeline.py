@@ -228,9 +228,14 @@ class TestRunSweep:
         recs = [json.loads(ln) for ln in lines]
         for d in recs:
             assert "wall_time" in d and "overall_success" in d
+            assert "restarts_used" in d and "iterations_total" in d
+            if d["sample_size"] >= 2:  # a solve ran: its counters are logged
+                assert d["restarts_used"] >= 1 and d["iterations_total"] >= 0
+            else:
+                assert d["restarts_used"] is None and d["iterations_total"] is None
         log2 = tmp_path / "trials2.jsonl"
         run_sweep([12], [2.0], [0.5], [1.0, 0.5], trials=3, master_seed=5,
-                  trial_log=log2)
+                  jobs=2, trial_log=log2)
         strip = lambda ds: [{k: v for k, v in d.items() if k != "wall_time"}
                             for d in ds]
         recs2 = [json.loads(ln) for ln in log2.read_text().splitlines()]
@@ -254,6 +259,24 @@ class TestRunSweep:
         recs = [json.loads(ln) for ln in log.read_text().splitlines()]
         assert [r["error"] for r in recs] == [None, "ValueError: injected fault", None]
         assert not recs[1]["overall_success"] and not recs[1]["subgraph_success"]
+
+    def test_trial_log_is_written_as_trials_finish(self, monkeypatch, tmp_path):
+        calls = []
+
+        def interrupted_trial(params, cfg, seed):
+            calls.append(seed)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return run_trial(params, cfg, seed)
+
+        monkeypatch.setattr(pipeline, "run_trial", interrupted_trial)
+        log = tmp_path / "trials.jsonl"
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep([12], [2.0], [0.5], [1.0], trials=4, master_seed=5, trial_log=log)
+        recs = [json.loads(ln) for ln in log.read_text().splitlines()]
+        assert [r["seed"] for r in recs] == [
+            list(map(repr, bs.seed_fingerprint(seed_sequence(5, 0, 0, 0, 0, t))))
+            for t in range(2)]
 
     def test_gamma_override_per_cell(self):
         template = SketchConfig(gamma=0.123, lambda_mode="fixed", lambda_value=0.3)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.sparse.csgraph import connected_components
 
 import blocksketch as bs
@@ -288,6 +289,21 @@ class TestGraphFileIO:
         h = bs.read_graph(path)
         assert h.truth is None
         assert h.edges.tolist() == [[0, 2]]
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 12), with_truth=st.booleans(), data=st.data())
+    def test_roundtrip_property(self, tmp_path_factory, n, with_truth, data):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        edges = data.draw(st.permutations([e for e, k in zip(pairs, keep) if k]))
+        truth = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)) \
+            if with_truth else None
+        g = bs.Graph.from_edges(n, edges, truth)
+        path = tmp_path_factory.mktemp("roundtrip") / "g.txt"
+        bs.write_graph(g, path)
+        h = bs.read_graph(path)
+        assert h.n == g.n and np.array_equal(h.edges, g.edges)
+        assert (h.truth is None) if truth is None else np.array_equal(h.truth, g.truth)
 
     @pytest.mark.parametrize("content", [
         "not a header\n",

@@ -14,6 +14,7 @@ from scipy.sparse import csr_matrix
 import blocksketch as bs
 from blocksketch import sdp
 from blocksketch.errors import CapacityError, EmptyGraphError, ParameterError
+from blocksketch.rng import STREAM_SDP, rng_for
 from blocksketch.sdp import objective_and_gradient
 
 LAM_STAR = bs.lambda_star(0.9, 0.1)
@@ -452,14 +453,36 @@ class TestDualCertificate:
         assert sol.certificate.tight
         assert sol.diagnostics.restarts_used == 1 == len(sol.diagnostics.restart_objectives)
 
-    def test_uncertified_solve_runs_every_restart(self):
+    def test_uncertified_solve_stops_when_restarts_agree(self):
         # seed 6 has a genuine relaxation gap (see test_tight_implies_exhaustive_optimum)
         g = two_cliques(5, p=0.9, q=0.1, seed=6)
         cfg = bs.SdpConfig(lam=LAM_STAR, seed=6)
         sol = bs.solve_lagrangian_sdp(g, cfg)
         assert not sol.certificate.tight
+        assert sol.diagnostics.restarts_used == 2 == len(sol.diagnostics.restart_objectives)
+        # the early stop returns the partition that running every restart would
+        r = sdp.default_rank(g.n)
+        outs = [sdp._ascent(g.adjacency, g.n, r, LAM_STAR, False, cfg,
+                            rng_for(cfg.seed, STREAM_SDP, k)) for k in range(cfg.restarts)]
+        best = max(outs, key=lambda out: out[1])
+        assert bs.partitions_equal(sol.rounded, bs.round_solution(best[0]))
+
+    def test_unconverged_restarts_never_agree(self, monkeypatch):
+        g = two_cliques(5, p=0.9, q=0.1, seed=6)
+        cfg = bs.SdpConfig(lam=LAM_STAR, seed=6, max_iters=1)
+        sol = bs.solve_lagrangian_sdp(g, cfg)
+        assert not sol.diagnostics.converged
         assert sol.diagnostics.restarts_used == cfg.restarts
-        assert len(sol.diagnostics.restart_objectives) == cfg.restarts
+        # restarts that agree on objective and partition but report the cap
+        ascent = sdp._ascent
+
+        def capped(*args):
+            out = ascent(*args)
+            return out[:4] + (False,) + out[5:]
+
+        monkeypatch.setattr(sdp, "_ascent", capped)
+        cfg = bs.SdpConfig(lam=LAM_STAR, seed=6)
+        assert bs.solve_lagrangian_sdp(g, cfg).diagnostics.restarts_used == cfg.restarts
 
     def test_lanczos_nonconvergence_is_not_tight(self, monkeypatch):
         g = two_cliques(4)
@@ -469,7 +492,7 @@ class TestDualCertificate:
         sol = bs.solve_lagrangian_sdp(g, cfg)
         assert sol.certificate.gap <= 1e-6 * (1.0 + abs(sol.objective))
         assert not sol.certificate.tight
-        assert sol.diagnostics.restarts_used == cfg.restarts
+        assert sol.diagnostics.restarts_used == 2
 
     def test_import_loads_no_scipy_eigensolvers(self):
         code = ("import sys, blocksketch; print(sorted(m for m in sys.modules"

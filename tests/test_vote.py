@@ -1,6 +1,7 @@
 """Majority-vote extension and the truth-initialized oracle trial."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import blocksketch as bs
 from blocksketch.errors import ParameterError
@@ -80,19 +81,26 @@ class TestMajorityVote:
                 want = 1 if plus > minus else (-1 if minus > plus else UNASSIGNED)
                 assert out.labels[v] == want
 
-    def test_permutation_equivariance(self):
-        rng = np.random.default_rng(5)
-        g = bs.sample_sbm(bs.SbmParams.explicit(5, 5, 0.8, 0.3), 2)
-        kept = np.array([0, 2, 3, 7])
-        labels = np.array([1, -1, 1, -1], dtype=np.int8)
-        out = bs.majority_vote(g, mask_of(kept, g.n), labels)
-        perm = rng.permutation(g.n)
-        pg = bs.Graph.from_edges(g.n, perm[g.edges])
-        pk = perm[kept]
-        order = np.argsort(pk)
-        pout = bs.majority_vote(pg, mask_of(pk, g.n), labels[order])
-        assert np.array_equal(pout.labels[perm], out.labels)
-        assert np.array_equal(pout.margins[perm], out.margins)
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 12), density=st.floats(0.0, 1.0),
+           graph_seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_permutation_equivariance(self, n, density, graph_seed, data):
+        rng = np.random.default_rng(graph_seed)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.uniform() < density]
+        g = bs.Graph.from_edges(n, edges)
+        kept = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        lab = np.asarray(data.draw(st.lists(st.sampled_from([-1, 1]), min_size=kept.size,
+                                            max_size=kept.size)), dtype=np.int8)
+        perm = np.asarray(data.draw(st.permutations(range(n))), dtype=np.int64)
+        out = bs.majority_vote(g, mask_of(kept, n), lab)
+        # node i of g is node perm[i] of the relabelled graph
+        g2 = bs.Graph.from_edges(n, perm[g.edges])
+        order = np.argsort(perm[kept])
+        out2 = bs.majority_vote(g2, mask_of(perm[kept], n), lab[order])
+        assert np.array_equal(out2.labels[perm], out.labels)
+        assert np.array_equal(out2.margins[perm], out.margins)
+        assert out2.tie_count == out.tie_count
+
 
     def test_margin_monotone_in_added_edge(self):
         g = star([(0, 2), (1, 2)], 4)
