@@ -15,7 +15,7 @@ TRIALS, MASTER_SEED = 20, 404
 gs = bs.gamma_star(ALPHA, BETA)
 gammas = [round(0.5 * k * gs, 4) for k in range(1, 9)] + [1.0]
 print(f"gamma* = {gs:.4f}; sweeping {len(gammas)} cells, "
-      f"{TRIALS} trials each (takes a minute or two)")
+      f"{TRIALS} trials each (a few seconds)")
 
 tab = run_sweep([N], [ALPHA], [BETA], gammas,
                 trials=TRIALS, master_seed=MASTER_SEED)

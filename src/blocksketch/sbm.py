@@ -4,6 +4,12 @@ Labels use +1 / -1 for the two communities and 0 for "unassigned"; a label
 vector is complete when it contains no zeros. Partitions are compared up to
 a global sign flip. Probabilities use the natural log parametrization
 p = alpha * log(n) / n, q = beta * log(n) / n in balanced mode.
+
+`sample_sbm` has one exact sampler at every size: geometric skips between
+successive edges of each block (Batagelj and Brandes, Phys. Rev. E
+71:036113, 2005), O(edges) time and memory. `Graph.from_edges` and
+`read_graph` canonicalize and validate edges through one routine,
+`_canonical_graph`, which raises the caller's error type.
 """
 from __future__ import annotations
 
@@ -20,11 +26,6 @@ from .errors import EmptyGraphError, GraphFormatError, ParameterError
 from .rng import RngSeed, STREAM_SBM, STREAM_SUBSAMPLE, rng_for
 
 UNASSIGNED = 0
-
-# Above this many candidate pairs, generation switches from dense pair
-# enumeration to exact per-block sampling (same law, bounded memory).
-_DENSE_PAIR_LIMIT = 1 << 22
-
 
 @dataclass(frozen=True)
 class SbmParams:
@@ -82,25 +83,8 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges, truth=None) -> "Graph":
-        e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        if e.size:
-            u = np.minimum(e[:, 0], e[:, 1])
-            v = np.maximum(e[:, 0], e[:, 1])
-            if (u < 0).any() or (v >= n).any():
-                raise ParameterError("edge endpoint out of range")
-            if (u == v).any():
-                raise ParameterError("self-loops are not allowed")
-            order = np.lexsort((v, u))
-            e = np.column_stack([u, v])[order]
-            dup = (np.diff(e[:, 0]) == 0) & (np.diff(e[:, 1]) == 0)
-            if dup.any():
-                raise ParameterError("duplicate edges are not allowed")
-        t = None
-        if truth is not None:
-            t = np.asarray(truth, dtype=np.int8)
-            if t.shape != (n,) or not np.isin(t, (-1, 1)).all():
-                raise ParameterError("truth must be a complete +-1 vector of length n")
-        return cls(n=n, edges=e, truth=t)
+        """Canonical graph from (u, v) pairs in any order and orientation."""
+        return _canonical_graph(n, edges, truth, ParameterError)
 
     @property
     def m(self) -> int:
@@ -131,6 +115,30 @@ class Graph:
         return int(a.indptr[v + 1] - a.indptr[v])
 
 
+def _canonical_graph(n: int, edges, truth, error: type[Exception]) -> Graph:
+    """Orient each edge u < v and sort; raise `error` on more nodes than
+    int64 edge keys allow, an out-of-range endpoint, a self-loop, a
+    duplicate in either orientation, or a truth vector that is not a
+    complete +-1 vector of length n."""
+    if int(n) ** 2 > 2 ** 63:
+        raise error(f"n={n} nodes is too many: edge keys u * n + v must fit in int64")
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    u, v = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
+    if e.size and (u.min() < 0 or v.max() >= n):
+        raise error("edge endpoint out of range")
+    if (u == v).any():
+        raise error("self-loops are not allowed")
+    keys = np.sort(u * n + v)
+    if (keys[1:] == keys[:-1]).any():
+        raise error("duplicate edges are not allowed")
+    t = None
+    if truth is not None:
+        t = np.asarray(truth, dtype=np.int8)
+        if t.shape != (n,) or not np.isin(t, (-1, 1)).all():
+            raise error("truth must be a complete +-1 vector of length n")
+    return Graph(n=n, edges=np.column_stack([keys // n, keys % n]), truth=t)
+
+
 @dataclass(eq=False)
 class SampleMask:
     """Result of independent node subsampling: sorted kept indices."""
@@ -144,76 +152,24 @@ class SampleMask:
         return int(self.kept.size)
 
 
-def _uniform_distinct(rng: np.random.Generator, n_total: int, m: int) -> np.ndarray:
-    """Uniformly random m-subset of range(n_total), sorted."""
-    if m < 0 or m > n_total:
-        raise ParameterError("subset size out of range")
-    if m == 0:
+def _bernoulli_codes(rng: np.random.Generator, n_pairs: int, prob: float) -> np.ndarray:
+    """Sorted codes of range(n_pairs), each present independently with
+    probability prob: geometric skips between successes (Batagelj and
+    Brandes, Phys. Rev. E 71:036113, 2005), exact and O(kept codes)."""
+    if n_pairs == 0 or prob == 0.0:
         return np.empty(0, dtype=np.int64)
-    if m == n_total:
-        return np.arange(n_total, dtype=np.int64)
-    if m > n_total // 2:
-        # dense case: pick the complement instead
-        excl = _uniform_distinct(rng, n_total, n_total - m)
-        keep = np.ones(n_total, dtype=bool)
-        keep[excl] = False
-        return np.flatnonzero(keep).astype(np.int64)
-    picked = np.empty(0, dtype=np.int64)
-    need = m
-    while picked.size < m:
-        batch = rng.integers(0, n_total, size=need + need // 8 + 16, dtype=np.int64)
-        picked = np.unique(np.concatenate([picked, batch]))
-        need = m - min(picked.size, m)
-    if picked.size > m:
-        # distinct draws are exchangeable, so a uniform m-subset of them is
-        # a uniform m-subset of the range
-        picked = np.sort(rng.choice(picked, size=m, replace=False))
-    return picked
-
-
-def _decode_triangle(codes: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Invert the row-major enumeration of pairs (i, j), i < j < k."""
-    c = codes.astype(np.int64)
-
-    def row_start(i):
-        return i * (k - 1) - i * (i - 1) // 2
-
-    disc = (2.0 * k - 1) ** 2 - 8.0 * c
-    i = np.floor(((2 * k - 1) - np.sqrt(disc)) / 2).astype(np.int64)
-    i = np.clip(i, 0, k - 2)
-    for _ in range(3):  # float sqrt can be off by one near row boundaries
-        too_high = row_start(i) > c
-        if too_high.any():
-            i[too_high] -= 1
-        too_low = row_start(i + 1) <= c
-        if too_low.any():
-            i[too_low] += 1
-        if not too_high.any() and not too_low.any():
-            break
-    j = c - row_start(i) + i + 1
-    return i, j
-
-
-def _sample_block_within(rng, nodes: np.ndarray, prob: float) -> np.ndarray:
-    k = nodes.size
-    n_pairs = k * (k - 1) // 2
-    if n_pairs == 0 or prob == 0.0:
-        return np.empty((0, 2), dtype=np.int64)
-    m = int(rng.binomial(n_pairs, prob))
-    codes = _uniform_distinct(rng, n_pairs, m)
-    i, j = _decode_triangle(codes, k)
-    return np.column_stack([nodes[i], nodes[j]])
-
-
-def _sample_block_cross(rng, a: np.ndarray, b: np.ndarray, prob: float) -> np.ndarray:
-    n_pairs = a.size * b.size
-    if n_pairs == 0 or prob == 0.0:
-        return np.empty((0, 2), dtype=np.int64)
-    m = int(rng.binomial(n_pairs, prob))
-    codes = _uniform_distinct(rng, n_pairs, m)
-    ua = a[codes // b.size]
-    ub = b[codes % b.size]
-    return np.column_stack([np.minimum(ua, ub), np.maximum(ua, ub)])
+    chunks = []
+    last = -1
+    while last < n_pairs:
+        mean = (n_pairs - 1 - last) * prob
+        # any gap past the end ends the block, so clipping at n_pairs + 1 is
+        # exact; tiny prob draws int64 max, which would overflow the cumsum
+        gaps = np.minimum(rng.geometric(prob, size=int(mean + 4.0 * math.sqrt(mean)) + 2),
+                          n_pairs + 1)
+        codes = last + np.cumsum(gaps)
+        last = int(codes[-1])
+        chunks.append(codes[codes < n_pairs])
+    return np.concatenate(chunks)
 
 
 def sample_sbm(params: SbmParams, seed: RngSeed) -> Graph:
@@ -221,32 +177,27 @@ def sample_sbm(params: SbmParams, seed: RngSeed) -> Graph:
 
     The community of size n1 is the first n1 entries of a random permutation
     and gets label +1. Each within-community pair receives an edge with
-    probability p, each cross pair with probability q, independently.
+    probability p, each cross pair with probability q, independently. Each
+    block (s1 x s1, s2 x s2, s1 x s2) is drawn as a grid of row/column codes
+    by geometric skips (`_bernoulli_codes`); the within-blocks keep u < v.
     """
     rng = rng_for(seed, STREAM_SBM)
     n = params.n
     perm = rng.permutation(n)
     truth = np.full(n, -1, dtype=np.int8)
     truth[perm[:params.n1]] = 1
-
-    total_pairs = n * (n - 1) // 2
-    if total_pairs <= _DENSE_PAIR_LIMIT:
-        iu, ju = np.triu_indices(n, k=1)
-        prob = np.where(truth[iu] == truth[ju], params.p, params.q)
-        keep = rng.random(iu.size) < prob
-        edges = np.column_stack([iu[keep], ju[keep]]).astype(np.int64)
-    else:
-        s1 = np.sort(perm[:params.n1]).astype(np.int64)
-        s2 = np.sort(perm[params.n1:]).astype(np.int64)
-        blocks = [
-            _sample_block_within(rng, s1, params.p),
-            _sample_block_within(rng, s2, params.p),
-            _sample_block_cross(rng, s1, s2, params.q),
-        ]
-        edges = np.concatenate(blocks, axis=0)
-        order = np.lexsort((edges[:, 1], edges[:, 0]))
-        edges = edges[order]
-    return Graph(n=n, edges=edges, truth=truth)
+    s1 = np.sort(perm[:params.n1]).astype(np.int64)
+    s2 = np.sort(perm[params.n1:]).astype(np.int64)
+    keys = []
+    for rows, cols, prob in ((s1, s1, params.p), (s2, s2, params.p), (s1, s2, params.q)):
+        codes = _bernoulli_codes(rng, rows.size * cols.size, prob)
+        u, v = rows[codes // cols.size], cols[codes % cols.size]
+        if rows is cols:
+            keep = u < v
+            u, v = u[keep], v[keep]
+        keys.append(np.minimum(u, v) * n + np.maximum(u, v))
+    keys = np.sort(np.concatenate(keys))
+    return Graph(n=n, edges=np.column_stack([keys // n, keys % n]), truth=truth)
 
 
 def subsample_nodes(n: int, gamma: float, seed: RngSeed) -> SampleMask:
@@ -314,17 +265,18 @@ def edge_count_between(g: Graph, v: int, nodes) -> int:
 
 def write_graph(g: Graph, path) -> None:
     """Write the text format: 'n m', one 'u v' line per edge, optional labels."""
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{int(u)} {int(v)}" for u, v in g.edges)
+    text = f"{g.n} {g.m}\n" + ("%d %d\n" * g.m) % tuple(g.edges.ravel().tolist())
     if g.truth is not None:
-        lines.append("labels " + " ".join(str(int(t)) for t in g.truth))
-    Path(path).write_text("\n".join(lines) + "\n")
+        text += "labels " + " ".join(map(str, g.truth.tolist())) + "\n"
+    Path(path).write_text(text)
 
 
 def read_graph(path) -> Graph:
-    """Parse the text format, rejecting malformed or duplicate entries."""
-    raw = Path(path).read_text().splitlines()
-    lines = [ln.strip() for ln in raw if ln.strip()]
+    """Parse the text format, rejecting malformed or duplicate entries.
+
+    Edge lines may come in any order, but each must read 'u v' with u < v.
+    """
+    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
     if not lines:
         raise GraphFormatError("empty graph file")
     head = lines[0].split()
@@ -338,43 +290,27 @@ def read_graph(path) -> Graph:
         raise GraphFormatError("negative counts in header")
     if len(lines) < 1 + m:
         raise GraphFormatError(f"expected {m} edge lines, found {len(lines) - 1}")
-    edges = np.empty((m, 2), dtype=np.int64)
-    for i, ln in enumerate(lines[1:1 + m]):
-        parts = ln.split()
-        if len(parts) != 2:
-            raise GraphFormatError(f"edge line {i + 2}: expected 'u v'")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise GraphFormatError(f"edge line {i + 2}: not integers") from exc
-        if u == v:
-            raise GraphFormatError(f"edge line {i + 2}: self-loop {u}")
-        if not (u < v):
-            raise GraphFormatError(f"edge line {i + 2}: endpoints must satisfy u < v")
-        if u < 0 or v >= n:
-            raise GraphFormatError(f"edge line {i + 2}: endpoint out of range")
-        edges[i] = (u, v)
+    edges = np.empty((0, 2), dtype=np.int64)
     if m:
-        canon = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
-        dup = (np.diff(canon[:, 0]) == 0) & (np.diff(canon[:, 1]) == 0)
-        if dup.any():
-            raise GraphFormatError("duplicate edge")
-        edges = canon
+        try:
+            edges = np.loadtxt(lines[1:1 + m], dtype=np.int64, ndmin=2, comments=None)
+        except (ValueError, OverflowError) as exc:
+            raise GraphFormatError(
+                f"edge lines must be integer pairs; in the edge block, {exc}") from exc
+        if edges.shape[1] != 2:
+            raise GraphFormatError("edge lines must read 'u v'")
+        flipped = np.flatnonzero(edges[:, 0] > edges[:, 1])
+        if flipped.size:
+            raise GraphFormatError(f"edge line {flipped[0] + 2}: endpoints must satisfy u < v")
     truth = None
     rest = lines[1 + m:]
     if rest:
         tokens = rest[0].split()
         if tokens[0] != "labels" or len(rest) > 1:
             raise GraphFormatError("unexpected trailing content")
-        if len(tokens) != n + 1:
-            raise GraphFormatError(f"labels line must carry {n} values")
-        vals = []
-        for t in tokens[1:]:
-            if t not in ("1", "+1", "-1"):
-                raise GraphFormatError(f"bad label token {t!r}")
-            vals.append(1 if t in ("1", "+1") else -1)
-        truth = np.asarray(vals, dtype=np.int8)
-    return Graph(n=n, edges=edges, truth=truth)
+        values = {"1": 1, "+1": 1, "-1": -1}  # other tokens become 0 and are rejected
+        truth = [values.get(t, 0) for t in tokens[1:]]
+    return _canonical_graph(n, edges, truth, GraphFormatError)
 
 
 def require_nonempty(g: Graph) -> None:

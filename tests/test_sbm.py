@@ -117,9 +117,7 @@ class TestSampleSbm:
             dev = np.abs(freq[iu][sel] - prob)
             assert dev.max() <= 4 * se
 
-    def test_sparse_path_matches_distribution(self, monkeypatch):
-        # force the block-sparse generator and re-check first moments
-        monkeypatch.setattr(sbm_mod, "_DENSE_PAIR_LIMIT", 0)
+    def test_first_moment_and_canonical_edges(self):
         params = bs.SbmParams.explicit(10, 10, 0.7, 0.2)
         g = bs.sample_sbm(params, 0)
         assert np.all(g.edges[:, 0] < g.edges[:, 1])
@@ -129,10 +127,63 @@ class TestSampleSbm:
         var = 2 * math.comb(10, 2) * 0.7 * 0.3 + 100 * 0.2 * 0.8
         assert abs(np.mean(counts) - expect) <= 4 * math.sqrt(var / 400)
 
+    def test_large_draw_is_canonical(self):
+        # 3000 nodes: about 4.5M candidate pairs
+        g = bs.sample_sbm(bs.SbmParams.from_rates(3000, 2.0, 0.5), 5)
+        u, v = g.edges[:, 0], g.edges[:, 1]
+        assert g.m > 0 and np.all(u < v) and v.max() < g.n
+        assert np.all(np.lexsort((v, u)) == np.arange(g.m))
+        assert np.unique(u * g.n + v).size == g.m
+
     def test_balanced_partition_varies_with_seed(self):
         params = bs.SbmParams.from_rates(20, 4.0, 0.5)
         truths = {tuple(bs.sample_sbm(params, s).truth.tolist()) for s in range(30)}
         assert len(truths) > 1
+
+
+class CountingRng:
+    """Generator stand-in that fails past `limit` geometric calls and, with
+    `one_gap`, hands out a single gap per call whatever size is asked for."""
+
+    def __init__(self, seed, limit=10**6, one_gap=False):
+        self.rng, self.calls, self.limit, self.one_gap = \
+            np.random.default_rng(seed), 0, limit, one_gap
+
+    def geometric(self, prob, size):
+        self.calls += 1
+        assert self.calls <= self.limit, "sampler did not terminate"
+        return self.rng.geometric(prob, size=1 if self.one_gap else size)
+
+
+class TestBernoulliCodes:
+    def test_probability_extremes(self):
+        rng = np.random.default_rng(0)
+        assert sbm_mod._bernoulli_codes(rng, 50, 0.0).size == 0
+        assert sbm_mod._bernoulli_codes(rng, 50, 1.0).tolist() == list(range(50))
+        assert sbm_mod._bernoulli_codes(rng, 0, 0.5).size == 0
+
+    def test_tiny_probability_terminates(self):
+        # geometric(5e-324) returns int64 max; unclipped, the cumsum overflows
+        for n_pairs in (1, 50, 2 ** 40):
+            rng = CountingRng(1, limit=5)
+            assert sbm_mod._bernoulli_codes(rng, n_pairs, 5e-324).size == 0
+
+    def test_batch_boundaries_do_not_change_the_draw(self):
+        for prob in (0.05, 0.3, 0.9):
+            for seed in range(10):
+                batched = sbm_mod._bernoulli_codes(np.random.default_rng(seed), 200, prob)
+                one_by_one = sbm_mod._bernoulli_codes(CountingRng(seed, one_gap=True), 200, prob)
+                assert np.array_equal(batched, one_by_one)
+
+    def test_per_code_frequencies(self):
+        trials, prob = 2000, 0.3
+        freq = np.zeros(40)
+        for s in range(trials):
+            codes = sbm_mod._bernoulli_codes(np.random.default_rng(s), 40, prob)
+            assert np.all(np.diff(codes) > 0)
+            freq[codes] += 1
+        se = math.sqrt(prob * (1 - prob) / trials)
+        assert np.abs(freq / trials - prob).max() <= 4 * se
 
 
 class TestSubsample:
@@ -241,6 +292,12 @@ class TestGraphType:
         g = bs.Graph.from_edges(4, [(2, 1), (0, 3)])
         assert g.edges.tolist() == [[0, 3], [1, 2]]
         assert g.m == 2
+        # the largest n whose edge keys u * n + v fit in int64, and one more
+        big = 3_037_000_499
+        g = bs.Graph.from_edges(big, [(big - 1, big - 2), (1, 2)])
+        assert g.edges.tolist() == [[1, 2], [big - 2, big - 1]]
+        with pytest.raises(ParameterError):
+            bs.Graph.from_edges(big + 1, [(big, big - 1)])
 
     def test_rejects_reversed_duplicate(self):
         with pytest.raises(ParameterError):
@@ -253,6 +310,29 @@ class TestGraphType:
     def test_rejects_out_of_range(self):
         with pytest.raises(ParameterError):
             bs.Graph.from_edges(4, [(0, 4)])
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(2, 10), data=st.data())
+    def test_from_edges_canonicalization_property(self, n, data):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        chosen = [e for e, k in zip(pairs, keep) if k]
+        flips = data.draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
+        given_edges = data.draw(st.permutations(
+            [(v, u) if f else (u, v) for (u, v), f in zip(chosen, flips)]))
+        g = bs.Graph.from_edges(n, given_edges)
+        assert g.edges.tolist() == [list(e) for e in chosen]
+        if chosen:
+            u, v = data.draw(st.sampled_from(chosen))
+            dup = data.draw(st.sampled_from([(u, v), (v, u)]))
+            with pytest.raises(ParameterError):
+                bs.Graph.from_edges(n, given_edges + [dup])
+        w = data.draw(st.integers(0, n - 1))
+        with pytest.raises(ParameterError):
+            bs.Graph.from_edges(n, given_edges + [(w, w)])
+        bad = data.draw(st.sampled_from([(w, n), (n, w), (-1, w), (w, -1)]))
+        with pytest.raises(ParameterError):
+            bs.Graph.from_edges(n, given_edges + [bad])
 
     def test_adjacency_symmetric(self):
         g = two_triangles()
@@ -317,12 +397,26 @@ class TestGraphFileIO:
         "3 1\n0 1\nlabels 1 -1\n",   # label count mismatch
         "3 1\n0 1\nlabels 1 2 -1\n",  # bad label token
         "3 1\n0 1\nlabels 1 -1 1\nlabels 1 -1 1\n",
+        "3 1\n0 99999999999999999999\n",  # does not fit in int64
+        "3 1\n0 1 # c\n",          # no comment syntax
+        "3037000500 1\n0 1\n",     # too many nodes for int64 edge keys
     ])
     def test_reader_rejects_malformed(self, tmp_path, content):
         path = tmp_path / "bad.txt"
         path.write_text(content)
         with pytest.raises(GraphFormatError):
             bs.read_graph(path)
+
+    def test_writer_bytes(self, tmp_path):
+        path = tmp_path / "g.txt"
+        bs.write_graph(two_triangles(), path)
+        assert path.read_bytes() == (b"6 6\n0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n"
+                                     b"labels 1 1 1 -1 -1 -1\n")
+
+    def test_reader_accepts_any_edge_order(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("4 3\n2 3\n\n  0 3\n0\t1\n")
+        assert bs.read_graph(path).edges.tolist() == [[0, 1], [0, 3], [2, 3]]
 
     def test_reader_accepts_plus_prefix(self, tmp_path):
         path = tmp_path / "g.txt"

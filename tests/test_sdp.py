@@ -24,6 +24,15 @@ def two_cliques(k, p=1.0, q=0.0, seed=0):
     return bs.sample_sbm(bs.SbmParams.explicit(k, k, p, q), seed)
 
 
+def relaxation_gap_graph():
+    """A 10-node two-clique graph (p=0.9, q=0.1) whose Lagrangian SDP at
+    LAM_STAR has a genuine relaxation gap, kept as a literal edge list."""
+    edges = [(0, 3), (0, 4), (0, 5), (0, 7), (0, 8), (1, 4), (1, 8), (1, 9), (2, 4),
+             (2, 8), (2, 9), (3, 5), (3, 6), (3, 8), (4, 6), (4, 8), (4, 9), (5, 6),
+             (5, 7), (5, 8), (6, 7), (8, 9)]
+    return bs.Graph.from_edges(10, edges, truth=[-1, 1, 1, -1, 1, -1, -1, -1, 1, 1])
+
+
 def random_graph(n, density, rng):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
              if rng.uniform() < density]
@@ -172,7 +181,7 @@ class TestSolver:
 
     def test_tight_implies_exhaustive_optimum(self):
         # n=10, p=0.9, q=0.1, seeds 0..9: agreement is only promised when the
-        # certificate is tight (seeds 6 and 7 have a genuine relaxation gap)
+        # certificate is tight (seed 4 has a genuine relaxation gap)
         tight = 0
         for seed in range(10):
             g = two_cliques(5, p=0.9, q=0.1, seed=seed)
@@ -454,8 +463,7 @@ class TestDualCertificate:
         assert sol.diagnostics.restarts_used == 1 == len(sol.diagnostics.restart_objectives)
 
     def test_uncertified_solve_stops_when_restarts_agree(self):
-        # seed 6 has a genuine relaxation gap (see test_tight_implies_exhaustive_optimum)
-        g = two_cliques(5, p=0.9, q=0.1, seed=6)
+        g = relaxation_gap_graph()
         cfg = bs.SdpConfig(lam=LAM_STAR, seed=6)
         sol = bs.solve_lagrangian_sdp(g, cfg)
         assert not sol.certificate.tight
@@ -468,7 +476,7 @@ class TestDualCertificate:
         assert bs.partitions_equal(sol.rounded, bs.round_solution(best[0]))
 
     def test_unconverged_restarts_never_agree(self, monkeypatch):
-        g = two_cliques(5, p=0.9, q=0.1, seed=6)
+        g = relaxation_gap_graph()
         cfg = bs.SdpConfig(lam=LAM_STAR, seed=6, max_iters=1)
         sol = bs.solve_lagrangian_sdp(g, cfg)
         assert not sol.diagnostics.converged
