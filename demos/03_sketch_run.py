@@ -25,8 +25,12 @@ print(f"sampled graph: {g.m} edges")
 res = sketch_and_recover(g, params.p, params.q, SketchConfig(gamma=GAMMA), SEED)
 sol = res.solution
 print(f"stage 1  subsample: kept {res.mask.size}/{N} nodes")
+if sol.diagnostics.restarts_used:
+    path = f"{sol.diagnostics.restarts_used} restarts, best {sol.iterations} iterations"
+else:
+    path = "spectral labels certified, no ascent"
 print(f"stage 2  SDP on subgraph: lambda={res.lambda_used:.5f}, "
-      f"{sol.iterations} iterations, certificate={sol.certificate}")
+      f"{path}, certificate={sol.certificate}")
 sub_ok = bs.partitions_equal(sol.rounded, g.truth[res.mask.kept])
 print(f"         subgraph labels correct: {sub_ok}")
 print(f"stage 3  majority vote on the other {N - res.mask.size} nodes: "

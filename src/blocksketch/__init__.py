@@ -16,9 +16,9 @@ from .pipeline import (CSV_HEADER, CellStats, SketchConfig, SketchResult,
                        SweepTable, TrialRecord, parse_sweep_csv, run_sweep,
                        run_trial, sketch_and_recover)
 from .rng import rng_for, seed_fingerprint, seed_sequence
-from .sbm import (Graph, SampleMask, SbmParams, edge_count_between,
-                  induced_subgraph, is_complete, partitions_equal,
-                  read_graph, sample_sbm, subsample_nodes, write_graph)
+from .sbm import (Graph, SampleMask, SbmParams, induced_subgraph,
+                  is_complete, partitions_equal, read_graph, sample_sbm,
+                  subsample_nodes, write_graph)
 from .sdp import (Certificate, SdpConfig, SdpSolution, SolveDiagnostics,
                   brute_force_mle, certificate_check, default_rank,
                   labeling_objective, leading_eigenvector, round_solution,
@@ -35,7 +35,7 @@ __all__ = [
     "SdpSolution", "SketchConfig", "SketchResult", "SolveDiagnostics",
     "SweepTable", "TrialRecord", "VoteOutcome", "binom_diff_tail_exact",
     "brute_force_mle", "certificate_check", "chernoff_grid_min",
-    "default_rank", "edge_count_between", "exact_recovery_possible",
+    "default_rank", "exact_recovery_possible",
     "gamma_star", "induced_subgraph", "is_complete", "labeling_objective",
     "lambda_star", "leading_eigenvector", "lemma2_bound",
     "lemma2_exponent", "majority_vote", "oracle_vote_trial",

@@ -63,8 +63,9 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rank", type=int, default=None)
     p.add_argument("--max-iters", type=int, default=500)
     p.add_argument("--restarts", type=int, default=5,
-                   help="upper bound; the solve stops at the first certified restart, or "
-                        "at a second converged one matching the best objective and partition")
+                   help="upper bound; none run when the spectral labels certify, else the "
+                        "solve stops at the first certified restart, or at a second "
+                        "converged one matching the best objective and partition")
 
 
 def _sdp_config(args, seed: int, balanced: bool = False, lam: float = 0.0) -> SdpConfig:

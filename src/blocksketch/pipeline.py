@@ -10,6 +10,7 @@ import dataclasses
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import product
@@ -220,6 +221,14 @@ def run_trial(params: SbmParams, cfg: SketchConfig, seed: RngSeed) -> TrialRecor
     )
 
 
+def _failed_trial(params: SbmParams, cfg: SketchConfig, seed, wall_time: float,
+                  exc: BaseException) -> TrialRecord:
+    return TrialRecord(params=params, gamma=cfg.gamma, seed=seed_fingerprint(seed),
+                       sample_size=0, sdp_certificate=None, subgraph_success=False,
+                       vote_ties=0, overall_success=False, wall_time=wall_time,
+                       error=f"{type(exc).__name__}: {exc}")
+
+
 def _trial_task(args):
     params, cfg, master_seed, cell, t = args
     seed = seed_sequence(master_seed, *cell, t)
@@ -227,11 +236,7 @@ def _trial_task(args):
     try:
         rec = run_trial(params, cfg, seed)
     except Exception as exc:  # one bad trial must not sink the sweep
-        rec = TrialRecord(params=params, gamma=cfg.gamma, seed=seed_fingerprint(seed),
-                          sample_size=0, sdp_certificate=None, subgraph_success=False,
-                          vote_ties=0, overall_success=False,
-                          wall_time=time.perf_counter() - t0,
-                          error=f"{type(exc).__name__}: {exc}")
+        rec = _failed_trial(params, cfg, seed, time.perf_counter() - t0, exc)
     return cell, t, rec
 
 
@@ -243,7 +248,9 @@ def run_sweep(n_values: Sequence[int], alpha_values: Sequence[float],
 
     The per-cell gamma overrides the template config's. An exception of any
     type inside a trial is recorded as a failed trial with an error tag
-    rather than aborting the sweep; a crashed worker process still aborts it.
+    rather than aborting the sweep. When a worker process dies, every trial
+    the pool did not return is recorded as failed with a "BrokenProcessPool"
+    tag.
     `jobs` only sets the worker count; results are identical for any value
     because trial seeds depend on cell and trial indices alone. Each
     `trial_log` JSONL line is written as its trial's result arrives, in
@@ -274,17 +281,28 @@ def run_sweep(n_values: Sequence[int], alpha_values: Sequence[float],
     by_cell = {}
     with ExitStack() as stack:
         log = stack.enter_context(Path(trial_log).open("w")) if trial_log is not None else None
+
+        def record(cell, rec):
+            by_cell.setdefault(cell, []).append(rec)
+            if log is not None:
+                log.write(json.dumps(rec.json_dict(), sort_keys=True) + "\n")
+                log.flush()
+
         if jobs == 1:
             results = map(_trial_task, tasks)
         else:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
             results = pool.map(_trial_task, tasks, chunksize=max(1, len(tasks) // (jobs * 4)))
         # tasks are in (cell, t) order and both maps yield in task order
-        for cell, _, rec in results:
-            by_cell.setdefault(cell, []).append(rec)
-            if log is not None:
-                log.write(json.dumps(rec.json_dict(), sort_keys=True) + "\n")
-                log.flush()
+        done = 0
+        try:
+            for cell, _, rec in results:
+                record(cell, rec)
+                done += 1
+        except BrokenProcessPool as exc:  # a worker died: no later result arrives
+            for params, cfg, _, cell, t in tasks[done:]:
+                seed = seed_sequence(master_seed, *cell, t)
+                record(cell, _failed_trial(params, cfg, seed, 0.0, exc))
 
     cells = []
     for cell, n, a, b, gm in cell_axes:

@@ -101,19 +101,6 @@ class Graph:
         a.sort_indices()
         return a
 
-    @cached_property
-    def edge_set(self) -> frozenset:
-        return frozenset(map(tuple, self.edges.tolist()))
-
-    def neighbors(self, v: int) -> np.ndarray:
-        """Neighbor indices of v in ascending order."""
-        a = self.adjacency
-        return a.indices[a.indptr[v]:a.indptr[v + 1]].astype(np.int64)
-
-    def degree(self, v: int) -> int:
-        a = self.adjacency
-        return int(a.indptr[v + 1] - a.indptr[v])
-
 
 def _canonical_graph(n: int, edges, truth, error: type[Exception]) -> Graph:
     """Orient each edge u < v and sort; raise `error` on more nodes than
@@ -249,18 +236,6 @@ def partitions_equal(a: np.ndarray, b: np.ndarray) -> bool:
     if not (is_complete(a) and is_complete(b)):
         return False
     return bool(np.array_equal(a, b) or np.array_equal(a, -b))
-
-
-def edge_count_between(g: Graph, v: int, nodes) -> int:
-    """Number of edges between node v and the given node set."""
-    if not (0 <= v < g.n):
-        raise ParameterError(f"node {v} out of range")
-    sel = np.zeros(g.n, dtype=bool)
-    idx = np.asarray(nodes, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= g.n):
-        raise ParameterError("node set index out of range")
-    sel[idx] = True
-    return int(sel[g.neighbors(v)].sum())
 
 
 def write_graph(g: Graph, path) -> None:

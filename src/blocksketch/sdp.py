@@ -12,16 +12,22 @@ penalizing it.
 The lambda * J term is never materialized: its gradient contribution is the
 rank-one correction lambda * 1 (1^T Y).
 
-Restarts stop at the first one whose rounded labels carry a dual
-certificate (Abbe-Bandeira-Hall, arXiv:1405.3267): with
-D = diag(((A - mu J) x) * x), the matrix S = D - A + mu J satisfies S x = 0,
-so S >= 0 proves x x^T optimal for the relaxation and x optimal for the
-integral program. Without a certificate, restarts stop at the second
-converged one whose objective is within the gap test's tolerance of the best
-and whose rounding is the best one's partition: at the default rank,
-converged restarts are expected to reach the same optimum
-(Boumal-Voroninski-Bandeira, arXiv:1606.04970). A restart that hit its
-iteration cap never counts as agreeing.
+Labels x carry a dual certificate (Abbe-Bandeira-Hall, arXiv:1405.3267)
+when S = diag(((A - mu J) x) * x) - A + mu J, with mu = lambda (mu = 1 in
+the balanced program), is PSD: S x = 0 by construction, so S >= 0 proves
+x x^T optimal for the relaxation and x optimal for the integral program.
+The proof never looks at a factor, so the solve first tries spectral
+labels: the signs of the top Ritz vector of A - mu J after a few Lanczos
+steps, cleaned up by two rounds of x <- sign((A - mu J) x) (a median split
+in the balanced program). Above the recovery threshold these are usually
+exact (Abbe-Fan-Wang-Zhong, arXiv:1709.09565). If they certify, the rank-1
+factor x is returned and no ascent runs. Otherwise restarts of the ascent
+run, and stop at the first one whose rounded labels certify. Without a
+certificate, restarts stop at the second converged one whose objective is
+within the gap test's tolerance of the best and whose rounding is the best
+one's partition: at the default rank, converged restarts are expected to
+reach the same optimum (Boumal-Voroninski-Bandeira, arXiv:1606.04970). A
+restart that hit its iteration cap never counts as agreeing.
 """
 from __future__ import annotations
 
@@ -42,6 +48,7 @@ _BRUTE_FORCE_CAP = 22
 _START_SEED = 0x9E3779B9  # fixed start vectors: rounding and the dual check are pure functions
 _DUAL_RTOL = 1e-9         # lambda_min(S) tolerance, relative to 1 + |rounded objective|
 _LANCZOS_STEPS = 80       # Krylov dimension cap of the dual check
+_SPECTRAL_STEPS = 12      # Krylov dimension of the spectral candidate labels
 
 
 def default_rank(n: int) -> int:
@@ -54,8 +61,9 @@ class SdpConfig:
     max_iters: int = 500
     step_tol: float = 1e-10         # stop on relative objective change below this
     grad_tol: float = 1e-8          # stationarity tolerance on the projected gradient
-    restarts: int = 5               # upper bound: stops at the first dual-certified restart
-                                    # or a second converged one with the best's value and labels
+    restarts: int = 5               # upper bound: none run when the spectral labels certify; else
+                                    # stops at the first dual-certified restart or a second
+                                    # converged one with the best's value and labels
     balanced_mode: bool = False
     lam: float = 0.0
     seed: RngSeed = 0
@@ -85,13 +93,13 @@ class Certificate:
 @dataclass(eq=False)
 class SolveDiagnostics:
     converged: bool
-    iterations_total: int
-    restarts_used: int
+    iterations_total: int            # ascent iterations over all restarts run
+    restarts_used: int               # 0: the spectral labels certified and no ascent ran
     final_grad_norm: float
     power_iteration_converged: bool
     lambda_used: float
     rounded_balance: int
-    restart_objectives: np.ndarray
+    restart_objectives: np.ndarray   # one per restart run; [objective] when none ran
     objective_trace: np.ndarray      # accepted objective per iteration, best restart
     row_norm_dev_trace: np.ndarray   # max |  ||Y_i|| - 1  | per iteration, best restart
 
@@ -103,7 +111,7 @@ class SdpSolution:
     rounded: np.ndarray
     rounded_objective: float
     certificate: Certificate
-    iterations: int                  # iterations of the best restart
+    iterations: int                  # iterations of the best restart; 0 on a spectral skip
     balance_residual: float          # ||Y^T 1||^2 of the returned factor
     diagnostics: SolveDiagnostics
 
@@ -233,17 +241,19 @@ def round_solution(factor: np.ndarray, balanced: bool = False) -> np.ndarray:
 
 
 def _round_with_info(factor: np.ndarray, balanced: bool):
-    n = factor.shape[0]
     v, ok, _ = leading_eigenvector(factor)
     if balanced:
-        if n % 2:
+        if factor.shape[0] % 2:
             raise ParameterError("balanced rounding needs an even number of nodes")
-        order = np.argsort(-v, kind="stable")
-        labels = np.full(n, -1, dtype=np.int8)
-        labels[order[: n // 2]] = 1
-    else:
-        labels = np.where(v >= 0.0, 1, -1).astype(np.int8)
-    return labels, ok
+        return _split_at_median(v), ok
+    return np.where(v >= 0.0, 1, -1).astype(np.int8), ok
+
+
+def _split_at_median(v: np.ndarray) -> np.ndarray:
+    """+1 on the top n/2 entries of v (stable index tie-break), -1 elsewhere."""
+    labels = np.full(v.size, -1, dtype=np.int8)
+    labels[np.argsort(-v, kind="stable")[: v.size // 2]] = 1
+    return labels
 
 
 def labeling_objective(g: Graph, labels, lam: float = 0.0) -> float:
@@ -278,23 +288,14 @@ def certificate_check(sol, gap_tol: Optional[float] = None) -> Certificate:
     return _certificate_from_values(sol.objective, sol.rounded_objective, gap_tol)
 
 
-def _dual_certified(adj, x: np.ndarray, mu: float, tol: float) -> bool:
-    """True iff lambda_min(S) >= -tol for S = diag(((A - mu J) x) * x) - A + mu J.
+def _lanczos(apply, n: int, steps: int):
+    """Lanczos recurrence with full reorthogonalization from the fixed start vector.
 
-    Lanczos with full reorthogonalization on S + x x^T / n, which moves the
-    zero eigenvalue of x to 1, from a fixed start vector; J and S are never
-    formed. The smallest Ritz value never undershoots lambda_min, so one
-    below -tol rejects at once; acceptance needs its residual within tol.
-    No convergence within _LANCZOS_STEPS means "not certified".
+    Yields (basis, tri, beta) after each step: the orthonormal Krylov basis
+    so far (one row per vector), the tridiagonal projection of `apply` onto
+    it, and the norm of the next residual. Stops after `steps` steps, or once
+    beta is 0 and the Krylov space is invariant.
     """
-    x = x.astype(np.float64)
-    n = x.size
-    d = (adj @ x - mu * x.sum()) * x
-
-    def apply(v):
-        return d * v - adj @ v + mu * v.sum() + x * ((x @ v) / n)
-
-    steps = min(n, _LANCZOS_STEPS)
     basis = np.empty((steps, n))
     tri = np.zeros((steps + 1, steps + 1))
     v = np.random.default_rng(_START_SEED).standard_normal(n)
@@ -308,13 +309,57 @@ def _dual_certified(adj, x: np.ndarray, mu: float, tol: float) -> bool:
         w -= q.T @ h
         w -= q.T @ (q @ w)  # a second pass keeps the basis orthonormal
         beta = float(np.linalg.norm(w))
-        theta, s = np.linalg.eigh(tri[: j + 1, : j + 1])
-        if theta[0] < -tol:
-            return False
-        if beta * abs(s[j, 0]) <= tol or j + 1 == n:
-            return True
+        yield q, tri[: j + 1, : j + 1], beta
+        if not beta:
+            return
         tri[j, j + 1] = tri[j + 1, j] = beta
         v = w / beta
+
+
+def _spectral_labels(adj, mu: float, balanced: bool) -> np.ndarray:
+    """Candidate labels from the top Ritz vector of A - mu J.
+
+    _SPECTRAL_STEPS Lanczos steps, one eigh of the tridiagonal at the end.
+    Free labels are the vector's signs after two cleanup rounds
+    x <- sign((A - mu J) x), where a zero keeps its label; balanced labels
+    split the vector at its median.
+    """
+    n = adj.shape[0]
+    for basis, tri, _ in _lanczos(lambda v: adj @ v - mu * v.sum(), n,
+                                  min(n, _SPECTRAL_STEPS)):
+        pass
+    v = basis.T @ np.linalg.eigh(tri)[1][:, -1]
+    if balanced:
+        return _split_at_median(v)
+    x = np.where(v >= 0.0, 1.0, -1.0)
+    for _ in range(2):
+        z = adj @ x - mu * x.sum()
+        x = np.where(z > 0.0, 1.0, np.where(z < 0.0, -1.0, x))
+    return x.astype(np.int8)
+
+
+def _dual_certified(adj, x: np.ndarray, mu: float, tol: float) -> bool:
+    """True iff lambda_min(S) >= -tol for S = diag(((A - mu J) x) * x) - A + mu J.
+
+    Lanczos on S + x x^T / n, which moves the zero eigenvalue of x to 1;
+    J and S are never formed. The smallest Ritz value never undershoots
+    lambda_min, so one below -tol rejects at once; acceptance needs its
+    residual within tol. No convergence within _LANCZOS_STEPS means "not
+    certified".
+    """
+    x = x.astype(np.float64)
+    n = x.size
+    d = (adj @ x - mu * x.sum()) * x
+
+    def apply(v):
+        return d * v - adj @ v + mu * v.sum() + x * ((x @ v) / n)
+
+    for basis, tri, beta in _lanczos(apply, n, min(n, _LANCZOS_STEPS)):
+        theta, s = np.linalg.eigh(tri)
+        if theta[0] < -tol:
+            return False
+        if beta * abs(s[-1, 0]) <= tol or len(basis) == n:
+            return True
     return False
 
 
@@ -391,28 +436,38 @@ def _solve(g: Graph, cfg: SdpConfig, balanced: bool) -> SdpSolution:
     lam = 0.0 if balanced else cfg.lam
     adj = g.adjacency
 
-    best = rounding = None
-    restart_objs = []
-    total_iters = 0
-    for k in range(cfg.restarts):
-        rng = rng_for(cfg.seed, STREAM_SDP, k)
-        out = _ascent(adj, n, r, lam, balanced, cfg, rng)
-        restart_objs.append(out[1])
-        total_iters += out[2]
-        prev, prev_rounding = best, rounding
-        if best is None or out[1] > best[1]:
-            best, rounding = out, None
-            if out[4]:
-                rounding = _round_and_certify(g, out[0], out[1], True, lam, balanced)
-                if rounding[3].tight:
+    # spectral labels that certify are optimal: x x^T is the SDP optimum and
+    # no ascent runs; its Riemannian gradient at a +-1 rank-1 point is zero
+    x = _spectral_labels(adj, 1.0 if balanced else lam, balanced)
+    f = labeling_objective(g, x, lam=lam)
+    y = x[:, None].astype(np.float64)
+    rounding = _round_and_certify(g, y, f, True, lam, balanced)
+    best = (y, f, 0, 0.0, True, np.empty(0), np.empty(0))
+    restart_objs = [f]
+    restarts_used = total_iters = 0
+    if not rounding[3].tight:
+        best = rounding = None
+        restart_objs = []
+        for k in range(cfg.restarts):
+            rng = rng_for(cfg.seed, STREAM_SDP, k)
+            out = _ascent(adj, n, r, lam, balanced, cfg, rng)
+            restart_objs.append(out[1])
+            total_iters += out[2]
+            prev, prev_rounding = best, rounding
+            if best is None or out[1] > best[1]:
+                best, rounding = out, None
+                if out[4]:
+                    rounding = _round_and_certify(g, out[0], out[1], True, lam, balanced)
+                    if rounding[3].tight:
+                        break
+            # a second converged restart within the gap test's tolerance of the
+            # best objective, rounding to the best's partition, ends the solve
+            if (prev is not None and prev[4] and out[4]
+                    and _certificate_from_values(best[1], min(prev[1], out[1])).tight):
+                labels = rounding[0] if best is out else _round_with_info(out[0], balanced)[0]
+                if partitions_equal(labels, prev_rounding[0]):
                     break
-        # a second converged restart within the gap test's tolerance of the
-        # best objective, rounding to the best's partition, ends the solve
-        if (prev is not None and prev[4] and out[4]
-                and _certificate_from_values(best[1], min(prev[1], out[1])).tight):
-            labels = rounding[0] if best is out else _round_with_info(out[0], balanced)[0]
-            if partitions_equal(labels, prev_rounding[0]):
-                break
+        restarts_used = len(restart_objs)
     y, f, iters, grad_norm, converged, obj_trace, dev_trace = best
     if rounding is None:  # the best restart hit its iteration cap: never tight
         rounding = _round_and_certify(g, y, f, converged, lam, balanced)
@@ -421,7 +476,7 @@ def _solve(g: Graph, cfg: SdpConfig, balanced: bool) -> SdpSolution:
     diag = SolveDiagnostics(
         converged=converged,
         iterations_total=total_iters,
-        restarts_used=len(restart_objs),
+        restarts_used=restarts_used,
         final_grad_norm=grad_norm,
         power_iteration_converged=pi_ok,
         lambda_used=lam,

@@ -1,5 +1,6 @@
 """Sketch pipeline wiring, trial records, and the sweep harness."""
 import json
+import os
 
 import numpy as np
 import pytest
@@ -230,7 +231,9 @@ class TestRunSweep:
             assert "wall_time" in d and "overall_success" in d
             assert "restarts_used" in d and "iterations_total" in d
             if d["sample_size"] >= 2:  # a solve ran: its counters are logged
-                assert d["restarts_used"] >= 1 and d["iterations_total"] >= 0
+                assert d["restarts_used"] >= 0 and d["iterations_total"] >= 0
+                if d["restarts_used"] == 0:  # certified spectrally: no ascent ran
+                    assert d["iterations_total"] == 0 and d["sdp_certificate"]["tight"]
             else:
                 assert d["restarts_used"] is None and d["iterations_total"] is None
         log2 = tmp_path / "trials2.jsonl"
@@ -240,6 +243,33 @@ class TestRunSweep:
                             for d in ds]
         recs2 = [json.loads(ln) for ln in log2.read_text().splitlines()]
         assert strip(recs) == strip(recs2)
+
+    def test_worker_crash_is_recorded_as_failed_trials(self, monkeypatch, tmp_path):
+        ref_log = tmp_path / "ref.jsonl"
+        run_sweep([12], [2.0], [0.5], [1.0, 0.5], trials=3, master_seed=5, trial_log=ref_log)
+        ref = [json.loads(ln) for ln in ref_log.read_text().splitlines()]
+
+        def crashing_trial(params, cfg, seed):
+            if cfg.gamma == 0.5:
+                os._exit(1)  # kills the forked worker, which inherits this patch
+            return run_trial(params, cfg, seed)
+
+        monkeypatch.setattr(pipeline, "run_trial", crashing_trial)
+        log = tmp_path / "trials.jsonl"
+        tab = run_sweep([12], [2.0], [0.5], [1.0, 0.5], trials=3, master_seed=5,
+                        jobs=2, trial_log=log)
+        recs = [json.loads(ln) for ln in log.read_text().splitlines()]
+        assert [r["seed"] for r in recs] == [r["seed"] for r in ref]  # (cell, t) order
+        lost = [r["error"] is not None for r in recs]
+        assert lost[3:] == [True] * 3 and lost == sorted(lost)  # lost trials are a suffix
+        for r, want in zip(recs, ref):
+            if r["error"] is None:
+                assert {**r, "wall_time": 0} == {**want, "wall_time": 0}
+            else:
+                assert r["error"].startswith("BrokenProcessPool: ")
+                assert not r["overall_success"] and r["restarts_used"] is None
+        assert [c.trials for c in tab.cells] == [3, 3]
+        assert tab.cells[1].successes == 0
 
     def test_non_package_error_is_a_failed_trial(self, monkeypatch, tmp_path):
         calls = []

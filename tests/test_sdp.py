@@ -33,6 +33,16 @@ def relaxation_gap_graph():
     return bs.Graph.from_edges(10, edges, truth=[-1, 1, 1, -1, 1, -1, -1, -1, 1, 1])
 
 
+class CountingCSR(csr_matrix):
+    """A csr_matrix that counts its `@` products."""
+
+    calls = 0
+
+    def __matmul__(self, other):
+        self.calls += 1
+        return super().__matmul__(other)
+
+
 def random_graph(n, density, rng):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
              if rng.uniform() < density]
@@ -147,18 +157,20 @@ class TestSolver:
         assert sol.certificate.tight
 
     def test_unit_rows_and_feasibility_trace(self):
-        g = two_cliques(5, p=0.9, q=0.1, seed=2)
+        g = relaxation_gap_graph()  # no spectral skip: the returned factor is the ascent's
         sol = bs.solve_lagrangian_sdp(g, bs.SdpConfig(lam=LAM_STAR, seed=3))
         assert np.abs(np.linalg.norm(sol.factor, axis=1) - 1.0).max() <= 1e-9
         assert sol.diagnostics.row_norm_dev_trace.max() <= 1e-9
 
     def test_monotone_ascent(self):
-        # both retractions: the balanced one centres columns before normalizing
+        # both retractions: the balanced one centres columns before normalizing.
+        # The full solvers certify this graph spectrally, so the ascent is run directly
         g = two_cliques(6, p=0.8, q=0.2, seed=5)
-        for solve, cfg in ((bs.solve_lagrangian_sdp, bs.SdpConfig(lam=0.2, seed=0)),
-                           (bs.solve_balanced_sdp, bs.SdpConfig(balanced_mode=True, seed=0))):
-            sol = solve(g, cfg)
-            trace = sol.diagnostics.objective_trace
+        for lam, cfg in ((0.2, bs.SdpConfig(lam=0.2, seed=0)),
+                         (0.0, bs.SdpConfig(balanced_mode=True, seed=0))):
+            out = sdp._ascent(g.adjacency, g.n, sdp.default_rank(g.n), lam, cfg.balanced_mode,
+                              cfg, rng_for(cfg.seed, STREAM_SDP, 0))
+            trace = out[5]
             assert len(trace) >= 1
             assert np.all(np.diff(trace) >= -1e-12)
 
@@ -203,15 +215,9 @@ class TestSolver:
         assert a.certificate == b.certificate
 
     def test_matmult_budget(self):
-        # below the recovery threshold no restart passes the gap test, so the
-        # dual check adds no Lanczos matvecs: every product is the ascent's
-        class CountingCSR(csr_matrix):
-            calls = 0
-
-            def __matmul__(self, other):
-                CountingCSR.calls += 1
-                return super().__matmul__(other)
-
+        # below the recovery threshold no restart passes the gap test and the
+        # spectral candidate fails the dual check within a few Lanczos steps,
+        # so nearly every product is the ascent's
         params = bs.SbmParams.from_rates(300, 3, 1)
         g = bs.sample_sbm(params, 0)
         g.adjacency = CountingCSR(g.adjacency)
@@ -219,12 +225,24 @@ class TestSolver:
             g, bs.SdpConfig(lam=bs.lambda_star(params.p, params.q)))
         diag = sol.diagnostics
         assert not sol.certificate.tight
-        assert CountingCSR.calls <= 1.5 * diag.iterations_total + diag.restarts_used
+        assert g.adjacency.calls <= 1.5 * diag.iterations_total + diag.restarts_used
+
+    def test_matmult_budget_spectral_skip(self):
+        # full sample far above the threshold: the spectral labels certify, and
+        # the solve costs the Krylov steps, two cleanup rounds and the dual check
+        params = bs.SbmParams.from_rates(400, 30, 2)
+        g = bs.sample_sbm(params, 0)
+        g.adjacency = CountingCSR(g.adjacency)
+        sol = bs.solve_lagrangian_sdp(
+            g, bs.SdpConfig(lam=bs.lambda_star(params.p, params.q)))
+        assert sol.certificate.tight
+        assert sol.diagnostics.iterations_total == 0
+        assert g.adjacency.calls <= sdp._SPECTRAL_STEPS + 2 + sdp._LANCZOS_STEPS + 1
 
     def test_nonconvergence_blocks_certificate(self):
-        g = two_cliques(15, p=0.7, q=0.2, seed=3)
+        g = relaxation_gap_graph()  # no spectral skip: the capped ascent is returned
         sol = bs.solve_lagrangian_sdp(
-            g, bs.SdpConfig(max_iters=1, restarts=1, seed=0))
+            g, bs.SdpConfig(lam=LAM_STAR, max_iters=1, restarts=1, seed=0))
         assert not sol.diagnostics.converged
         assert not sol.certificate.tight
 
@@ -424,7 +442,7 @@ class TestCertificate:
 
 class TestDualCertificate:
     @settings(max_examples=150, deadline=None)
-    @given(k1=st.integers(1, 6), k2=st.integers(1, 6),
+    @given(k1=st.integers(1, 7), k2=st.integers(1, 7),
            pq=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted),
            graph_seed=st.integers(0, 2**32 - 1), mu=st.floats(0.0, 1.5),
            pick=st.sampled_from(["truth", "mle", "random"]),
@@ -456,11 +474,53 @@ class TestDualCertificate:
                 assert bs.labeling_objective(g, x) == pytest.approx(
                     bs.brute_force_mle(g, balanced=True)[1], rel=0, abs=slack)
 
-    def test_certified_restart_stops_the_solve(self):
+    def test_certified_spectral_labels_skip_the_ascent(self):
+        g = two_cliques(4)
+        sol = bs.solve_lagrangian_sdp(g, bs.SdpConfig(lam=LAM_STAR, seed=1))
+        d = sol.diagnostics
+        assert sol.certificate.tight and sol.certificate.gap == 0.0
+        assert bs.partitions_equal(sol.rounded, g.truth)
+        assert sol.objective == sol.rounded_objective
+        assert sol.iterations == d.iterations_total == d.restarts_used == 0
+        assert d.converged and d.final_grad_norm == 0.0
+        assert d.objective_trace.size == 0 == d.row_norm_dev_trace.size
+        assert d.restart_objectives.tolist() == [sol.objective]
+        # the returned factor is the rank-1 labeling, a stationary point
+        assert sol.factor.shape == (g.n, 1)
+        assert bs.partitions_equal(sol.rounded, sol.factor[:, 0].astype(np.int8))
+        _, grad = objective_and_gradient(g.adjacency, sol.factor, LAM_STAR)
+        assert not np.any(grad - np.sum(grad * sol.factor, axis=1, keepdims=True) * sol.factor)
+
+    def test_certified_restart_stops_the_solve(self, monkeypatch):
+        # all-ones labels are not optimal here, so they fail the dual check
+        monkeypatch.setattr(sdp, "_spectral_labels",
+                            lambda adj, mu, balanced: np.ones(adj.shape[0], dtype=np.int8))
         g = two_cliques(4)
         sol = bs.solve_lagrangian_sdp(g, bs.SdpConfig(lam=LAM_STAR, seed=1))
         assert sol.certificate.tight
         assert sol.diagnostics.restarts_used == 1 == len(sol.diagnostics.restart_objectives)
+
+    @settings(max_examples=80, deadline=None)
+    @given(k1=st.integers(1, 7), k2=st.integers(1, 7),
+           pq=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted),
+           graph_seed=st.integers(0, 2**32 - 1), mu=st.floats(0.0, 1.5),
+           balanced=st.booleans())
+    def test_spectral_skip_attains_the_exhaustive_optimum(self, k1, k2, pq, graph_seed,
+                                                          mu, balanced):
+        q, p = pq
+        if balanced:
+            k2 = k1
+        g = bs.sample_sbm(bs.SbmParams.explicit(k1, k2, p, q), graph_seed)
+        if balanced:
+            sol = bs.solve_balanced_sdp(g, bs.SdpConfig(balanced_mode=True))
+            mu, best = 0.0, bs.brute_force_mle(g, balanced=True)[1]
+        else:
+            sol = bs.solve_lagrangian_sdp(g, bs.SdpConfig(lam=mu))
+            best = bs.brute_force_mle(g, lam=mu)[1]
+        if sol.diagnostics.restarts_used == 0:
+            obj = bs.labeling_objective(g, sol.rounded, lam=mu)
+            assert sol.certificate.tight and sol.diagnostics.iterations_total == 0
+            assert obj == pytest.approx(best, rel=0, abs=g.n * sdp._DUAL_RTOL * (1.0 + abs(obj)))
 
     def test_uncertified_solve_stops_when_restarts_agree(self):
         g = relaxation_gap_graph()

@@ -68,7 +68,7 @@ class TestMajorityVote:
             labels = rng.choice([-1, 1], size=k).astype(np.int8)
             out = bs.majority_vote(g, mask_of(kept, n), labels[np.argsort(kept)])
             by_node = dict(zip(sorted(kept), labels[np.argsort(kept)]))
-            eset = g.edge_set
+            eset = set(map(tuple, g.edges.tolist()))
             for v in range(n):
                 if v in by_node:
                     assert out.labels[v] == by_node[v]
