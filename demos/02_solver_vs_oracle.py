@@ -30,7 +30,7 @@ print(f"{tight}/12 tight; every tight instance matched the oracle")
 print()
 print("balanced mode on two disjoint 5-cliques (the easiest instance):")
 g = bs.sample_sbm(bs.SbmParams.explicit(5, 5, 1.0, 0.0), 0)
-sol = bs.solve_balanced_sdp(g, bs.SdpConfig(balanced_mode=True, seed=0))
+sol = bs.solve_balanced_sdp(g, bs.SdpConfig(seed=0))
 print(f"  objective={sol.objective:.6f} rounded={sol.rounded_objective}"
       f" certificate={sol.certificate} recovered="
       f"{bs.partitions_equal(sol.rounded, g.truth)}")

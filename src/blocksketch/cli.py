@@ -68,10 +68,9 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                         "converged one matching the best objective and partition")
 
 
-def _sdp_config(args, seed: int, balanced: bool = False, lam: float = 0.0) -> SdpConfig:
+def _sdp_config(args, seed: int, lam: float = 0.0) -> SdpConfig:
     return SdpConfig(rank=args.rank, max_iters=args.max_iters,
-                     restarts=args.restarts, balanced_mode=balanced,
-                     lam=lam, seed=seed)
+                     restarts=args.restarts, lam=lam, seed=seed)
 
 
 def _params_from_flags(args) -> SbmParams:
@@ -96,9 +95,15 @@ def _rates_from_flags(args, n: int) -> tuple[float, float]:
             raise ParameterError("give either --p/--q or --alpha/--beta, not both")
         return args.p, args.q
     if args.alpha is not None and args.beta is not None:
-        scale = math.log(n) / n
-        return args.alpha * scale, args.beta * scale
+        return _scaled_rates(args.alpha, args.beta, n)
     raise ParameterError("rates required: --p/--q or --alpha/--beta")
+
+
+def _scaled_rates(alpha: float, beta: float, n: int) -> tuple[float, float]:
+    if n < 2:
+        raise ParameterError(f"--alpha/--beta rates need n >= 2, got n={n}")
+    scale = math.log(n) / n
+    return alpha * scale, beta * scale
 
 
 def cmd_gen(args) -> int:
@@ -115,7 +120,7 @@ def cmd_solve(args) -> int:
     if args.balanced:
         if args.lam is not None or args.p is not None or args.alpha is not None:
             raise ParameterError("--balanced does not combine with a lambda source")
-        sol = solve_balanced_sdp(g, _sdp_config(args, seed, balanced=True))
+        sol = solve_balanced_sdp(g, _sdp_config(args, seed))
     else:
         if args.lam is not None:
             lam = args.lam
@@ -148,12 +153,8 @@ def cmd_sketch(args) -> int:
         raise ParameterError("sketch needs a graph file with a labels line")
     p, q = _rates_from_flags(args, g.n)
     seed = _resolve_seed(args)
-    if args.lam is not None:
-        cfg = SketchConfig(gamma=args.gamma, lambda_mode="fixed", lambda_value=args.lam,
-                           sdp=_sdp_config(args, seed), tie_mode=args.tie_mode)
-    else:
-        cfg = SketchConfig(gamma=args.gamma, sdp=_sdp_config(args, seed),
-                           tie_mode=args.tie_mode)
+    cfg = SketchConfig(gamma=args.gamma, lam=args.lam, sdp=_sdp_config(args, seed),
+                       tie_mode=args.tie_mode)
     res = sketch_and_recover(g, p, q, cfg, seed)
     print(f"sample_size={res.mask.size}")
     print(f"lambda={'none' if res.lambda_used is None else _fmt_data(res.lambda_used)}")
@@ -221,8 +222,8 @@ def cmd_bounds(args) -> int:
     if args.p is not None and args.q is not None:
         lines.append(f"lambda_star={_fmt6(lambda_star(args.p, args.q))}")
     elif args.alpha is not None and args.beta is not None and args.n is not None:
-        scale = math.log(args.n) / args.n
-        lines.append(f"lambda_star={_fmt6(lambda_star(args.alpha * scale, args.beta * scale))}")
+        p, q = _scaled_rates(args.alpha, args.beta, args.n)
+        lines.append(f"lambda_star={_fmt6(lambda_star(p, q))}")
     if args.K1 is not None and args.K2 is not None:
         if args.p is None or args.q is None:
             raise ParameterError("--K1/--K2 need --p and --q")

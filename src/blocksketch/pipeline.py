@@ -24,7 +24,8 @@ from .errors import ParameterError
 from .rng import RngSeed, STREAM_TIEBREAK, rng_for, seed_fingerprint, seed_sequence
 from .sbm import (Graph, SampleMask, SbmParams, induced_subgraph, is_complete,
                   partitions_equal, require_nonempty, sample_sbm, subsample_nodes)
-from .sdp import Certificate, SdpConfig, SdpSolution, solve_lagrangian_sdp
+from .sdp import (Certificate, SdpConfig, SdpSolution, require_multiplier,
+                  solve_lagrangian_sdp)
 from .vote import VoteOutcome, majority_vote
 
 CSV_HEADER = ("n,alpha,beta,gamma,trials,successes,success_rate,"
@@ -34,28 +35,23 @@ CSV_HEADER = ("n,alpha,beta,gamma,trials,successes,success_rate,"
 
 @dataclass(frozen=True)
 class SketchConfig:
-    """Pipeline knobs: sampling rate, multiplier policy, solver, tie policy."""
+    """Pipeline knobs: sampling rate, multiplier, Lagrangian solver, tie policy."""
 
     gamma: float
-    lambda_mode: str = "auto"              # "auto" -> lambda_star(p, q); "fixed"
-    lambda_value: Optional[float] = None   # required iff lambda_mode == "fixed"
-    sdp: SdpConfig = SdpConfig()
-    tie_mode: str = "strict"               # "strict" | "coin"
+    lam: Optional[float] = None     # None -> lambda_star(p, q) of the model rates
+    sdp: SdpConfig = SdpConfig()    # lam must stay 0: `lam` sets the multiplier;
+                                    # seed is replaced by the trial seed
+    tie_mode: str = "strict"        # "strict" | "coin"
 
     def __post_init__(self):
         if not (0.0 < self.gamma <= 1.0):
             raise ParameterError(f"gamma must lie in (0, 1], got {self.gamma}")
-        if self.lambda_mode not in ("auto", "fixed"):
-            raise ParameterError(f"unknown lambda_mode {self.lambda_mode!r}")
-        if self.lambda_mode == "fixed":
-            if self.lambda_value is None or self.lambda_value < 0:
-                raise ParameterError("fixed lambda_mode needs lambda_value >= 0")
-        elif self.lambda_value is not None:
-            raise ParameterError("lambda_value only applies to lambda_mode='fixed'")
+        if self.lam is not None:
+            require_multiplier(self.lam)
         if self.tie_mode not in ("strict", "coin"):
             raise ParameterError(f"unknown tie_mode {self.tie_mode!r}")
-        if self.sdp.balanced_mode:
-            raise ParameterError("the sketch pipeline uses the lagrangian solver")
+        if self.sdp.lam:
+            raise ParameterError("set the pipeline multiplier with lam, not sdp.lam")
 
 
 @dataclass(eq=False)
@@ -162,10 +158,11 @@ def sketch_and_recover(g: Graph, p: float, q: float, cfg: SketchConfig,
                        seed: RngSeed) -> SketchResult:
     """Subsample nodes, solve the relaxation on the kept subgraph, vote out.
 
-    In auto mode the multiplier is lambda_star(p, q) of the model rates; the
-    same value is correct on the subgraph because the parametrization is
-    invariant to its size. A sample of at most one node short-circuits to a
-    degenerate failure (all labels unassigned).
+    The multiplier is cfg.lam, or lambda_star(p, q) of the model rates when
+    that is None; the same value is correct on the subgraph because the
+    parametrization is invariant to its size. The solve is seeded by `seed`.
+    A sample of at most one node short-circuits to a degenerate failure (all
+    labels unassigned).
     """
     require_nonempty(g)
     if not (0.0 <= q < p <= 1.0):
@@ -176,7 +173,7 @@ def sketch_and_recover(g: Graph, p: float, q: float, cfg: SketchConfig,
                             solution=None, vote=None, degenerate=True,
                             lambda_used=None, tie_flips=0)
     sub, _ = induced_subgraph(g, mask)
-    lam = lambda_star(p, q) if cfg.lambda_mode == "auto" else cfg.lambda_value
+    lam = lambda_star(p, q) if cfg.lam is None else cfg.lam
     sdp_cfg = dataclasses.replace(cfg.sdp, lam=lam, seed=seed)
     sol = solve_lagrangian_sdp(sub, sdp_cfg)
     outcome = majority_vote(g, mask, sol.rounded)

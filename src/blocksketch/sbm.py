@@ -103,10 +103,12 @@ class Graph:
 
 
 def _canonical_graph(n: int, edges, truth, error: type[Exception]) -> Graph:
-    """Orient each edge u < v and sort; raise `error` on more nodes than
-    int64 edge keys allow, an out-of-range endpoint, a self-loop, a
+    """Orient each edge u < v and sort; raise `error` on a negative n or one
+    too large for int64 edge keys, an out-of-range endpoint, a self-loop, a
     duplicate in either orientation, or a truth vector that is not a
     complete +-1 vector of length n."""
+    if n < 0:
+        raise error(f"node count must be nonnegative, got n={n}")
     if int(n) ** 2 > 2 ** 63:
         raise error(f"n={n} nodes is too many: edge keys u * n + v must fit in int64")
     e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -261,8 +263,8 @@ def read_graph(path) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError as exc:
         raise GraphFormatError("header must be two integers") from exc
-    if n < 0 or m < 0:
-        raise GraphFormatError("negative counts in header")
+    if m < 0:
+        raise GraphFormatError("negative edge count in header")
     if len(lines) < 1 + m:
         raise GraphFormatError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = np.empty((0, 2), dtype=np.int64)

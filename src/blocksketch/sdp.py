@@ -42,6 +42,8 @@ from .rng import RngSeed, STREAM_SDP, rng_for
 from .sbm import Graph, partitions_equal, require_nonempty
 
 _ARMIJO = 1e-4
+_STEP_TOL = 1e-10         # stop on relative objective change below this
+_GRAD_TOL = 1e-8          # stationarity tolerance on the projected gradient
 _MAX_HALVINGS = 30
 _RANK_CAP = 32
 _BRUTE_FORCE_CAP = 22
@@ -55,17 +57,19 @@ def default_rank(n: int) -> int:
     return min(_RANK_CAP, max(2, math.isqrt(max(2 * n - 1, 0)) + 1))
 
 
+def require_multiplier(lam: float) -> None:
+    if not (0.0 <= lam < math.inf):  # also false for nan
+        raise ParameterError(f"lambda must be finite and nonnegative, got {lam}")
+
+
 @dataclass(frozen=True)
 class SdpConfig:
     rank: Optional[int] = None      # None -> default_rank(n)
     max_iters: int = 500
-    step_tol: float = 1e-10         # stop on relative objective change below this
-    grad_tol: float = 1e-8          # stationarity tolerance on the projected gradient
     restarts: int = 5               # upper bound: none run when the spectral labels certify; else
                                     # stops at the first dual-certified restart or a second
                                     # converged one with the best's value and labels
-    balanced_mode: bool = False
-    lam: float = 0.0
+    lam: float = 0.0                # the Lagrangian multiplier; must be 0 in the balanced solve
     seed: RngSeed = 0
 
     def __post_init__(self):
@@ -75,10 +79,7 @@ class SdpConfig:
             raise ParameterError("max_iters must be at least 1")
         if self.restarts < 1:
             raise ParameterError("restarts must be at least 1")
-        if self.lam < 0:
-            raise ParameterError("lambda must be nonnegative")
-        if self.step_tol <= 0 or self.grad_tol <= 0:
-            raise ParameterError("tolerances must be positive")
+        require_multiplier(self.lam)
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,6 @@ class SolveDiagnostics:
     restarts_used: int               # 0: the spectral labels certified and no ascent ran
     final_grad_norm: float
     power_iteration_converged: bool
-    lambda_used: float
     rounded_balance: int
     restart_objectives: np.ndarray   # one per restart run; [objective] when none ran
     objective_trace: np.ndarray      # accepted objective per iteration, best restart
@@ -154,7 +154,7 @@ def objective_and_gradient(adj, y, lam: float = 0.0):
     return f, _grad_from(y, ay, lam)
 
 
-def _ascent(adj, n: int, r: int, lam: float, balanced: bool, cfg: SdpConfig, rng):
+def _ascent(adj, n: int, r: int, lam: float, balanced: bool, max_iters: int, rng):
     # the balanced variant handles the constraint by projection, not penalty
     lam_eff = 0.0 if balanced else lam
     y = _project(rng.standard_normal((n, r)), balanced)
@@ -166,14 +166,14 @@ def _ascent(adj, n: int, r: int, lam: float, balanced: bool, cfg: SdpConfig, rng
     grad_norm = 0.0
     converged = False
     iters = 0
-    for iters in range(1, cfg.max_iters + 1):
+    for iters in range(1, max_iters + 1):
         grad = _grad_from(y, ay, lam_eff)
         if balanced:
             grad -= grad.mean(axis=0, keepdims=True)
         direction = grad - np.sum(grad * y, axis=1, keepdims=True) * y
         gsq = float(np.sum(direction * direction))
         grad_norm = math.sqrt(gsq)
-        if grad_norm <= cfg.grad_tol * (1.0 + abs(f)):
+        if grad_norm <= _GRAD_TOL * (1.0 + abs(f)):
             converged = True
             iters -= 1
             break
@@ -200,7 +200,7 @@ def _ascent(adj, n: int, r: int, lam: float, balanced: bool, cfg: SdpConfig, rng
         y, f, ay = cand, fc, ayc
         obj_trace.append(f)
         dev_trace.append(float(np.abs(np.linalg.norm(y, axis=1) - 1.0).max()))
-        if gain <= cfg.step_tol * (1.0 + abs(f)):
+        if gain <= _STEP_TOL * (1.0 + abs(f)):
             converged = True
             break
     return y, f, iters, grad_norm, converged, np.asarray(obj_trace), np.asarray(dev_trace)
@@ -450,7 +450,7 @@ def _solve(g: Graph, cfg: SdpConfig, balanced: bool) -> SdpSolution:
         restart_objs = []
         for k in range(cfg.restarts):
             rng = rng_for(cfg.seed, STREAM_SDP, k)
-            out = _ascent(adj, n, r, lam, balanced, cfg, rng)
+            out = _ascent(adj, n, r, lam, balanced, cfg.max_iters, rng)
             restart_objs.append(out[1])
             total_iters += out[2]
             prev, prev_rounding = best, rounding
@@ -479,7 +479,6 @@ def _solve(g: Graph, cfg: SdpConfig, balanced: bool) -> SdpSolution:
         restarts_used=restarts_used,
         final_grad_norm=grad_norm,
         power_iteration_converged=pi_ok,
-        lambda_used=lam,
         rounded_balance=int(abs(int(labels.sum()))),
         restart_objectives=np.asarray(restart_objs),
         objective_trace=obj_trace,
@@ -499,17 +498,12 @@ def _solve(g: Graph, cfg: SdpConfig, balanced: bool) -> SdpSolution:
 
 def solve_lagrangian_sdp(g: Graph, cfg: Optional[SdpConfig] = None) -> SdpSolution:
     """Maximize Tr(A Y Y^T) - lambda ||Y^T 1||^2 over unit-norm rows."""
-    cfg = cfg or SdpConfig()
-    if cfg.balanced_mode:
-        raise ParameterError("config has balanced_mode set; use solve_balanced_sdp")
-    return _solve(g, cfg, balanced=False)
+    return _solve(g, cfg or SdpConfig(), balanced=False)
 
 
 def solve_balanced_sdp(g: Graph, cfg: Optional[SdpConfig] = None) -> SdpSolution:
     """As solve_lagrangian_sdp but drives ||Y^T 1||^2 to zero by projection."""
-    cfg = cfg or SdpConfig(balanced_mode=True)
-    if not cfg.balanced_mode:
-        raise ParameterError("config must set balanced_mode for the balanced solve")
+    cfg = cfg or SdpConfig()
     if cfg.lam:
         raise ParameterError("balanced mode does not take a lambda penalty")
     if g.n % 2:

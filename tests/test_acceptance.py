@@ -5,6 +5,7 @@ threshold and tolerance below is part of the package contract; see the
 README's acceptance section.
 """
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -32,8 +33,7 @@ class TestCriterion1OracleEquivalence:
             g = bs.sample_sbm(params, idx)
             balanced = bool(idx % 2)
             if balanced:
-                sol = bs.solve_balanced_sdp(
-                    g, bs.SdpConfig(balanced_mode=True, seed=idx))
+                sol = bs.solve_balanced_sdp(g, bs.SdpConfig(seed=idx))
                 mle, mle_obj = bs.brute_force_mle(g, balanced=True)
             else:
                 sol = bs.solve_lagrangian_sdp(g, bs.SdpConfig(lam=lam, seed=idx))
@@ -191,7 +191,7 @@ class TestCriterion6SolverNumerics:
         g = bs.sample_sbm(bs.SbmParams.explicit(30, 30, 0.6, 0.1), 8)
         cfg = bs.SdpConfig(lam=bs.lambda_star(0.6, 0.1), seed=8)
         _, _, iters, _, _, _, dev_trace = sdp._ascent(
-            g.adjacency, g.n, bs.default_rank(g.n), cfg.lam, False, cfg,
+            g.adjacency, g.n, bs.default_rank(g.n), cfg.lam, False, cfg.max_iters,
             bs.rng_for(cfg.seed, STREAM_SDP, 0))
         dev = float(dev_trace.max())
         ok = dev <= 1e-9
@@ -213,7 +213,7 @@ class TestCriterion6SolverNumerics:
             cap = capsys.readouterr()
             blob = cap.out.encode()
             if out_file:
-                blob += open(out_file, "rb").read()
+                blob += Path(out_file).read_bytes()
             return code, blob
 
         full_byte_cmds = [

@@ -1,6 +1,7 @@
 """Command surface: flags, exit codes, report formats, reproducibility."""
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -41,7 +42,7 @@ class TestGen:
                               "--out", path], capsys)
         assert code == 0
         assert out == "edges=6\n"
-        text = open(path).read()
+        text = Path(path).read_text()
         assert text.startswith("6 6\n")
         assert any(ln.startswith("labels ") for ln in text.splitlines())
         g = bs.read_graph(path)
@@ -77,7 +78,7 @@ class TestGen:
         args = ["gen", "--n", "40", "--alpha", "6", "--beta", "1", "--seed", "9"]
         assert run(args + ["--out", a], capsys)[0] == 0
         assert run(args + ["--out", b], capsys)[0] == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_invalid_rates(self, tmp_path, capsys):
         code, _, _ = run(["gen", "--n", "10", "--alpha", "30", "--beta", "2",
@@ -133,7 +134,7 @@ class TestSolve:
                           "--lambda", "0.3"], capsys)
         assert code == 2
 
-    def test_balanced_mode(self, clique_file, capsys):
+    def test_balanced_flag(self, clique_file, capsys):
         code, out, _ = run(["solve", "--in", clique_file, "--balanced",
                             "--seed", "2"], capsys)
         assert code == 0
@@ -340,6 +341,24 @@ class TestParsingAndSeeds:
     def test_no_subcommand(self, capsys):
         assert run([], capsys)[0] == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--alpha", "30", "--beta", "2", "--n", "0"],
+        ["bounds", "--alpha", "30", "--beta", "2", "--n", "-4"],
+        ["solve", "--in", "{empty}", "--alpha", "30", "--beta", "2"],
+        ["solve", "--in", "{cliques}", "--lambda", "nan"],
+        ["solve", "--in", "{cliques}", "--lambda", "inf"],
+        ["sketch", "--in", "{cliques}", "--gamma", "1", "--p", "1", "--q", "0",
+         "--lambda", "nan"],
+    ])
+    def test_bad_numbers_are_parameter_errors(self, argv, clique_file, tmp_path, capsys):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("0 0\n")
+        argv = [a.format(empty=empty, cliques=clique_file) for a in argv]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_env_seed_default(self, tmp_path, capsys, monkeypatch):
         a, b = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
         monkeypatch.setenv("BLOCKSKETCH_SEED", "17")
@@ -348,7 +367,7 @@ class TestParsingAndSeeds:
         monkeypatch.delenv("BLOCKSKETCH_SEED")
         run(["gen", "--n", "40", "--alpha", "6", "--beta", "1", "--seed", "17",
              "--out", b], capsys)
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_flag_beats_env(self, tmp_path, capsys, monkeypatch):
         a, b = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
@@ -358,7 +377,7 @@ class TestParsingAndSeeds:
         monkeypatch.delenv("BLOCKSKETCH_SEED")
         run(["gen", "--n", "40", "--alpha", "6", "--beta", "1", "--seed", "3",
              "--out", b], capsys)
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_env_seed_junk(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("BLOCKSKETCH_SEED", "not-a-number")

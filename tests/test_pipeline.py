@@ -1,5 +1,6 @@
 """Sketch pipeline wiring, trial records, and the sweep harness."""
 import json
+import math
 import os
 
 import numpy as np
@@ -29,22 +30,19 @@ class TestSketchConfig:
             SketchConfig(gamma=1.2)
         SketchConfig(gamma=1.0)
 
-    def test_lambda_mode_rules(self):
-        with pytest.raises(ParameterError):
-            SketchConfig(gamma=0.5, lambda_mode="guess")
-        with pytest.raises(ParameterError):
-            SketchConfig(gamma=0.5, lambda_mode="fixed")
-        with pytest.raises(ParameterError):
-            SketchConfig(gamma=0.5, lambda_mode="fixed", lambda_value=-1.0)
-        with pytest.raises(ParameterError):
-            SketchConfig(gamma=0.5, lambda_value=0.3)
-        SketchConfig(gamma=0.5, lambda_mode="fixed", lambda_value=0.3)
+    def test_lambda_rules(self):
+        for lam in (-1.0, float("nan"), math.inf, -math.inf):
+            with pytest.raises(ParameterError):
+                SketchConfig(gamma=0.5, lam=lam)
+        assert SketchConfig(gamma=0.5).lam is None  # None -> lambda_star(p, q)
+        assert SketchConfig(gamma=0.5, lam=0.3).lam == 0.3
+        assert SketchConfig(gamma=0.5, lam=0.0).lam == 0.0
 
     def test_tie_mode_and_solver_mode(self):
         with pytest.raises(ParameterError):
             SketchConfig(gamma=0.5, tie_mode="drop")
         with pytest.raises(ParameterError):
-            SketchConfig(gamma=0.5, sdp=bs.SdpConfig(balanced_mode=True))
+            SketchConfig(gamma=0.5, sdp=bs.SdpConfig(lam=0.3))  # the pipeline sets it
 
 
 class TestSketchAndRecover:
@@ -59,7 +57,7 @@ class TestSketchAndRecover:
 
     def test_fixed_multiplier_passed_through(self):
         g = bs.sample_sbm(bs.SbmParams.explicit(5, 5, 1.0, 0.0), 2)
-        cfg = SketchConfig(gamma=1.0, lambda_mode="fixed", lambda_value=0.25)
+        cfg = SketchConfig(gamma=1.0, lam=0.25)
         res = sketch_and_recover(g, 1.0, 0.0, cfg, 2)
         assert res.lambda_used == 0.25
         assert bs.partitions_equal(res.labels, g.truth)
@@ -95,7 +93,7 @@ class TestSketchAndRecover:
     def test_strict_ties_stay_unassigned(self):
         # seed 14 samples nodes 0..6, leaving the isolated node 8 with no votes
         g = cliques_plus_isolate()
-        cfg = SketchConfig(gamma=0.85, lambda_mode="fixed", lambda_value=0.3)
+        cfg = SketchConfig(gamma=0.85, lam=0.3)
         res = sketch_and_recover(g, 0.9, 0.1, cfg, 14)
         assert 8 not in res.mask.kept
         assert res.vote.tie_count == 1
@@ -104,9 +102,8 @@ class TestSketchAndRecover:
 
     def test_coin_ties_get_resolved(self):
         g = cliques_plus_isolate()
-        strict = SketchConfig(gamma=0.85, lambda_mode="fixed", lambda_value=0.3)
-        coin = SketchConfig(gamma=0.85, lambda_mode="fixed", lambda_value=0.3,
-                            tie_mode="coin")
+        strict = SketchConfig(gamma=0.85, lam=0.3)
+        coin = SketchConfig(gamma=0.85, lam=0.3, tie_mode="coin")
         rs = sketch_and_recover(g, 0.9, 0.1, strict, 14)
         rc = sketch_and_recover(g, 0.9, 0.1, coin, 14)
         assert rc.tie_flips == rs.vote.tie_count == 1
@@ -309,7 +306,7 @@ class TestRunSweep:
             for t in range(2)]
 
     def test_gamma_override_per_cell(self):
-        template = SketchConfig(gamma=0.123, lambda_mode="fixed", lambda_value=0.3)
+        template = SketchConfig(gamma=0.123, lam=0.3)
         tab = run_sweep([12], [2.0], [0.5], [1.0], trials=2, master_seed=9,
                         config=template)
         assert tab.cells[0].mean_sample_size == 12.0

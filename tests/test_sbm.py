@@ -307,6 +307,10 @@ class TestGraphType:
         with pytest.raises(ParameterError):
             bs.Graph.from_edges(4, [(0, 4)])
 
+    def test_rejects_negative_n(self):
+        with pytest.raises(ParameterError):
+            bs.Graph.from_edges(-3, [])
+
     @settings(max_examples=80, deadline=None)
     @given(n=st.integers(2, 10), data=st.data())
     def test_from_edges_canonicalization_property(self, n, data):
@@ -397,6 +401,7 @@ class TestGraphFileIO:
         "3 1\n0 99999999999999999999\n",  # does not fit in int64
         "3 1\n0 1 # c\n",          # no comment syntax
         "3037000500 1\n0 1\n",     # too many nodes for int64 edge keys
+        "-3 0\n",                  # negative node count
     ])
     def test_reader_rejects_malformed(self, tmp_path, content):
         path = tmp_path / "bad.txt"

@@ -96,7 +96,9 @@ class TestSdpConfig:
         with pytest.raises(ParameterError):
             bs.SdpConfig(lam=-0.5)
         with pytest.raises(ParameterError):
-            bs.SdpConfig(step_tol=0.0)
+            bs.SdpConfig(lam=float("nan"))
+        with pytest.raises(ParameterError):
+            bs.SdpConfig(lam=math.inf)
 
 
 class TestGradient:
@@ -166,10 +168,9 @@ class TestSolver:
         # both retractions: the balanced one centres columns before normalizing.
         # The full solvers certify this graph spectrally, so the ascent is run directly
         g = two_cliques(6, p=0.8, q=0.2, seed=5)
-        for lam, cfg in ((0.2, bs.SdpConfig(lam=0.2, seed=0)),
-                         (0.0, bs.SdpConfig(balanced_mode=True, seed=0))):
-            out = sdp._ascent(g.adjacency, g.n, sdp.default_rank(g.n), lam, cfg.balanced_mode,
-                              cfg, rng_for(cfg.seed, STREAM_SDP, 0))
+        for lam, balanced in ((0.2, False), (0.0, True)):
+            out = sdp._ascent(g.adjacency, g.n, sdp.default_rank(g.n), lam, balanced,
+                              500, rng_for(0, STREAM_SDP, 0))
             trace = out[5]
             assert len(trace) >= 1
             assert np.all(np.diff(trace) >= -1e-12)
@@ -260,17 +261,13 @@ class TestSolver:
     def test_mode_routing_enforced(self):
         g = two_cliques(3)
         with pytest.raises(ParameterError):
-            bs.solve_lagrangian_sdp(g, bs.SdpConfig(balanced_mode=True))
-        with pytest.raises(ParameterError):
-            bs.solve_balanced_sdp(g, bs.SdpConfig(balanced_mode=False))
-        with pytest.raises(ParameterError):
-            bs.solve_balanced_sdp(g, bs.SdpConfig(balanced_mode=True, lam=0.1))
+            bs.solve_balanced_sdp(g, bs.SdpConfig(lam=0.1))
 
 
 class TestBalancedSolver:
     def test_disjoint_four_cliques(self):
         g = two_cliques(4)
-        sol = bs.solve_balanced_sdp(g, bs.SdpConfig(balanced_mode=True, seed=2))
+        sol = bs.solve_balanced_sdp(g, bs.SdpConfig(seed=2))
         assert bs.partitions_equal(sol.rounded, g.truth)
         assert sol.diagnostics.rounded_balance == 0
         assert sol.balance_residual <= 1e-3 * g.n
@@ -286,7 +283,7 @@ class TestBalancedSolver:
         best_obj, best_set = enumerate_optima(g, "balanced")
         assert best_obj == -4.0
         assert len(best_set) == 6
-        sol = bs.solve_balanced_sdp(g, bs.SdpConfig(balanced_mode=True, seed=0))
+        sol = bs.solve_balanced_sdp(g, bs.SdpConfig(seed=0))
         assert int(np.sum(sol.rounded)) == 0
         assert sol.rounded_objective == -4.0
         assert sol.objective == pytest.approx(-4.0 + sol.balance_residual, abs=1e-9)
@@ -295,7 +292,7 @@ class TestBalancedSolver:
     def test_spec_instance_balanced(self):
         # n=12, p=0.9, q=0.05, seed 3: tight implies balanced-oracle agreement
         g = two_cliques(6, p=0.9, q=0.05, seed=3)
-        sol = bs.solve_balanced_sdp(g, bs.SdpConfig(balanced_mode=True, seed=3))
+        sol = bs.solve_balanced_sdp(g, bs.SdpConfig(seed=3))
         mle, _ = bs.brute_force_mle(g, balanced=True)
         assert sol.certificate.tight
         assert bs.partitions_equal(sol.rounded, mle)
@@ -303,13 +300,13 @@ class TestBalancedSolver:
     def test_odd_n_rejected(self):
         g = bs.Graph.from_edges(3, [(0, 1)])
         with pytest.raises(ParameterError):
-            bs.solve_balanced_sdp(g, bs.SdpConfig(balanced_mode=True))
+            bs.solve_balanced_sdp(g, bs.SdpConfig())
 
     def test_rounded_always_balanced(self):
         rng = np.random.default_rng(13)
         for seed in range(8):
             g = random_graph(10, float(rng.uniform(0.2, 0.8)), rng)
-            sol = bs.solve_balanced_sdp(g, bs.SdpConfig(balanced_mode=True, seed=seed))
+            sol = bs.solve_balanced_sdp(g, bs.SdpConfig(seed=seed))
             assert int(np.sum(sol.rounded)) == 0
 
 
@@ -512,7 +509,7 @@ class TestDualCertificate:
             k2 = k1
         g = bs.sample_sbm(bs.SbmParams.explicit(k1, k2, p, q), graph_seed)
         if balanced:
-            sol = bs.solve_balanced_sdp(g, bs.SdpConfig(balanced_mode=True))
+            sol = bs.solve_balanced_sdp(g, bs.SdpConfig())
             mu, best = 0.0, bs.brute_force_mle(g, balanced=True)[1]
         else:
             sol = bs.solve_lagrangian_sdp(g, bs.SdpConfig(lam=mu))
@@ -530,7 +527,7 @@ class TestDualCertificate:
         assert sol.diagnostics.restarts_used == 2 == len(sol.diagnostics.restart_objectives)
         # the early stop returns the partition that running every restart would
         r = sdp.default_rank(g.n)
-        outs = [sdp._ascent(g.adjacency, g.n, r, LAM_STAR, False, cfg,
+        outs = [sdp._ascent(g.adjacency, g.n, r, LAM_STAR, False, cfg.max_iters,
                             rng_for(cfg.seed, STREAM_SDP, k)) for k in range(cfg.restarts)]
         best = max(outs, key=lambda out: out[1])
         assert bs.partitions_equal(sol.rounded, bs.round_solution(best[0]))
