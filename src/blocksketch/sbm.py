@@ -7,9 +7,10 @@ p = alpha * log(n) / n, q = beta * log(n) / n in balanced mode.
 
 `sample_sbm` has one exact sampler at every size: geometric skips between
 successive edges of each block (Batagelj and Brandes, Phys. Rev. E
-71:036113, 2005), O(edges) time and memory. `Graph.from_edges` and
-`read_graph` canonicalize and validate edges through one routine,
-`_canonical_graph`, which raises the caller's error type.
+71:036113, 2005), O(edges) time and memory, each skip drawn by inversion.
+`Graph.from_edges` and `read_graph` canonicalize and validate edges through
+one routine, `_canonical_graph`, which raises the caller's error type.
+`Graph.adjacency` is built from sorted edge keys; the vote never needs it.
 """
 from __future__ import annotations
 
@@ -92,14 +93,14 @@ class Graph:
 
     @cached_property
     def adjacency(self) -> csr_matrix:
-        """Symmetric float64 CSR adjacency (counts stay exact in float64)."""
-        u, v = self.edges[:, 0], self.edges[:, 1]
-        data = np.ones(2 * self.m)
-        rows = np.concatenate([u, v])
-        cols = np.concatenate([v, u])
-        a = csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
-        a.sort_indices()
-        return a
+        """Symmetric float64 CSR adjacency (counts stay exact in float64), built
+        from the sorted keys u*n+v of both orientations; canonical, and scipy
+        narrows the index dtype as it does for a COO build."""
+        n, u, v = self.n, self.edges[:, 0], self.edges[:, 1]
+        keys = np.sort(np.concatenate([u * n + v, v * n + u]))
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.edges.ravel(), minlength=n), out=indptr[1:])
+        return csr_matrix((np.ones(keys.size), keys % n, indptr), shape=(n, n))
 
 
 def _canonical_graph(n: int, edges, truth, error: type[Exception]) -> Graph:
@@ -123,7 +124,7 @@ def _canonical_graph(n: int, edges, truth, error: type[Exception]) -> Graph:
     t = None
     if truth is not None:
         t = np.asarray(truth, dtype=np.int8)
-        if t.shape != (n,) or not np.isin(t, (-1, 1)).all():
+        if t.shape != (n,) or not is_complete(t):
             raise error("truth must be a complete +-1 vector of length n")
     return Graph(n=n, edges=np.column_stack([keys // n, keys % n]), truth=t)
 
@@ -144,17 +145,22 @@ class SampleMask:
 def _bernoulli_codes(rng: np.random.Generator, n_pairs: int, prob: float) -> np.ndarray:
     """Sorted codes of range(n_pairs), each present independently with
     probability prob: geometric skips between successes (Batagelj and
-    Brandes, Phys. Rev. E 71:036113, 2005), exact and O(kept codes)."""
+    Brandes, Phys. Rev. E 71:036113, 2005), exact and O(kept codes). Each
+    gap is floor(E / -log1p(-prob)) + 1 for one standard exponential E, which
+    is Geometric(prob) on {1, 2, ...}; batch sizes do not change the draw."""
     if n_pairs == 0 or prob == 0.0:
         return np.empty(0, dtype=np.int64)
+    if prob == 1.0:
+        return np.arange(n_pairs, dtype=np.int64)
+    rate = -math.log1p(-prob)
+    # exact: a gap of n_pairs + 1 ends the block; keeps E / rate finite for tiny prob
+    cap = (n_pairs + 1) * rate
     chunks = []
     last = -1
     while last < n_pairs:
         mean = (n_pairs - 1 - last) * prob
-        # any gap past the end ends the block, so clipping at n_pairs + 1 is
-        # exact; tiny prob draws int64 max, which would overflow the cumsum
-        gaps = np.minimum(rng.geometric(prob, size=int(mean + 4.0 * math.sqrt(mean)) + 2),
-                          n_pairs + 1)
+        e = rng.standard_exponential(size=int(mean + 4.0 * math.sqrt(mean)) + 2)
+        gaps = (np.minimum(e, cap) / rate).astype(np.int64) + 1
         codes = last + np.cumsum(gaps)
         last = int(codes[-1])
         chunks.append(codes[codes < n_pairs])
@@ -223,7 +229,7 @@ def induced_subgraph(g: Graph, mask: Union[SampleMask, np.ndarray, Sequence[int]
 
 
 def is_complete(labels: np.ndarray) -> bool:
-    return bool(np.isin(np.asarray(labels), (-1, 1)).all())
+    return bool((np.abs(np.asarray(labels)) == 1).all())
 
 
 def partitions_equal(a: np.ndarray, b: np.ndarray) -> bool:

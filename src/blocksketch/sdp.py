@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import CapacityError, ParameterError
 from .rng import RngSeed, STREAM_SDP, rng_for
-from .sbm import Graph, partitions_equal, require_nonempty
+from .sbm import Graph, is_complete, partitions_equal, require_nonempty
 
 _ARMIJO = 1e-4
 _STEP_TOL = 1e-10         # stop on relative objective change below this
@@ -259,7 +259,7 @@ def _split_at_median(v: np.ndarray) -> np.ndarray:
 def labeling_objective(g: Graph, labels, lam: float = 0.0) -> float:
     """x^T A x - lambda (1^T x)^2 for an integral labeling x."""
     x = np.asarray(labels, dtype=np.float64)
-    if x.shape != (g.n,) or not np.isin(x, (-1.0, 1.0)).all():
+    if x.shape != (g.n,) or not is_complete(x):
         raise ParameterError("labels must be complete +-1 of length n")
     quad = 2.0 * float(x[g.edges[:, 0]] @ x[g.edges[:, 1]]) if g.m else 0.0
     if lam:

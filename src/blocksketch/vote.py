@@ -3,7 +3,8 @@
 An off-sample node v with sampled sets R1 (+1) and R2 (-1) gets the label of
 the strict majority of its sampled neighbors: sign(e(v, R1) - e(v, R2)).
 A zero margin is a tie and leaves v unassigned; in particular a node with no
-sampled neighbor is tied.
+sampled neighbor is tied. The margins come from the edge list by two
+weighted `np.bincount` calls (exact in float64); no CSR adjacency is built.
 """
 from __future__ import annotations
 
@@ -46,7 +47,8 @@ def majority_vote(g: Graph, mask: SampleMask, sample_labels) -> VoteOutcome:
 
     w = np.zeros(g.n, dtype=np.float64)
     w[kept] = lab
-    margins = (g.adjacency @ w).astype(np.int64)  # counts, exact in float64
+    u, v = g.edges[:, 0], g.edges[:, 1]
+    margins = (np.bincount(u, w[v], g.n) + np.bincount(v, w[u], g.n)).astype(np.int64)
 
     off = np.ones(g.n, dtype=bool)
     off[kept] = False

@@ -3,7 +3,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 import blocksketch as bs
@@ -142,17 +143,18 @@ class TestSampleSbm:
 
 
 class CountingRng:
-    """Generator stand-in that fails past `limit` geometric calls and, with
-    `one_gap`, hands out a single gap per call whatever size is asked for."""
+    """Generator stand-in that fails past `limit` standard_exponential calls
+    and, with `one_gap`, hands out a single draw per call whatever size is
+    asked for."""
 
     def __init__(self, seed, limit=10**6, one_gap=False):
         self.rng, self.calls, self.limit, self.one_gap = \
             np.random.default_rng(seed), 0, limit, one_gap
 
-    def geometric(self, prob, size):
+    def standard_exponential(self, size):
         self.calls += 1
         assert self.calls <= self.limit, "sampler did not terminate"
-        return self.rng.geometric(prob, size=1 if self.one_gap else size)
+        return self.rng.standard_exponential(size=1 if self.one_gap else size)
 
 
 class TestBernoulliCodes:
@@ -163,7 +165,7 @@ class TestBernoulliCodes:
         assert sbm_mod._bernoulli_codes(rng, 0, 0.5).size == 0
 
     def test_tiny_probability_terminates(self):
-        # geometric(5e-324) returns int64 max; unclipped, the cumsum overflows
+        # E / -log1p(-5e-324) overflows to inf; unclipped, the int cast and cumsum overflow
         for n_pairs in (1, 50, 2 ** 40):
             rng = CountingRng(1, limit=5)
             assert sbm_mod._bernoulli_codes(rng, n_pairs, 5e-324).size == 0
@@ -176,14 +178,15 @@ class TestBernoulliCodes:
                 assert np.array_equal(batched, one_by_one)
 
     def test_per_code_frequencies(self):
-        trials, prob = 2000, 0.3
-        freq = np.zeros(40)
-        for s in range(trials):
-            codes = sbm_mod._bernoulli_codes(np.random.default_rng(s), 40, prob)
-            assert np.all(np.diff(codes) > 0)
-            freq[codes] += 1
-        se = math.sqrt(prob * (1 - prob) / trials)
-        assert np.abs(freq / trials - prob).max() <= 4 * se
+        trials = 2000
+        for prob in (0.3, 0.45, 0.9):  # 0.45 is the within-block rate at n=400
+            freq = np.zeros(40)
+            for s in range(trials):
+                codes = sbm_mod._bernoulli_codes(np.random.default_rng(s), 40, prob)
+                assert np.all(np.diff(codes) > 0)
+                freq[codes] += 1
+            se = math.sqrt(prob * (1 - prob) / trials)
+            assert np.abs(freq / trials - prob).max() <= 4 * se
 
 
 class TestSubsample:
@@ -263,6 +266,29 @@ class TestPartitionsEqual:
             bs.partitions_equal([1, -1], [1, -1, 1])
 
 
+class TestCompleteness:
+    """One +-1 test behind `is_complete`, `labeling_objective` and the truth
+    check of `Graph.from_edges`, for every label dtype."""
+
+    def test_rejects_non_unit_entries_for_every_dtype(self):
+        g = bs.Graph.from_edges(3, [(0, 1)])
+        for dtype in (np.int8, np.int64, np.float64):
+            good = np.array([1, -1, 1], dtype=dtype)
+            assert bs.is_complete(good)
+            assert bs.labeling_objective(g, good) == -2.0
+            assert bs.Graph.from_edges(3, [], truth=good).truth.tolist() == [1, -1, 1]
+            # int8 -128 is its own absolute value
+            bad_values = [0, 2, -128] + ([np.nan] if dtype is np.float64 else [])
+            for bad in bad_values:
+                labels = np.array([1, bad, -1], dtype=dtype)
+                assert not bs.is_complete(labels)
+                with pytest.raises(ParameterError):
+                    bs.labeling_objective(g, labels)
+                if not np.isnan(bad):  # nan cannot be cast to int8 truth
+                    with pytest.raises(ParameterError):
+                        bs.Graph.from_edges(3, [], truth=labels)
+
+
 class TestEdgeCountBetween:
     """Edges between a node and a node set, read off the adjacency row."""
 
@@ -339,6 +365,25 @@ class TestGraphType:
         a = g.adjacency.toarray()
         assert np.array_equal(a, a.T)
         assert np.all(np.diag(a) == 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(0, 12), keep=st.lists(st.booleans(), max_size=66))
+    @example(n=0, keep=[])
+    @example(n=1, keep=[])
+    @example(n=5, keep=[])
+    @example(n=6, keep=[True])  # nodes 2..5 isolated
+    def test_adjacency_matches_dense_csr(self, n, keep):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        chosen = [e for e, k in zip(pairs, keep) if k]
+        dense = np.zeros((n, n))
+        for u, v in chosen:
+            dense[u, v] = dense[v, u] = 1.0
+        want = csr_matrix(dense)
+        got = bs.Graph.from_edges(n, chosen).adjacency
+        assert got.shape == (n, n) and got.has_canonical_format
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
 
     def test_neighbors_and_degree(self):
         g = two_triangles()

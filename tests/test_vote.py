@@ -111,6 +111,15 @@ class TestMajorityVote:
         after = bs.majority_vote(g2, mask, labels)
         assert after.margins[2] >= before.margins[2]
 
+    def test_vote_builds_no_full_graph_adjacency(self):
+        g = bs.sample_sbm(bs.SbmParams.from_rates(400, 30.0, 2.0), 3)
+        mask = bs.subsample_nodes(g.n, 0.3, 4)
+        out = bs.majority_vote(g, mask, g.truth[mask.kept])
+        assert "adjacency" not in g.__dict__
+        w = np.zeros(g.n)
+        w[mask.kept] = g.truth[mask.kept]
+        assert np.array_equal(out.margins, g.adjacency @ w)
+
 
 class TestOracleVoteTrial:
     def test_full_sample_always_succeeds(self):
