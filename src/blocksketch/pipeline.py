@@ -261,6 +261,7 @@ def run_sweep(n_values: Sequence[int], alpha_values: Sequence[float],
         raise ParameterError("trials must be at least 1")
     if jobs < 1:
         raise ParameterError("jobs must be at least 1")
+    seed_sequence(master_seed)  # a negative seed fails here, before any trial
     template = config if config is not None else SketchConfig(gamma=1.0)
 
     tasks = []

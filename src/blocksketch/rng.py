@@ -11,6 +11,8 @@ from typing import Union
 
 import numpy as np
 
+from .errors import ParameterError
+
 RngSeed = Union[int, np.random.SeedSequence]
 
 # Fixed stream ids; values are part of the reproducibility contract.
@@ -21,10 +23,12 @@ STREAM_TIEBREAK = 3
 
 
 def seed_sequence(seed: RngSeed, *stream: int) -> np.random.SeedSequence:
-    """SeedSequence for `seed` narrowed to the given stream ids."""
+    """SeedSequence for `seed` narrowed to the given stream ids; int seeds are >= 0."""
     if isinstance(seed, np.random.SeedSequence):
         key = tuple(seed.spawn_key) + tuple(stream)
         return np.random.SeedSequence(seed.entropy, spawn_key=key)
+    if seed < 0:
+        raise ParameterError(f"seed must be nonnegative, got {seed}")
     return np.random.SeedSequence(seed, spawn_key=tuple(stream))
 
 

@@ -123,9 +123,10 @@ def _canonical_graph(n: int, edges, truth, error: type[Exception]) -> Graph:
         raise error("duplicate edges are not allowed")
     t = None
     if truth is not None:
-        t = np.asarray(truth, dtype=np.int8)
+        t = np.asarray(truth)  # checked as given: an int8 cast wraps 257 to 1
         if t.shape != (n,) or not is_complete(t):
             raise error("truth must be a complete +-1 vector of length n")
+        t = t.astype(np.int8)
     return Graph(n=n, edges=np.column_stack([keys // n, keys % n]), truth=t)
 
 

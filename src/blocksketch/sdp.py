@@ -10,7 +10,8 @@ Tr(X J) = ||Y^T 1||^2 itself to zero by alternating projection instead of
 penalizing it.
 
 The lambda * J term is never materialized: its gradient contribution is the
-rank-one correction lambda * 1 (1^T Y).
+rank-one correction lambda * 1 (1^T Y). A factor is rounded by the signs of
+the exact leading eigenvector of Y Y^T, from one eigh of the r x r Gram matrix.
 
 Labels x carry a dual certificate (Abbe-Bandeira-Hall, arXiv:1405.3267)
 when S = diag(((A - mu J) x) * x) - A + mu J, with mu = lambda (mu = 1 in
@@ -38,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CapacityError, ParameterError
-from .rng import RngSeed, STREAM_SDP, rng_for
+from .rng import RngSeed, STREAM_SDP, rng_for, seed_sequence
 from .sbm import Graph, is_complete, partitions_equal, require_nonempty
 
 _ARMIJO = 1e-4
@@ -80,6 +81,7 @@ class SdpConfig:
         if self.restarts < 1:
             raise ParameterError("restarts must be at least 1")
         require_multiplier(self.lam)
+        seed_sequence(self.seed)  # a negative seed fails even when no restart runs
 
 
 @dataclass(frozen=True)
@@ -97,7 +99,6 @@ class SolveDiagnostics:
     iterations_total: int            # ascent iterations over all restarts run
     restarts_used: int               # 0: the spectral labels certified and no ascent ran
     final_grad_norm: float
-    power_iteration_converged: bool
     rounded_balance: int
     restart_objectives: np.ndarray   # one per restart run; [objective] when none ran
     objective_trace: np.ndarray      # accepted objective per iteration, best restart
@@ -206,27 +207,23 @@ def _ascent(adj, n: int, r: int, lam: float, balanced: bool, max_iters: int, rng
     return y, f, iters, grad_norm, converged, np.asarray(obj_trace), np.asarray(dev_trace)
 
 
-def leading_eigenvector(factor: np.ndarray, tol: float = 1e-13, max_iters: int = 2000):
-    """Leading eigenvector of Y Y^T by power iteration on the factored operator.
+def _start_vector(n: int) -> np.ndarray:
+    """The fixed unit start vector v0 of length n."""
+    v = np.random.default_rng(_START_SEED).standard_normal(n)
+    return v / np.linalg.norm(v)
 
-    Deterministic given the factor (fixed internal start vector). Returns
-    (vector, converged, iterations); each step costs O(n r).
-    """
+
+def leading_eigenvector(factor: np.ndarray):
+    """Leading eigenvector v = Y u / ||Y u|| of Y Y^T, exact: u is the top
+    eigenvector of the r x r Gram matrix Y^T Y. Signed so that v . v0 >= 0 for
+    the fixed start vector v0, the sign a power iteration from v0 converges to.
+    Returns (vector, converged, iterations), always (v, True, 0)."""
     y = np.asarray(factor, dtype=np.float64)
-    n = y.shape[0]
-    rng = np.random.default_rng(_START_SEED)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    for it in range(1, max_iters + 1):
-        w = y @ (y.T @ v)
-        nw = np.linalg.norm(w)
-        if nw < 1e-30:
-            return v, False, it  # operator annihilates the iterate
-        w /= nw
-        if 1.0 - abs(float(v @ w)) < tol:
-            return w, True, it
-        v = w
-    return v, False, max_iters
+    v0 = _start_vector(y.shape[0])
+    v = y @ np.linalg.eigh(y.T @ y)[1][:, -1]
+    if not v.any():  # Y = 0: every vector is a leading eigenvector
+        v = v0
+    return np.copysign(1.0 / np.linalg.norm(v), v @ v0) * v, True, 0
 
 
 def round_solution(factor: np.ndarray, balanced: bool = False) -> np.ndarray:
@@ -236,17 +233,12 @@ def round_solution(factor: np.ndarray, balanced: bool = False) -> np.ndarray:
     median instead (top n/2 entries get +1, stable index tie-break), which
     keeps the output feasible for the balanced program.
     """
-    labels, _ = _round_with_info(np.asarray(factor, dtype=np.float64), balanced)
-    return labels
-
-
-def _round_with_info(factor: np.ndarray, balanced: bool):
-    v, ok, _ = leading_eigenvector(factor)
+    v, _, _ = leading_eigenvector(factor)
     if balanced:
-        if factor.shape[0] % 2:
+        if v.size % 2:
             raise ParameterError("balanced rounding needs an even number of nodes")
-        return _split_at_median(v), ok
-    return np.where(v >= 0.0, 1, -1).astype(np.int8), ok
+        return _split_at_median(v)
+    return np.where(v >= 0.0, 1, -1).astype(np.int8)
 
 
 def _split_at_median(v: np.ndarray) -> np.ndarray:
@@ -298,8 +290,7 @@ def _lanczos(apply, n: int, steps: int):
     """
     basis = np.empty((steps, n))
     tri = np.zeros((steps + 1, steps + 1))
-    v = np.random.default_rng(_START_SEED).standard_normal(n)
-    v /= np.linalg.norm(v)
+    v = _start_vector(n)
     for j in range(steps):
         basis[j] = v
         w = apply(v)
@@ -418,7 +409,7 @@ def brute_force_mle(g: Graph, *, balanced: bool = False, size: Optional[int] = N
 def _round_and_certify(g: Graph, y: np.ndarray, f: float, converged: bool,
                        lam: float, balanced: bool):
     """Round a factor; tight iff converged, gap-tight and dual-certified."""
-    labels, pi_ok = _round_with_info(y, balanced)
+    labels = round_solution(y, balanced)
     rounded_obj = labeling_objective(g, labels, lam=lam)
     cert = _certificate_from_values(f, rounded_obj)
     # mu = lam is the Lagrangian program's own multiplier; on the balanced
@@ -426,7 +417,7 @@ def _round_and_certify(g: Graph, y: np.ndarray, f: float, converged: bool,
     tight = cert.tight and converged and _dual_certified(
         g.adjacency, labels, 1.0 if balanced else lam,
         _DUAL_RTOL * (1.0 + abs(rounded_obj)))
-    return labels, pi_ok, rounded_obj, Certificate(tight=tight, gap=cert.gap)
+    return labels, rounded_obj, Certificate(tight=tight, gap=cert.gap)
 
 
 def _solve(g: Graph, cfg: SdpConfig, balanced: bool) -> SdpSolution:
@@ -445,9 +436,8 @@ def _solve(g: Graph, cfg: SdpConfig, balanced: bool) -> SdpSolution:
     best = (y, f, 0, 0.0, True, np.empty(0), np.empty(0))
     restart_objs = [f]
     restarts_used = total_iters = 0
-    if not rounding[3].tight:
-        best = rounding = None
-        restart_objs = []
+    if not rounding[2].tight:
+        best, restart_objs = None, []
         for k in range(cfg.restarts):
             rng = rng_for(cfg.seed, STREAM_SDP, k)
             out = _ascent(adj, n, r, lam, balanced, cfg.max_iters, rng)
@@ -455,30 +445,26 @@ def _solve(g: Graph, cfg: SdpConfig, balanced: bool) -> SdpSolution:
             total_iters += out[2]
             prev, prev_rounding = best, rounding
             if best is None or out[1] > best[1]:
-                best, rounding = out, None
-                if out[4]:
-                    rounding = _round_and_certify(g, out[0], out[1], True, lam, balanced)
-                    if rounding[3].tight:
-                        break
+                best = out
+                rounding = _round_and_certify(g, out[0], out[1], out[4], lam, balanced)
+                if rounding[2].tight:
+                    break
             # a second converged restart within the gap test's tolerance of the
             # best objective, rounding to the best's partition, ends the solve
             if (prev is not None and prev[4] and out[4]
                     and _certificate_from_values(best[1], min(prev[1], out[1])).tight):
-                labels = rounding[0] if best is out else _round_with_info(out[0], balanced)[0]
+                labels = rounding[0] if best is out else round_solution(out[0], balanced)
                 if partitions_equal(labels, prev_rounding[0]):
                     break
         restarts_used = len(restart_objs)
     y, f, iters, grad_norm, converged, obj_trace, dev_trace = best
-    if rounding is None:  # the best restart hit its iteration cap: never tight
-        rounding = _round_and_certify(g, y, f, converged, lam, balanced)
-    labels, pi_ok, rounded_obj, cert = rounding
+    labels, rounded_obj, cert = rounding
     cs = y.sum(axis=0)
     diag = SolveDiagnostics(
         converged=converged,
         iterations_total=total_iters,
         restarts_used=restarts_used,
         final_grad_norm=grad_norm,
-        power_iteration_converged=pi_ok,
         rounded_balance=int(abs(int(labels.sum()))),
         restart_objectives=np.asarray(restart_objs),
         objective_trace=obj_trace,

@@ -37,7 +37,7 @@ class VoteOutcome:
 def majority_vote(g: Graph, mask: SampleMask, sample_labels) -> VoteOutcome:
     """Extend the labels given on mask.kept to all nodes by strict majority."""
     kept = mask.kept
-    lab = np.asarray(sample_labels, dtype=np.int8)
+    lab = np.asarray(sample_labels)
     if lab.shape != (kept.size,):
         raise ParameterError("sample_labels must align with mask.kept")
     if kept.size and (kept.min() < 0 or kept.max() >= g.n):

@@ -349,11 +349,19 @@ class TestParsingAndSeeds:
         ["solve", "--in", "{cliques}", "--lambda", "inf"],
         ["sketch", "--in", "{cliques}", "--gamma", "1", "--p", "1", "--q", "0",
          "--lambda", "nan"],
+        ["gen", "--n", "100", "--alpha", "5", "--beta", "1", "--seed", "-1",
+         "--out", "{out}"],
+        ["sweep", "--n", "12", "--alpha", "2", "--beta", "0.5", "--gamma", "1.0",
+         "--trials", "1", "--master-seed", "-2"],
+        ["solve", "--in", "{cliques}", "--lambda", "0.5", "--seed", "-4"],
+        ["sketch", "--in", "{cliques}", "--gamma", "1", "--p", "1", "--q", "0",
+         "--seed", "-4"],
     ])
     def test_bad_numbers_are_parameter_errors(self, argv, clique_file, tmp_path, capsys):
         empty = tmp_path / "empty.txt"
         empty.write_text("0 0\n")
-        argv = [a.format(empty=empty, cliques=clique_file) for a in argv]
+        argv = [a.format(empty=empty, cliques=clique_file, out=tmp_path / "g.txt")
+                for a in argv]
         code, out, err = run(argv, capsys)
         assert code == 2
         assert out == ""
@@ -380,10 +388,12 @@ class TestParsingAndSeeds:
         assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_env_seed_junk(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("BLOCKSKETCH_SEED", "not-a-number")
-        code, _, _ = run(["gen", "--n", "40", "--alpha", "6", "--beta", "1",
-                          "--out", str(tmp_path / "a.txt")], capsys)
-        assert code == 2
+        for raw in ("not-a-number", "-3"):
+            monkeypatch.setenv("BLOCKSKETCH_SEED", raw)
+            code, out, err = run(["gen", "--n", "40", "--alpha", "6", "--beta", "1",
+                                  "--out", str(tmp_path / "a.txt")], capsys)
+            assert code == 2
+            assert out == "" and err.startswith("error:")
 
     def test_stdout_byte_reproducible(self, tmp_path, capsys):
         path = str(tmp_path / "g.txt")

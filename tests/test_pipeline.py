@@ -159,7 +159,7 @@ class TestRunTrial:
 
 
 class TestRunSweep:
-    def test_axis_and_count_validation(self):
+    def test_axis_and_count_validation(self, tmp_path):
         with pytest.raises(ParameterError):
             run_sweep([], [9.0], [1.0], [0.5], trials=1, master_seed=0)
         with pytest.raises(ParameterError):
@@ -168,6 +168,11 @@ class TestRunSweep:
             run_sweep([60], [9.0], [1.0], [0.5], trials=0, master_seed=0)
         with pytest.raises(ParameterError):
             run_sweep([60], [9.0], [1.0], [0.5], trials=1, master_seed=0, jobs=0)
+        # a negative master seed fails before the trial log is opened
+        log = tmp_path / "trials.jsonl"
+        with pytest.raises(ParameterError):
+            run_sweep([60], [9.0], [1.0], [0.5], trials=1, master_seed=-2, trial_log=log)
+        assert not log.exists()
 
     def test_rate_improves_with_sampling_budget(self):
         tab = run_sweep([120], [16.0], [2.0], [0.2, 0.6, 1.0],

@@ -72,6 +72,10 @@ class TestSampleSbm:
         assert int((g.truth == 1).sum()) == 3
         assert int((g.truth == -1).sum()) == 5
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ParameterError):
+            bs.sample_sbm(bs.SbmParams.from_rates(100, 5.0, 1.0), -1)
+
     def test_determinism(self):
         params = bs.SbmParams.from_rates(100, 9.0, 1.0)
         a = bs.sample_sbm(params, 123)
@@ -277,16 +281,18 @@ class TestCompleteness:
             assert bs.is_complete(good)
             assert bs.labeling_objective(g, good) == -2.0
             assert bs.Graph.from_edges(3, [], truth=good).truth.tolist() == [1, -1, 1]
-            # int8 -128 is its own absolute value
-            bad_values = [0, 2, -128] + ([np.nan] if dtype is np.float64 else [])
+            # int8 -128 is its own absolute value; an int8 cast would wrap
+            # 257 to 1 and truncate 1.5 to 1, and cannot hold 300 or nan
+            bad_values = [0, 2, -128] + ([257, 300] if dtype is not np.int8 else []) \
+                + ([1.5, np.nan] if dtype is np.float64 else [])
             for bad in bad_values:
                 labels = np.array([1, bad, -1], dtype=dtype)
                 assert not bs.is_complete(labels)
                 with pytest.raises(ParameterError):
                     bs.labeling_objective(g, labels)
-                if not np.isnan(bad):  # nan cannot be cast to int8 truth
+                for truth in (labels, labels.tolist()):
                     with pytest.raises(ParameterError):
-                        bs.Graph.from_edges(3, [], truth=labels)
+                        bs.Graph.from_edges(3, [], truth=truth)
 
 
 class TestEdgeCountBetween:
@@ -442,6 +448,7 @@ class TestGraphFileIO:
         "3 1\n0 1\nextra\n",         # trailing junk
         "3 1\n0 1\nlabels 1 -1\n",   # label count mismatch
         "3 1\n0 1\nlabels 1 2 -1\n",  # bad label token
+        "3 1\n0 1\nlabels 1 257 -1\n",  # a label an int8 cast would wrap to 1
         "3 1\n0 1\nlabels 1 -1 1\nlabels 1 -1 1\n",
         "3 1\n0 99999999999999999999\n",  # does not fit in int64
         "3 1\n0 1 # c\n",          # no comment syntax

@@ -99,6 +99,8 @@ class TestSdpConfig:
             bs.SdpConfig(lam=float("nan"))
         with pytest.raises(ParameterError):
             bs.SdpConfig(lam=math.inf)
+        with pytest.raises(ParameterError):
+            bs.SdpConfig(seed=-4)
 
 
 class TestGradient:
@@ -320,6 +322,8 @@ class TestRounding:
         y = np.tile(np.array([0.6, 0.8]), (5, 1))
         labels = bs.round_solution(y)
         assert np.all(labels == labels[0])
+        # a zero factor has every vector as a leading eigenvector: no nan, no warning
+        assert bs.is_complete(bs.round_solution(np.zeros((5, 2))))
 
     def test_matches_dense_eigensolver(self):
         rng = np.random.default_rng(21)
@@ -333,20 +337,23 @@ class TestRounding:
             want = np.where(lead >= 0, 1, -1).astype(np.int8)
             assert bs.partitions_equal(bs.round_solution(y), want)
 
-    def test_power_iteration_flags_slow_spectrum(self):
-        # eigenvalue ratio 0.999 keeps the iterate moving past the budget
+    def test_slow_spectrum_is_exact(self):
+        # eigenvalue ratio 0.999, which a power iteration would crawl through
         rng = np.random.default_rng(2)
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         y = q @ np.diag(np.sqrt([1.0, 0.999, 0.1]))
-        v, ok, iters = bs.leading_eigenvector(y)
-        assert not ok
-        assert iters == 2000
+        v, ok, _ = bs.leading_eigenvector(y)
+        assert ok
+        lead = np.linalg.eigh(y @ y.T)[1][:, -1]
+        assert np.abs(v - np.copysign(1.0, v @ lead) * lead).max() < 1e-10
 
     def test_power_iteration_converges_on_clean_gap(self):
         x = np.array([1.0, -1.0, 1.0])
         v, ok, iters = bs.leading_eigenvector(x[:, None])
         assert ok
         assert np.abs(np.abs(v) - 1 / math.sqrt(3)).max() < 1e-6
+        # the sign a power iteration from the fixed start vector converges to
+        assert v @ sdp._start_vector(3) >= 0
 
 
 class TestBruteForce:

@@ -53,6 +53,13 @@ class TestMajorityVote:
             bs.majority_vote(g, mask_of([0, 1], 3), np.array([1, 0], dtype=np.int8))
         with pytest.raises(ParameterError):
             bs.majority_vote(g, mask_of([0, 1], 3), np.array([1], dtype=np.int8))
+        # values an int8 cast would wrap or truncate to +-1, or cannot hold
+        g = star([(0, 1)], 5)
+        for bad in ([1, 257, -1, -1], [1, 1.5, -1, -1], [1, 300, -1, -1],
+                    [1.0, np.nan, -1.0, -1.0]):
+            for labels in (bad, np.array(bad)):
+                with pytest.raises(ParameterError):
+                    bs.majority_vote(g, mask_of([0, 1, 2, 3], 5), labels)
 
     def test_double_loop_oracle(self):
         # independent recount of e(v, R1) - e(v, R2) on 100 random instances
