@@ -20,9 +20,9 @@ from .sbm import (Graph, SampleMask, SbmParams, induced_subgraph,
                   is_complete, partitions_equal, read_graph, sample_sbm,
                   subsample_nodes, write_graph)
 from .sdp import (Certificate, SdpConfig, SdpSolution, SolveDiagnostics,
-                  brute_force_mle, certificate_check, default_rank,
-                  labeling_objective, leading_eigenvector, round_solution,
-                  solve_balanced_sdp, solve_lagrangian_sdp)
+                  brute_force_mle, certificate_check, labeling_objective,
+                  leading_eigenvector, round_solution, solve_balanced_sdp,
+                  solve_lagrangian_sdp)
 from .vote import VoteOutcome, majority_vote, oracle_vote_trial
 
 __version__ = "0.1.0"
@@ -33,10 +33,10 @@ __all__ = [
     "DomainError", "EmptyGraphError", "Graph", "GraphFormatError",
     "ParameterError", "SampleMask", "SbmParams", "SdpConfig",
     "SdpSolution", "SketchConfig", "SketchResult", "SolveDiagnostics",
-    "SweepTable", "TrialRecord", "VoteOutcome", "binom_diff_tail_exact",
-    "brute_force_mle", "certificate_check", "chernoff_grid_min",
-    "default_rank", "exact_recovery_possible",
-    "gamma_star", "induced_subgraph", "is_complete", "labeling_objective",
+    "SweepTable", "TrialRecord", "VoteOutcome",
+    "binom_diff_tail_exact", "brute_force_mle", "certificate_check",
+    "chernoff_grid_min", "exact_recovery_possible", "gamma_star",
+    "induced_subgraph", "is_complete", "labeling_objective",
     "lambda_star", "leading_eigenvector", "lemma2_bound",
     "lemma2_exponent", "majority_vote", "oracle_vote_trial",
     "parse_sweep_csv", "partitions_equal", "read_graph", "rng_for",

@@ -60,7 +60,8 @@ def _resolve_seed(args) -> int:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rank", type=int, default=None)
+    p.add_argument("--rank", type=int, default=SdpConfig.rank,
+                   help="factor rank, a performance setting (default %(default)s)")
     p.add_argument("--max-iters", type=int, default=500)
     p.add_argument("--restarts", type=int, default=5,
                    help="upper bound; none run when the spectral labels certify, else the "

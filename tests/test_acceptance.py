@@ -191,7 +191,7 @@ class TestCriterion6SolverNumerics:
         g = bs.sample_sbm(bs.SbmParams.explicit(30, 30, 0.6, 0.1), 8)
         cfg = bs.SdpConfig(lam=bs.lambda_star(0.6, 0.1), seed=8)
         _, _, iters, _, _, _, dev_trace = sdp._ascent(
-            g.adjacency, g.n, bs.default_rank(g.n), cfg.lam, False, cfg.max_iters,
+            g.adjacency, g.n, cfg.rank, cfg.lam, False, cfg.max_iters,
             bs.rng_for(cfg.seed, STREAM_SDP, 0))
         dev = float(dev_trace.max())
         ok = dev <= 1e-9

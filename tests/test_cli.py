@@ -151,6 +151,23 @@ class TestSolve:
                           "--lambda", "0.3"], capsys)
         assert code == 2
 
+    def test_rank_below_two(self, clique_file, capsys):
+        code, out, err = run(["solve", "--in", clique_file, "--lambda", "0.3",
+                              "--rank", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_rank_flag_default(self, tmp_path, capsys):
+        # below the threshold, so the ascent runs and the rank matters
+        path = str(tmp_path / "g.txt")
+        run(["gen", "--n", "100", "--alpha", "3", "--beta", "1", "--seed", "1",
+             "--out", path], capsys)
+        argv = ["solve", "--in", path, "--alpha", "3", "--beta", "1", "--seed", "1"]
+        code, out, _ = run(argv, capsys)
+        assert code == 1 and kv(out)["iterations"] != "0"
+        assert run(argv + ["--rank", "8"], capsys)[:2] == (code, out)
+
 
 class TestSketch:
     def test_full_sample_succeeds(self, clique_file, capsys):

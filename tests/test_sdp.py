@@ -72,17 +72,24 @@ def enumerate_optima(g, mode, value=None):
 
 
 class TestDefaultRank:
-    def test_values(self):
-        assert bs.default_rank(1) == 2
-        assert bs.default_rank(2) == 2
-        assert bs.default_rank(8) == 4
-        assert bs.default_rank(12) == 5
-        assert bs.default_rank(400) == 29
-        assert bs.default_rank(10000) == 32
+    def test_fixed_default(self):
+        # a performance setting, the same at every n; no n-dependent rule is left
+        assert bs.SdpConfig().rank == 8
+        assert not hasattr(bs, "default_rank") and not hasattr(sdp, "default_rank")
 
-    def test_ceiling_of_sqrt_2n(self):
-        for n in range(1, 600):
-            assert bs.default_rank(n) == min(32, max(2, math.ceil(math.sqrt(2 * n))))
+    def test_control_partitions_match_old_default(self):
+        # below the threshold no certificate holds and the default rank must
+        # land where rank 25, the old sqrt(2n) rule at n = 300, does
+        params = bs.SbmParams.from_rates(300, 3.0, 1.0)
+        lam = bs.lambda_star(params.p, params.q)
+        for seed in range(5):
+            g = bs.sample_sbm(params, seed)
+            sol = bs.solve_lagrangian_sdp(g, bs.SdpConfig(lam=lam, seed=seed))
+            ref = bs.solve_lagrangian_sdp(g, bs.SdpConfig(rank=25, lam=lam, seed=seed))
+            assert sol.factor.shape == (300, 8)
+            assert bs.partitions_equal(sol.rounded, ref.rounded)
+            assert sol.diagnostics.restarts_used == 2
+            assert not sol.certificate.tight
 
 
 class TestSdpConfig:
@@ -171,11 +178,36 @@ class TestSolver:
         # The full solvers certify this graph spectrally, so the ascent is run directly
         g = two_cliques(6, p=0.8, q=0.2, seed=5)
         for lam, balanced in ((0.2, False), (0.0, True)):
-            out = sdp._ascent(g.adjacency, g.n, sdp.default_rank(g.n), lam, balanced,
+            out = sdp._ascent(g.adjacency, g.n, bs.SdpConfig().rank, lam, balanced,
                               500, rng_for(0, STREAM_SDP, 0))
             trace = out[5]
             assert len(trace) >= 1
             assert np.all(np.diff(trace) >= -1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(k1=st.integers(1, 4), k2=st.integers(1, 4),
+           pq=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted),
+           graph_seed=st.integers(0, 2**32 - 1), lam=st.floats(0.0, 1.5),
+           balanced=st.booleans(), restart=st.integers(0, 1000))
+    def test_ascent_invariants_at_default_rank(self, k1, k2, pq, graph_seed, lam,
+                                               balanced, restart):
+        # n <= 8, so the default rank reaches or exceeds n
+        q, p = pq
+        if balanced:
+            k2, lam = k1, 0.0
+        g = bs.sample_sbm(bs.SbmParams.explicit(k1, k2, p, q), graph_seed)
+        y, f, _, _, _, trace, dev = sdp._ascent(
+            g.adjacency, g.n, bs.SdpConfig().rank, lam, balanced, 500,
+            rng_for(graph_seed, STREAM_SDP, restart))
+        assert np.all(np.diff(trace) >= 0.0)
+        assert np.all(dev <= 1e-12)
+        assert np.abs(np.linalg.norm(y, axis=1) - 1.0).max() <= 1e-12
+        assert f == pytest.approx(objective_and_gradient(g.adjacency, y, lam)[0],
+                                  rel=1e-12, abs=0)
+        # and against a dense evaluation that shares no code with the solver
+        a, cs = g.adjacency.toarray(), y.sum(axis=0)
+        dense = float(np.trace(y.T @ a @ y)) - lam * float(cs @ cs)
+        assert f == pytest.approx(dense, rel=1e-12, abs=1e-12 * (2 * g.m + lam * g.n ** 2))
 
     def test_relaxation_dominates_integral(self):
         rng = np.random.default_rng(31)
@@ -355,6 +387,17 @@ class TestRounding:
         # the sign a power iteration from the fixed start vector converges to
         assert v @ sdp._start_vector(3) >= 0
 
+    def test_start_vector_is_shared_and_read_only(self):
+        v0 = sdp._start_vector(7)
+        assert sdp._start_vector(7) is v0
+        want = np.random.default_rng(sdp._START_SEED).standard_normal(7)
+        assert np.array_equal(v0, want / np.linalg.norm(want))
+        with pytest.raises(ValueError):
+            v0[0] = 0.0
+        with pytest.raises(ValueError):
+            v0 *= 2.0
+        assert np.array_equal(sdp._start_vector(7), want / np.linalg.norm(want))
+
 
 class TestBruteForce:
     def test_two_triangles_balanced(self):
@@ -533,8 +576,7 @@ class TestDualCertificate:
         assert not sol.certificate.tight
         assert sol.diagnostics.restarts_used == 2 == len(sol.diagnostics.restart_objectives)
         # the early stop returns the partition that running every restart would
-        r = sdp.default_rank(g.n)
-        outs = [sdp._ascent(g.adjacency, g.n, r, LAM_STAR, False, cfg.max_iters,
+        outs = [sdp._ascent(g.adjacency, g.n, cfg.rank, LAM_STAR, False, cfg.max_iters,
                             rng_for(cfg.seed, STREAM_SDP, k)) for k in range(cfg.restarts)]
         best = max(outs, key=lambda out: out[1])
         assert bs.partitions_equal(sol.rounded, bs.round_solution(best[0]))
