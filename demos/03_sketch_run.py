@@ -36,7 +36,7 @@ print(f"         subgraph labels correct: {sub_ok}")
 print(f"stage 3  majority vote on the other {N - res.mask.size} nodes: "
       f"{res.vote.tie_count} ties")
 
-ok = bs.is_complete(res.labels) and bs.partitions_equal(res.labels, g.truth)
+ok = bs.partitions_equal(res.labels, g.truth)  # any tie (label 0) fails
 print(f"overall exact recovery: {ok}")
 
 # the same run through the CLI:

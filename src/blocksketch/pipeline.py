@@ -3,6 +3,12 @@
 Trial seeds are split from a master seed by (cell index tuple, trial index),
 so every trial's result is a pure function of (inputs, master seed): sweep
 tables do not depend on worker count or completion order.
+
+The on-disk schemas come from the record dataclasses. A trial-log line holds
+the fields of `TrialRecord` (nested `SbmParams` and `Certificate` fields
+included); `TIMING_FIELDS` names the one field, `wall_time`, that
+`canonical_dict` leaves out and `json_dict` adds back. A sweep CSV row holds
+the fields of `CellStats` followed by `master_seed`.
 """
 from __future__ import annotations
 
@@ -22,16 +28,11 @@ import numpy as np
 from .analytics import lambda_star
 from .errors import ParameterError
 from .rng import RngSeed, STREAM_TIEBREAK, rng_for, seed_fingerprint, seed_sequence
-from .sbm import (Graph, SampleMask, SbmParams, induced_subgraph, is_complete,
-                  partitions_equal, require_nonempty, sample_sbm, subsample_nodes)
+from .sbm import (Graph, SampleMask, SbmParams, induced_subgraph, partitions_equal,
+                  require_nonempty, sample_sbm, subsample_nodes)
 from .sdp import (Certificate, SdpConfig, SdpSolution, require_multiplier,
                   solve_lagrangian_sdp)
 from .vote import VoteOutcome, majority_vote
-
-CSV_HEADER = ("n,alpha,beta,gamma,trials,successes,success_rate,"
-              "subgraph_success_rate,mean_sample_size,mean_tie_count,"
-              "mean_wall_ms,master_seed")
-
 
 @dataclass(frozen=True)
 class SketchConfig:
@@ -67,6 +68,9 @@ class SketchResult:
     tie_flips: int
 
 
+TIMING_FIELDS = ("wall_time",)   # the TrialRecord fields that vary between equal runs
+
+
 @dataclass(eq=False)
 class TrialRecord:
     params: SbmParams
@@ -83,32 +87,18 @@ class TrialRecord:
     iterations_total: Optional[int] = None
 
     def canonical_dict(self) -> dict:
-        """Deterministic content; wall_time is the documented exemption."""
-        cert = None
+        """Every field but the TIMING_FIELDS; the seed fingerprint as reprs."""
+        d = {k: v for k, v in vars(self).items() if k not in TIMING_FIELDS}
+        d["params"] = dict(vars(self.params))
         if self.sdp_certificate is not None:
-            cert = {"tight": self.sdp_certificate.tight, "gap": self.sdp_certificate.gap}
-        return {
-            "params": {
-                "n1": self.params.n1, "n2": self.params.n2,
-                "p": self.params.p, "q": self.params.q,
-                "alpha": self.params.alpha, "beta": self.params.beta,
-                "balanced": self.params.balanced,
-            },
-            "gamma": self.gamma,
-            "seed": list(map(repr, self.seed)),
-            "sample_size": self.sample_size,
-            "sdp_certificate": cert,
-            "subgraph_success": self.subgraph_success,
-            "vote_ties": self.vote_ties,
-            "overall_success": self.overall_success,
-            "error": self.error,
-            "restarts_used": self.restarts_used,
-            "iterations_total": self.iterations_total,
-        }
+            d["sdp_certificate"] = dict(vars(self.sdp_certificate))
+        d["seed"] = list(map(repr, self.seed))
+        return d
 
     def json_dict(self) -> dict:
         d = self.canonical_dict()
-        d["wall_time"] = self.wall_time
+        for k in TIMING_FIELDS:
+            d[k] = getattr(self, k)
         return d
 
 
@@ -127,6 +117,17 @@ class CellStats:
     mean_wall_ms: float
 
 
+# (name, type) of each sweep CSV column: the CellStats fields, then master_seed;
+# f.type is the annotation's string, as annotations are postponed in this module
+_CSV_COLUMNS = tuple((f.name, int if f.type == "int" else float)
+                     for f in dataclasses.fields(CellStats)) + (("master_seed", int),)
+CSV_HEADER = ",".join(name for name, _ in _CSV_COLUMNS)
+
+
+def _csv_text(kind: type, value) -> str:
+    return str(value) if kind is int else format(float(value), ".6g")
+
+
 @dataclass(eq=False)
 class SweepTable:
     n_values: tuple
@@ -140,18 +141,9 @@ class SweepTable:
     def to_csv(self) -> str:
         lines = [CSV_HEADER]
         for c in self.cells:
-            lines.append(",".join([
-                str(c.n), _fmt(c.alpha), _fmt(c.beta), _fmt(c.gamma),
-                str(c.trials), str(c.successes), _fmt(c.success_rate),
-                _fmt(c.subgraph_success_rate), _fmt(c.mean_sample_size),
-                _fmt(c.mean_tie_count), _fmt(c.mean_wall_ms),
-                str(self.master_seed),
-            ]))
+            row = {**vars(c), "master_seed": self.master_seed}
+            lines.append(",".join(_csv_text(kind, row[name]) for name, kind in _CSV_COLUMNS))
         return "\n".join(lines) + "\n"
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".6g")
 
 
 def sketch_and_recover(g: Graph, p: float, q: float, cfg: SketchConfig,
@@ -193,13 +185,9 @@ def run_trial(params: SbmParams, cfg: SketchConfig, seed: RngSeed) -> TrialRecor
     t0 = time.perf_counter()
     g = sample_sbm(params, seed)
     res = sketch_and_recover(g, params.p, params.q, cfg, seed)
-    truth = g.truth
-    if res.degenerate:
-        sub_ok = False
-        overall = False
-    else:
-        sub_ok = partitions_equal(res.solution.rounded, truth[res.mask.kept])
-        overall = is_complete(res.labels) and partitions_equal(res.labels, truth)
+    sub_ok = (res.solution is not None
+              and partitions_equal(res.solution.rounded, g.truth[res.mask.kept]))
+    overall = partitions_equal(res.labels, g.truth)
     wall = time.perf_counter() - t0
     diag = res.solution.diagnostics if res.solution else None
     return TrialRecord(
@@ -208,9 +196,9 @@ def run_trial(params: SbmParams, cfg: SketchConfig, seed: RngSeed) -> TrialRecor
         seed=seed_fingerprint(seed),
         sample_size=res.mask.size,
         sdp_certificate=res.solution.certificate if res.solution else None,
-        subgraph_success=bool(sub_ok),
+        subgraph_success=sub_ok,
         vote_ties=res.vote.tie_count if res.vote else 0,
-        overall_success=bool(overall),
+        overall_success=overall,
         wall_time=wall,
         error="degenerate-sample" if res.degenerate else None,
         restarts_used=diag.restarts_used if diag else None,
@@ -336,26 +324,21 @@ def parse_sweep_csv(text: str) -> SweepTable:
     seeds = set()
     trials_seen = set()
     axes = {"n": [], "alpha": [], "beta": [], "gamma": []}
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 12:
-            raise ParameterError(f"bad sweep CSV row: {ln!r}")
-        (n, alpha, beta, gamma, trials, successes, rate, sub_rate,
-         mss, mtc, mwm, seed) = parts
-        cell = CellStats(
-            n=int(n), alpha=float(alpha), beta=float(beta), gamma=float(gamma),
-            trials=int(trials), successes=int(successes),
-            success_rate=float(rate), subgraph_success_rate=float(sub_rate),
-            mean_sample_size=float(mss), mean_tie_count=float(mtc),
-            mean_wall_ms=float(mwm),
-        )
-        cells.append(cell)
-        seeds.add(int(seed))
-        trials_seen.add(cell.trials)
-        for key, val in (("n", cell.n), ("alpha", cell.alpha),
-                         ("beta", cell.beta), ("gamma", cell.gamma)):
-            if val not in axes[key]:
-                axes[key].append(val)
+    for i, ln in enumerate(lines[1:], 1):
+        try:
+            row = {name: kind(v) for (name, kind), v
+                   in zip(_CSV_COLUMNS, ln.split(","), strict=True)}
+        except ValueError:
+            raise ParameterError(f"bad sweep CSV row {i}: {ln!r}") from None
+        seed = row.pop("master_seed")
+        if seed < 0:
+            raise ParameterError(f"negative master_seed in sweep CSV row {i}: {ln!r}")
+        cells.append(CellStats(**row))
+        seeds.add(seed)
+        trials_seen.add(row["trials"])
+        for key, vals in axes.items():
+            if row[key] not in vals:
+                vals.append(row[key])
     if len(seeds) > 1 or len(trials_seen) > 1:
         raise ParameterError("inconsistent master_seed or trials across rows")
     return SweepTable(

@@ -135,8 +135,6 @@ class SampleMask:
     """Result of independent node subsampling: sorted kept indices."""
 
     kept: np.ndarray
-    gamma: float
-    seed: RngSeed
 
     @property
     def size(self) -> int:
@@ -204,7 +202,7 @@ def subsample_nodes(n: int, gamma: float, seed: RngSeed) -> SampleMask:
         raise ParameterError("n must be nonnegative")
     rng = rng_for(seed, STREAM_SUBSAMPLE)
     kept = np.flatnonzero(rng.random(n) < gamma).astype(np.int64)
-    return SampleMask(kept=kept, gamma=gamma, seed=seed)
+    return SampleMask(kept=kept)
 
 
 def induced_subgraph(g: Graph, mask: Union[SampleMask, np.ndarray, Sequence[int]]):

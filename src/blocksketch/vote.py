@@ -71,6 +71,4 @@ def oracle_vote_trial(g: Graph, gamma: float, seed: RngSeed) -> bool:
     if mask.size == 0:
         return False
     outcome = majority_vote(g, mask, g.truth[mask.kept])
-    if outcome.tie_count or not is_complete(outcome.labels):
-        return False
     return partitions_equal(outcome.labels, g.truth)

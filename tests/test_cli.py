@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import blocksketch as bs
-from blocksketch.cli import main
+from blocksketch.cli import build_parser, main
 
 
 def run(argv, capsys):
@@ -373,6 +373,15 @@ class TestParsingAndSeeds:
         ["solve", "--in", "{cliques}", "--lambda", "0.5", "--seed", "-4"],
         ["sketch", "--in", "{cliques}", "--gamma", "1", "--p", "1", "--q", "0",
          "--seed", "-4"],
+        # a half rate pair, or a second multiplier source, is a usage error
+        ["sketch", "--in", "{cliques}", "--gamma", "1", "--alpha", "3", "--beta", "0.5",
+         "--p", "0.9"],
+        ["sketch", "--in", "{cliques}", "--gamma", "1", "--alpha", "3", "--beta", "0.5",
+         "--q", "0.1"],
+        ["solve", "--in", "{cliques}", "--balanced", "--q", "0.1"],
+        ["solve", "--in", "{cliques}", "--balanced", "--beta", "1"],
+        ["solve", "--in", "{cliques}", "--lambda", "0.3", "--p", "0.9", "--q", "0.1"],
+        ["solve", "--in", "{cliques}", "--lambda", "0.3", "--q", "0.1"],
     ])
     def test_bad_numbers_are_parameter_errors(self, argv, clique_file, tmp_path, capsys):
         empty = tmp_path / "empty.txt"
@@ -383,6 +392,12 @@ class TestParsingAndSeeds:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+    def test_solver_flag_defaults_come_from_sdp_config(self):
+        args = build_parser().parse_args(["solve", "--in", "g.txt"])
+        cfg = bs.SdpConfig()
+        assert (args.rank, args.max_iters, args.restarts) == \
+            (cfg.rank, cfg.max_iters, cfg.restarts)
 
     def test_env_seed_default(self, tmp_path, capsys, monkeypatch):
         a, b = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")

@@ -12,7 +12,7 @@ from blocksketch.errors import ParameterError
 from blocksketch.pipeline import (CSV_HEADER, SketchConfig, TrialRecord,
                                   parse_sweep_csv, run_sweep, run_trial,
                                   sketch_and_recover)
-from blocksketch.rng import seed_sequence
+from blocksketch.rng import seed_fingerprint, seed_sequence
 
 
 def cliques_plus_isolate():
@@ -144,6 +144,34 @@ class TestRunTrial:
         assert ja == jb
         assert "wall_time" not in a.canonical_dict()
         assert "wall_time" in a.json_dict()
+
+    def test_canonical_dict_schema_pinned(self):
+        """The trial-log schema: a dropped, renamed or leaked field fails here."""
+        solved = TrialRecord(
+            params=bs.SbmParams.explicit(3, 5, 0.75, 0.25), gamma=0.5,
+            seed=seed_fingerprint(seed_sequence(7, 1, 2)), sample_size=4,
+            sdp_certificate=bs.Certificate(tight=True, gap=0.125),
+            subgraph_success=True, vote_ties=1, overall_success=False,
+            wall_time=0.5, restarts_used=2, iterations_total=37)
+        assert json.dumps(solved.canonical_dict(), sort_keys=True) == (
+            '{"error": null, "gamma": 0.5, "iterations_total": 37, '
+            '"overall_success": false, "params": {"alpha": null, "balanced": false, '
+            '"beta": null, "n1": 3, "n2": 5, "p": 0.75, "q": 0.25}, '
+            '"restarts_used": 2, "sample_size": 4, '
+            '"sdp_certificate": {"gap": 0.125, "tight": true}, '
+            '"seed": ["7", "(1, 2)"], "subgraph_success": true, "vote_ties": 1}')
+        params = bs.SbmParams(n1=5, n2=5, p=0.5, q=0.125, alpha=4.0, beta=1.0,
+                              balanced=True)
+        failed = pipeline._failed_trial(params, SketchConfig(gamma=0.25), 9, 0.5,
+                                        ValueError("boom"))
+        assert json.dumps(failed.canonical_dict(), sort_keys=True) == (
+            '{"error": "ValueError: boom", "gamma": 0.25, "iterations_total": null, '
+            '"overall_success": false, "params": {"alpha": 4.0, "balanced": true, '
+            '"beta": 1.0, "n1": 5, "n2": 5, "p": 0.5, "q": 0.125}, '
+            '"restarts_used": null, "sample_size": 0, "sdp_certificate": null, '
+            '"seed": ["9", "()"], "subgraph_success": false, "vote_ties": 0}')
+        for rec in (solved, failed):
+            assert rec.json_dict() == {**rec.canonical_dict(), "wall_time": 0.5}
 
     def test_overall_implies_subgraph_and_no_ties(self):
         params = bs.SbmParams.from_rates(60, 9.0, 1.0)
@@ -345,3 +373,9 @@ class TestSweepCsv:
         with pytest.raises(ParameterError):
             parse_sweep_csv("\n".join([lines[0], lines[1],
                                        lines[1][:-1] + "9"]) + "\n")
+        row = lines[1].split(",")
+        # a non-number, a fraction in the int n column, a negative master_seed
+        for col, bad in ((1, "x"), (0, "12.5"), (11, "-1")):
+            cells = row[:col] + [bad] + row[col + 1:]
+            with pytest.raises(ParameterError, match="row 1"):
+                parse_sweep_csv("\n".join([lines[0], ",".join(cells)]) + "\n")

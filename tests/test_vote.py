@@ -8,9 +8,8 @@ from blocksketch.errors import ParameterError
 from blocksketch.sbm import UNASSIGNED
 
 
-def mask_of(indices, n, gamma=0.5, seed=0):
-    return bs.SampleMask(kept=np.asarray(sorted(indices), dtype=np.int64),
-                         gamma=gamma, seed=seed)
+def mask_of(indices, n):
+    return bs.SampleMask(kept=np.asarray(sorted(indices), dtype=np.int64))
 
 
 def star(center_edges, n):
