@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -315,6 +316,26 @@ def run_sweep(n_values: Sequence[int], alpha_values: Sequence[float],
     )
 
 
+def _check_csv_row(row: dict) -> None:
+    """Raise ParameterError unless run_sweep could have written this row: the
+    model and gamma pass run_sweep's own checks, 0 <= successes <= trials,
+    rates lie in [0, 1], and means are finite and non-negative, with the
+    mean sample size at most n as written (.6g rounding keeps the order)."""
+    SbmParams.from_rates(row["n"], row["alpha"], row["beta"])
+    SketchConfig(gamma=row["gamma"])
+    if row["trials"] < 1 or not 0 <= row["successes"] <= row["trials"]:
+        raise ParameterError("need trials >= 1 and 0 <= successes <= trials")
+    if not all(0.0 <= row[k] <= 1.0 for k in ("success_rate", "subgraph_success_rate")):
+        raise ParameterError("success rates must lie in [0, 1]")
+    if not all(0.0 <= row[k] < math.inf
+               for k in ("mean_sample_size", "mean_tie_count", "mean_wall_ms")):
+        raise ParameterError("means must be finite and non-negative")
+    if row["mean_sample_size"] > float(_csv_text(float, row["n"])):
+        raise ParameterError("mean sample size exceeds n")
+    if row["master_seed"] < 0:
+        raise ParameterError("negative master_seed")
+
+
 def parse_sweep_csv(text: str) -> SweepTable:
     """Parse a sweep CSV; to_csv() of the result reproduces the input bytes."""
     lines = [ln for ln in text.splitlines() if ln]
@@ -328,13 +349,11 @@ def parse_sweep_csv(text: str) -> SweepTable:
         try:
             row = {name: kind(v) for (name, kind), v
                    in zip(_CSV_COLUMNS, ln.split(","), strict=True)}
-        except ValueError:
-            raise ParameterError(f"bad sweep CSV row {i}: {ln!r}") from None
-        seed = row.pop("master_seed")
-        if seed < 0:
-            raise ParameterError(f"negative master_seed in sweep CSV row {i}: {ln!r}")
+            _check_csv_row(row)
+        except ValueError as exc:  # ParameterError is a ValueError
+            raise ParameterError(f"bad sweep CSV row {i} ({exc}): {ln!r}") from None
+        seeds.add(row.pop("master_seed"))
         cells.append(CellStats(**row))
-        seeds.add(seed)
         trials_seen.add(row["trials"])
         for key, vals in axes.items():
             if row[key] not in vals:

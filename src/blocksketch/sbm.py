@@ -8,6 +8,10 @@ p = alpha * log(n) / n, q = beta * log(n) / n in balanced mode.
 `sample_sbm` has one exact sampler at every size: geometric skips between
 successive edges of each block (Batagelj and Brandes, Phys. Rev. E
 71:036113, 2005), O(edges) time and memory, each skip drawn by inversion.
+A within-community block draws codes of its strict upper triangle only, the
+cross block codes of its full grid; `_block_pairs` decodes either shape in
+exact int64 arithmetic from the sorted codes and the code each row starts at.
+Every graph this module builds holds its edges column-major (`_edges_from_keys`).
 `Graph.from_edges` and `read_graph` canonicalize and validate edges through
 one routine, `_canonical_graph`, which raises the caller's error type.
 `Graph.adjacency` is built from sorted edge keys; the vote never needs it.
@@ -75,7 +79,10 @@ class Graph:
     """Simple undirected graph on nodes 0..n-1 with an optional planted truth.
 
     `edges` is an (m, 2) int64 array with u < v per row, sorted
-    lexicographically; `truth` is a complete +-1 vector when present.
+    lexicographically; `truth` is a complete +-1 vector when present. The
+    builders here (`from_edges`, `read_graph`, `sample_sbm`,
+    `induced_subgraph`) emit column-major edges, so each endpoint column is
+    contiguous; other layouts work too.
     """
 
     n: int
@@ -98,9 +105,19 @@ class Graph:
         narrows the index dtype as it does for a COO build."""
         n, u, v = self.n, self.edges[:, 0], self.edges[:, 1]
         keys = np.sort(np.concatenate([u * n + v, v * n + u]))
+        deg = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.edges.ravel(), minlength=n), out=indptr[1:])
-        return csr_matrix((np.ones(keys.size), keys % n, indptr), shape=(n, n))
+        np.cumsum(deg, out=indptr[1:])
+        # row r's keys are r*n + column; np.arange(0, n * n, n) fails at n=0
+        cols = keys - np.repeat(np.arange(n) * n, deg)
+        return csr_matrix((np.ones(keys.size), cols, indptr), shape=(n, n))
+
+
+def _edges_from_keys(keys: np.ndarray, n: int) -> np.ndarray:
+    """Column-major (m, 2) int64 edges (key // n, key % n) of int64 keys."""
+    edges = np.empty((keys.size, 2), dtype=np.int64, order="F")
+    np.divmod(keys, n, out=(edges[:, 0], edges[:, 1]))
+    return edges
 
 
 def _canonical_graph(n: int, edges, truth, error: type[Exception]) -> Graph:
@@ -127,7 +144,7 @@ def _canonical_graph(n: int, edges, truth, error: type[Exception]) -> Graph:
         if t.shape != (n,) or not is_complete(t):
             raise error("truth must be a complete +-1 vector of length n")
         t = t.astype(np.int8)
-    return Graph(n=n, edges=np.column_stack([keys // n, keys % n]), truth=t)
+    return Graph(n=n, edges=_edges_from_keys(keys, n), truth=t)
 
 
 @dataclass(eq=False)
@@ -166,14 +183,30 @@ def _bernoulli_codes(rng: np.random.Generator, n_pairs: int, prob: float) -> np.
     return np.concatenate(chunks)
 
 
+def _block_pairs(codes: np.ndarray, starts: np.ndarray, triangle: bool):
+    """(row, column) of each sorted code of a block whose row i begins at
+    code starts[i]: the s1 x s2 grid has starts i*s2 and columns code -
+    starts[i]; the strict upper triangle of s x s has starts i(2s-i-1)/2 and
+    columns code - starts[i] + i + 1. Exact int64, no division."""
+    counts = np.diff(np.searchsorted(codes, starts), append=codes.size)
+    row = np.repeat(np.arange(starts.size), counts)
+    col = codes - starts[row]
+    if triangle:
+        col += row + 1
+    return row, col
+
+
 def sample_sbm(params: SbmParams, seed: RngSeed) -> Graph:
     """Draw a graph from the block model with a uniformly random partition.
 
     The community of size n1 is the first n1 entries of a random permutation
     and gets label +1. Each within-community pair receives an edge with
     probability p, each cross pair with probability q, independently. Each
-    block (s1 x s1, s2 x s2, s1 x s2) is drawn as a grid of row/column codes
-    by geometric skips (`_bernoulli_codes`); the within-blocks keep u < v.
+    block is drawn as sorted row-major codes by geometric skips
+    (`_bernoulli_codes`): a community of s nodes over the s(s-1)/2 pairs of
+    its strict upper triangle, the cross block over its s1 x s2 grid.
+    `_block_pairs` turns codes into (row, column) positions in the sorted
+    member lists, so a within pair already has u < v.
     """
     rng = rng_for(seed, STREAM_SBM)
     n = params.n
@@ -184,14 +217,14 @@ def sample_sbm(params: SbmParams, seed: RngSeed) -> Graph:
     s2 = np.sort(perm[params.n1:]).astype(np.int64)
     keys = []
     for rows, cols, prob in ((s1, s1, params.p), (s2, s2, params.p), (s1, s2, params.q)):
-        codes = _bernoulli_codes(rng, rows.size * cols.size, prob)
-        u, v = rows[codes // cols.size], cols[codes % cols.size]
-        if rows is cols:
-            keep = u < v
-            u, v = u[keep], v[keep]
+        s, i, triangle = rows.size, np.arange(rows.size, dtype=np.int64), rows is cols
+        starts = i * (2 * s - i - 1) // 2 if triangle else i * cols.size
+        n_pairs = s * (s - 1) // 2 if triangle else s * cols.size
+        row, col = _block_pairs(_bernoulli_codes(rng, n_pairs, prob), starts, triangle)
+        u, v = rows[row], cols[col]
         keys.append(np.minimum(u, v) * n + np.maximum(u, v))
     keys = np.sort(np.concatenate(keys))
-    return Graph(n=n, edges=np.column_stack([keys // n, keys % n]), truth=truth)
+    return Graph(n=n, edges=_edges_from_keys(keys, n), truth=truth)
 
 
 def subsample_nodes(n: int, gamma: float, seed: RngSeed) -> SampleMask:
@@ -215,15 +248,15 @@ def induced_subgraph(g: Graph, mask: Union[SampleMask, np.ndarray, Sequence[int]
     kept = np.unique(kept)
     if kept.size and (kept[0] < 0 or kept[-1] >= g.n):
         raise ParameterError("kept index out of range")
+    k = kept.size
     pos = np.full(g.n, -1, dtype=np.int64)
-    pos[kept] = np.arange(kept.size)
-    if g.m:
-        inside = (pos[g.edges[:, 0]] >= 0) & (pos[g.edges[:, 1]] >= 0)
-        sub_edges = pos[g.edges[inside]]
-    else:
-        sub_edges = np.empty((0, 2), dtype=np.int64)
+    pos[kept] = np.arange(k)
+    u, v = pos[g.edges[:, 0]], pos[g.edges[:, 1]]
+    inside = (u >= 0) & (v >= 0)
+    # pos is increasing, so the relabelled keys keep the parent's sorted order
+    sub_edges = _edges_from_keys(u[inside] * k + v[inside], k)
     sub_truth = g.truth[kept] if g.truth is not None else None
-    sub = Graph(n=int(kept.size), edges=sub_edges, truth=sub_truth)
+    sub = Graph(n=int(k), edges=sub_edges, truth=sub_truth)
     return sub, kept.copy()
 
 

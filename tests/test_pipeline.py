@@ -1,4 +1,5 @@
 """Sketch pipeline wiring, trial records, and the sweep harness."""
+import dataclasses
 import json
 import math
 import os
@@ -184,6 +185,31 @@ class TestRunTrial:
                 assert rec.subgraph_success
                 assert rec.vote_ties == 0
         assert hits >= 1
+
+
+class TestTracedComposition:
+    """The layer calls composed by hand give run_sweep's trial outcome."""
+
+    @pytest.mark.parametrize("ig, gamma", enumerate([0.5 * bs.gamma_star(30.0, 2.0),
+                                                     bs.gamma_star(30.0, 2.0), 1.0]))
+    def test_layer_calls_match_sweep_trial(self, ig, gamma):
+        params = bs.SbmParams.from_rates(400, 30.0, 2.0)
+        cfg = SketchConfig(gamma=gamma)
+        for t in range(3):
+            # trial t of cell (0, 0, 0, ig); at 0.5 gamma* these include
+            # successes, failures and vote ties
+            seed = seed_sequence(16, 0, 0, 0, ig, t)
+            g = bs.sample_sbm(params, seed)
+            mask = bs.subsample_nodes(g.n, cfg.gamma, seed)
+            sub, _ = bs.induced_subgraph(g, mask)
+            sdp_cfg = dataclasses.replace(cfg.sdp, lam=bs.lambda_star(params.p, params.q),
+                                          seed=seed)
+            sol = bs.solve_lagrangian_sdp(sub, sdp_cfg)
+            labels = bs.majority_vote(g, mask, sol.rounded).labels
+            ref = sketch_and_recover(g, params.p, params.q, cfg, seed)
+            assert np.array_equal(labels, ref.labels)
+            assert (bs.partitions_equal(labels, g.truth)
+                    == run_trial(params, cfg, seed).overall_success)
 
 
 class TestRunSweep:
@@ -374,8 +400,24 @@ class TestSweepCsv:
             parse_sweep_csv("\n".join([lines[0], lines[1],
                                        lines[1][:-1] + "9"]) + "\n")
         row = lines[1].split(",")
-        # a non-number, a fraction in the int n column, a negative master_seed
-        for col, bad in ((1, "x"), (0, "12.5"), (11, "-1")):
+        # a non-number, a fraction in the int n column, a negative master_seed,
+        # then values run_sweep never writes: n, rates, gamma, counts, means
+        for col, bad in ((1, "x"), (0, "12.5"), (11, "-1"),
+                         (0, "-5"), (0, "9"), (1, "nan"), (2, "inf"), (1, "0.5"),
+                         (3, "2.5"), (3, "0"), (4, "0"), (5, "7"), (5, "-1"),
+                         (6, "1.5"), (7, "-0.1"), (8, "11"), (8, "nan"),
+                         (9, "inf"), (10, "-1")):
             cells = row[:col] + [bad] + row[col + 1:]
             with pytest.raises(ParameterError, match="row 1"):
                 parse_sweep_csv("\n".join([lines[0], ",".join(cells)]) + "\n")
+        with pytest.raises(ParameterError, match="row 1"):
+            parse_sweep_csv(CSV_HEADER + "\n-5,nan,inf,2.5,0,7,1.5,-1,0,0,0,3\n")
+
+    def test_accepts_rounded_mean_at_large_n(self):
+        # .6g writes a full sample of n=1234568 as 1.23457e+06, above n
+        cell = bs.CellStats(n=1234568, alpha=2.0, beta=0.5, gamma=1.0, trials=1,
+                            successes=1, success_rate=1.0, subgraph_success_rate=1.0,
+                            mean_sample_size=1234568.0, mean_tie_count=0.0,
+                            mean_wall_ms=1.0)
+        tab = pipeline.SweepTable((1234568,), (2.0,), (0.5,), (1.0,), 1, 0, [cell])
+        assert parse_sweep_csv(tab.to_csv()).to_csv() == tab.to_csv()

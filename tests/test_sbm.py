@@ -140,6 +140,17 @@ class TestSampleSbm:
         assert np.all(np.lexsort((v, u)) == np.arange(g.m))
         assert np.unique(u * g.n + v).size == g.m
 
+    @pytest.mark.parametrize("n1, n2, p, q", [(1, 6, 0.9, 0.5), (6, 1, 1.0, 1.0),
+                                              (1, 1, 1.0, 1.0), (3, 9, 0.8, 0.3)])
+    def test_unequal_and_singleton_communities_are_canonical(self, n1, n2, p, q):
+        for seed in range(20):
+            g = bs.sample_sbm(bs.SbmParams.explicit(n1, n2, p, q), seed)
+            u, v = g.edges[:, 0], g.edges[:, 1]
+            assert np.all(u < v) and (g.m == 0 or v.max() < g.n)
+            assert np.all(np.diff(u * g.n + v) > 0)  # sorted, no duplicates
+            if p == q == 1.0:
+                assert g.m == math.comb(g.n, 2)
+
     def test_balanced_partition_varies_with_seed(self):
         params = bs.SbmParams.from_rates(20, 4.0, 0.5)
         truths = {tuple(bs.sample_sbm(params, s).truth.tolist()) for s in range(30)}
@@ -191,6 +202,78 @@ class TestBernoulliCodes:
                 freq[codes] += 1
             se = math.sqrt(prob * (1 - prob) / trials)
             assert np.abs(freq / trials - prob).max() <= 4 * se
+
+
+class TestBlockPairs:
+    @staticmethod
+    def triangle_starts(s):
+        i = np.arange(s, dtype=np.int64)
+        return i * (2 * s - i - 1) // 2
+
+    def test_triangle_matches_triu_indices(self):
+        for s in range(64):
+            every = np.ones(s * (s - 1) // 2, dtype=bool)
+            some = np.random.default_rng(s).random(every.size) < 0.3
+            iu = np.triu_indices(s, 1)
+            for pick in (every, some, ~every):  # all, a sorted subset, none
+                codes = np.flatnonzero(pick).astype(np.int64)
+                row, col = sbm_mod._block_pairs(codes, self.triangle_starts(s), True)
+                assert np.array_equal(row, iu[0][pick]) and np.array_equal(col, iu[1][pick])
+
+    @pytest.mark.parametrize("s1, s2", [(1, 1), (1, 7), (7, 1), (5, 9), (13, 4)])
+    def test_grid_matches_divmod(self, s1, s2):
+        starts = np.arange(s1, dtype=np.int64) * s2
+        every = np.arange(s1 * s2, dtype=np.int64)
+        some = every[np.random.default_rng(s1 * s2).random(every.size) < 0.4]
+        for codes in (np.empty(0, dtype=np.int64), every, some):
+            row, col = sbm_mod._block_pairs(codes, starts, False)
+            want_row, want_col = np.divmod(codes, s2)
+            assert np.array_equal(row, want_row) and np.array_equal(col, want_col)
+
+
+class TestEdgeLayout:
+    """Builders emit column-major edges with the canonical values and order."""
+
+    @staticmethod
+    def assert_canonical_fortran(g, want):
+        assert g.edges.flags.f_contiguous and g.edges.dtype == np.int64
+        assert g.edges.shape == (len(want), 2)
+        assert g.edges.tolist() == [list(e) for e in want]
+
+    def test_sample_sbm(self):
+        g = bs.sample_sbm(bs.SbmParams.from_rates(60, 9.0, 1.0), 3)
+        order = np.lexsort((g.edges[:, 1], g.edges[:, 0]))
+        self.assert_canonical_fortran(g, g.edges[order].tolist())
+
+    def test_from_edges_and_read_graph(self, tmp_path):
+        given = [(4, 1), (0, 3), (2, 0), (3, 4)]
+        want = [(0, 2), (0, 3), (1, 4), (3, 4)]
+        g = bs.Graph.from_edges(5, given)
+        self.assert_canonical_fortran(g, want)
+        path = tmp_path / "g.txt"
+        path.write_text("5 4\n3 4\n1 4\n0 3\n0 2\n")
+        self.assert_canonical_fortran(bs.read_graph(path), want)
+        bs.write_graph(g, path)  # ravel() still writes row by row
+        assert path.read_bytes() == b"5 4\n0 2\n0 3\n1 4\n3 4\n"
+        self.assert_canonical_fortran(bs.Graph.from_edges(0, []), [])
+
+    def test_induced_subgraph(self):
+        g = bs.sample_sbm(bs.SbmParams.from_rates(80, 9.0, 1.0), 5)
+        for gamma in (0.0, 0.3, 1.0):
+            mask = bs.subsample_nodes(g.n, gamma, 7)
+            sub, _ = bs.induced_subgraph(g, mask)
+            # the relabelling written out edge by edge
+            pos = {int(w): i for i, w in enumerate(mask.kept)}
+            want = [(pos[u], pos[v]) for u, v in g.edges.tolist() if u in pos and v in pos]
+            self.assert_canonical_fortran(sub, want)
+
+    def test_adjacency_of_either_layout(self):
+        g = bs.sample_sbm(bs.SbmParams.from_rates(60, 9.0, 1.0), 8)
+        c_order = bs.Graph(n=g.n, edges=np.ascontiguousarray(g.edges))
+        a, b = g.adjacency, c_order.adjacency
+        for name in ("indptr", "indices", "data"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
 
 
 class TestSubsample:
