@@ -125,8 +125,16 @@ _CSV_COLUMNS = tuple((f.name, int if f.type == "int" else float)
 CSV_HEADER = ",".join(name for name, _ in _CSV_COLUMNS)
 
 
-def _csv_text(kind: type, value) -> str:
-    return str(value) if kind is int else format(float(value), ".6g")
+_AXIS_COLUMNS = ("alpha", "beta", "gamma")  # written losslessly: the model must parse back
+
+
+def _csv_text(kind: type, value, exact: bool = False) -> str:
+    """int as str; float as .6g, or its shortest round-trip repr when exact
+    and .6g would change the value."""
+    if kind is int:
+        return str(value)
+    text = format(float(value), ".6g")
+    return repr(float(value)) if exact and float(text) != value else text
 
 
 @dataclass(eq=False)
@@ -143,7 +151,8 @@ class SweepTable:
         lines = [CSV_HEADER]
         for c in self.cells:
             row = {**vars(c), "master_seed": self.master_seed}
-            lines.append(",".join(_csv_text(kind, row[name]) for name, kind in _CSV_COLUMNS))
+            lines.append(",".join(_csv_text(kind, row[name], name in _AXIS_COLUMNS)
+                                  for name, kind in _CSV_COLUMNS))
         return "\n".join(lines) + "\n"
 
 

@@ -413,6 +413,16 @@ class TestSweepCsv:
         with pytest.raises(ParameterError, match="row 1"):
             parse_sweep_csv(CSV_HEADER + "\n-5,nan,inf,2.5,0,7,1.5,-1,0,0,0,3\n")
 
+    def test_axis_values_round_trip_losslessly(self):
+        # .6g alone writes alpha=2.0000001 and beta=2 both as 2, which no model allows
+        tab = run_sweep([10], [2.0000001], [2.0], [1 / 3], trials=1, master_seed=0)
+        csv = tab.to_csv()
+        assert csv.splitlines()[1].startswith("10,2.0000001,2,0.3333333333333333,")
+        back = parse_sweep_csv(csv)
+        assert (back.alpha_values, back.beta_values, back.gamma_values) == \
+            ((2.0000001,), (2.0,), (1 / 3,))
+        assert back.to_csv() == csv
+
     def test_accepts_rounded_mean_at_large_n(self):
         # .6g writes a full sample of n=1234568 as 1.23457e+06, above n
         cell = bs.CellStats(n=1234568, alpha=2.0, beta=0.5, gamma=1.0, trials=1,

@@ -71,6 +71,22 @@ def enumerate_optima(g, mode, value=None):
     return best_obj, best
 
 
+def dual_verdicts(g, x, mu, tol):
+    """(dense, Lanczos) verdicts of the dual check, each branch called directly."""
+    adj = g.adjacency
+    xf = np.asarray(x, dtype=np.float64)
+    d = (adj @ xf - mu * xf.sum()) * xf
+    return (sdp._cholesky_certified(adj, d, mu, tol),
+            sdp._lanczos_certified(adj, xf, d, mu, tol))
+
+
+def dense_lambda_min(g, x, mu):
+    """lambda_min(S) of the dual matrix, from a dense eigvalsh."""
+    a = g.adjacency.toarray()
+    xf = np.asarray(x, dtype=np.float64)
+    return np.linalg.eigvalsh(np.diag((a @ xf - mu * xf.sum()) * xf) - a + mu)[0]
+
+
 class TestDefaultRank:
     def test_fixed_default(self):
         # a performance setting, the same at every n; no n-dependent rule is left
@@ -273,6 +289,18 @@ class TestSolver:
         assert sol.certificate.tight
         assert sol.diagnostics.iterations_total == 0
         assert g.adjacency.calls <= sdp._SPECTRAL_STEPS + 2 + sdp._LANCZOS_STEPS + 1
+
+    def test_matmult_budget_dense_check(self):
+        # a sketched-size subgraph: the Krylov steps, two cleanup rounds and
+        # one product for the diagonal of S; the dense check factors S itself
+        rates = bs.SbmParams.from_rates(400, 30, 2)
+        g = bs.sample_sbm(bs.SbmParams.explicit(50, 50, rates.p, rates.q), 0)
+        g.adjacency = CountingCSR(g.adjacency)
+        sol = bs.solve_lagrangian_sdp(
+            g, bs.SdpConfig(lam=bs.lambda_star(rates.p, rates.q)))
+        assert sol.certificate.tight
+        assert sol.diagnostics.iterations_total == 0
+        assert g.adjacency.calls <= sdp._SPECTRAL_STEPS + 3
 
     def test_nonconvergence_blocks_certificate(self):
         g = relaxation_gap_graph()  # no spectral skip: the capped ascent is returned
@@ -496,6 +524,8 @@ class TestDualCertificate:
            label_seed=st.integers(0, 2**32 - 1))
     def test_lanczos_verdict_matches_dense_and_oracle(self, k1, k2, pq, graph_seed, mu,
                                                       pick, label_seed):
+        # both branches on every example: the dense Cholesky one that these
+        # sizes route to, and the Lanczos one that larger graphs take
         q, p = pq
         g = bs.sample_sbm(bs.SbmParams.explicit(k1, k2, p, q), graph_seed)
         if pick == "truth":
@@ -506,20 +536,54 @@ class TestDualCertificate:
             x = np.random.default_rng(label_seed).choice([-1, 1], g.n).astype(np.int8)
         obj = bs.labeling_objective(g, x, lam=mu)
         tol = sdp._DUAL_RTOL * (1.0 + abs(obj))
-        a = g.adjacency.toarray()
-        xf = x.astype(np.float64)
-        s_mat = np.diag((a @ xf - mu * xf.sum()) * xf) - a + mu
-        lmin = np.linalg.eigvalsh(s_mat)[0]
-        certified = sdp._dual_certified(g.adjacency, x, mu, tol)
-        if not -2.0 * tol <= lmin <= -0.5 * tol:  # verdicts compared clear of tol only
-            assert certified == (lmin >= -tol)
-        if certified:
-            # S >= -tol I bounds the relaxation, hence every labeling, by obj + n tol
-            slack = g.n * tol
-            assert obj == pytest.approx(bs.brute_force_mle(g, lam=mu)[1], rel=0, abs=slack)
-            if xf.sum() == 0:  # any mu certifies a balanced x for the balanced program
-                assert bs.labeling_objective(g, x) == pytest.approx(
-                    bs.brute_force_mle(g, balanced=True)[1], rel=0, abs=slack)
+        lmin = dense_lambda_min(g, x, mu)
+        verdicts = dual_verdicts(g, x, mu, tol)
+        assert sdp._dual_certified(g.adjacency, x, mu, tol) == verdicts[0]
+        for certified in verdicts:
+            if not -2.0 * tol <= lmin <= -0.5 * tol:  # verdicts compared clear of tol only
+                assert certified == (lmin >= -tol)
+            if certified:
+                # S >= -tol I bounds the relaxation, hence every labeling, by obj + n tol
+                slack = g.n * tol
+                assert obj == pytest.approx(bs.brute_force_mle(g, lam=mu)[1], rel=0, abs=slack)
+                if x.sum() == 0:  # any mu certifies a balanced x for the balanced program
+                    assert bs.labeling_objective(g, x) == pytest.approx(
+                        bs.brute_force_mle(g, balanced=True)[1], rel=0, abs=slack)
+
+    @pytest.mark.parametrize("n, edges", [(1, []), (2, []), (2, [(0, 1)]), (6, []),
+                                          (6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])])
+    @pytest.mark.parametrize("mu", [0.0, 0.5])
+    def test_dense_check_on_tiny_and_edgeless_graphs(self, n, edges, mu):
+        g = bs.Graph.from_edges(n, edges)
+        for x in map(np.array, itertools.product((1, -1), repeat=g.n)):
+            obj = bs.labeling_objective(g, x, lam=mu)
+            tol = sdp._DUAL_RTOL * (1.0 + abs(obj))
+            dense, lanczos = dual_verdicts(g, x, mu, tol)
+            assert dense == lanczos == (dense_lambda_min(g, x, mu) >= -tol)
+            if dense:
+                assert obj == bs.brute_force_mle(g, lam=mu)[1]
+
+    def test_branches_agree_at_the_crossover(self):
+        # explicit graphs on either side of the constant, above and below the
+        # recovery threshold: both branches and the routed check agree
+        verdicts = []
+        for n in (sdp._DENSE_DUAL_MAX, sdp._DENSE_DUAL_MAX + 1):
+            for alpha, beta in ((30.0, 2.0), (3.0, 1.0)):
+                rates = bs.SbmParams.from_rates(sdp._DENSE_DUAL_MAX, alpha, beta)
+                mu = bs.lambda_star(rates.p, rates.q)
+                for seed in range(3):
+                    g = bs.sample_sbm(bs.SbmParams.explicit(n // 2, n - n // 2, rates.p,
+                                                            rates.q), seed)
+                    for x in (g.truth, sdp._spectral_labels(g.adjacency, mu, False)):
+                        tol = sdp._DUAL_RTOL * (1.0 + abs(bs.labeling_objective(g, x, lam=mu)))
+                        dense, lanczos = dual_verdicts(g, x, mu, tol)
+                        routed = sdp._dual_certified(g.adjacency, x, mu, tol)
+                        assert dense == lanczos == routed
+                        lmin = dense_lambda_min(g, x, mu)
+                        if not -2.0 * tol <= lmin <= -0.5 * tol:
+                            assert dense == (lmin >= -tol)
+                        verdicts.append(dense)
+        assert 0 < sum(verdicts) < len(verdicts)  # both verdicts occur
 
     def test_certified_spectral_labels_skip_the_ascent(self):
         g = two_cliques(4)
@@ -599,7 +663,8 @@ class TestDualCertificate:
         assert bs.solve_lagrangian_sdp(g, cfg).diagnostics.restarts_used == cfg.restarts
 
     def test_lanczos_nonconvergence_is_not_tight(self, monkeypatch):
-        g = two_cliques(4)
+        g = two_cliques(sdp._DENSE_DUAL_MAX // 2 + 1)  # above the dense check's size
+        assert g.n > sdp._DENSE_DUAL_MAX
         cfg = bs.SdpConfig(lam=LAM_STAR, seed=1)
         assert bs.solve_lagrangian_sdp(g, cfg).certificate.tight
         monkeypatch.setattr(sdp, "_LANCZOS_STEPS", 1)
