@@ -14,7 +14,8 @@ exact int64 arithmetic from the sorted codes and the code each row starts at.
 Every graph this module builds holds its edges column-major (`_edges_from_keys`).
 `Graph.from_edges` and `read_graph` canonicalize and validate edges through
 one routine, `_canonical_graph`, which raises the caller's error type.
-`Graph.adjacency` is built from sorted edge keys; the vote never needs it.
+`Graph.adjacency` is built from sorted edge keys; the vote never needs it,
+and the SDP solve only on graphs of more than 180 nodes.
 """
 from __future__ import annotations
 
@@ -102,7 +103,10 @@ class Graph:
     def adjacency(self) -> csr_matrix:
         """Symmetric float64 CSR adjacency (counts stay exact in float64), built
         from the sorted keys u*n+v of both orientations; canonical, and scipy
-        narrows the index dtype as it does for a COO build."""
+        narrows the index dtype as it does for a COO build. Built on first
+        use: the SDP solve reads it only above 180 nodes (`sdp._DENSE_DUAL_MAX`)
+        and builds a dense adjacency from `edges` below, and the vote reads
+        `edges`."""
         n, u, v = self.n, self.edges[:, 0], self.edges[:, 1]
         keys = np.sort(np.concatenate([u * n + v, v * n + u]))
         deg = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
@@ -249,15 +253,17 @@ def induced_subgraph(g: Graph, mask: Union[SampleMask, np.ndarray, Sequence[int]
     if kept.size and (kept[0] < 0 or kept[-1] >= g.n):
         raise ParameterError("kept index out of range")
     k = kept.size
-    pos = np.full(g.n, -1, dtype=np.int64)
-    pos[kept] = np.arange(k)
-    u, v = pos[g.edges[:, 0]], pos[g.edges[:, 1]]
-    inside = (u >= 0) & (v >= 0)
-    # pos is increasing, so the relabelled keys keep the parent's sorted order
-    sub_edges = _edges_from_keys(u[inside] * k + v[inside], k)
     sub_truth = g.truth[kept] if g.truth is not None else None
-    sub = Graph(n=int(k), edges=sub_edges, truth=sub_truth)
-    return sub, kept.copy()
+    if k == g.n:  # every node kept: the relabeling is the identity
+        sub_edges = np.array(g.edges, dtype=np.int64, order="F")
+    else:
+        pos = np.full(g.n, -1, dtype=np.int64)
+        pos[kept] = np.arange(k)
+        u, v = pos[g.edges[:, 0]], pos[g.edges[:, 1]]
+        inside = (u >= 0) & (v >= 0)
+        # pos is increasing, so the relabelled keys keep the parent's sorted order
+        sub_edges = _edges_from_keys(u[inside] * k + v[inside], k)
+    return Graph(n=int(k), edges=sub_edges, truth=sub_truth), kept
 
 
 def is_complete(labels: np.ndarray) -> bool:

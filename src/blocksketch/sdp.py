@@ -4,7 +4,7 @@ The relaxation max Tr(A X) - lambda Tr(X J), X PSD with unit diagonal, is
 solved through the factorization X = Y Y^T with unit-norm rows of Y, by
 Riemannian gradient ascent on the product of spheres: Barzilai-Borwein
 steps with monotone Armijo backtracking (Wen-Yin, Math. Program. 142,
-2013). Each trial step costs one sparse product A Y, and the BB step
+2013). Each trial step costs one product A Y, and the BB step
 mostly passes on its first trial. The balanced variant drives
 Tr(X J) = ||Y^T 1||^2 itself to zero by alternating projection instead of
 penalizing it.
@@ -17,22 +17,25 @@ Labels x carry a dual certificate (Abbe-Bandeira-Hall, arXiv:1405.3267)
 when S = diag(((A - mu J) x) * x) - A + mu J, with mu = lambda (mu = 1 in
 the balanced program), is PSD: S x = 0 by construction, so S >= 0 proves
 x x^T optimal for the relaxation and x optimal for the integral program.
-On at most _DENSE_DUAL_MAX nodes, which covers the sketched subgraphs,
-lambda_min(S) >= -tol is decided by one dense Cholesky factorization of
-S + tol I, whose success is a proof; larger graphs run a short Lanczos
-iteration that never forms S. The proof never looks at a factor, so the
-solve first tries spectral labels: the signs of the top Ritz vector of
-A - mu J after a few Lanczos steps, cleaned up by two rounds of
-x <- sign((A - mu J) x) (a median split in the balanced program). Above the recovery threshold these are usually
+On at most _DENSE_DUAL_MAX nodes, which covers the sketched subgraphs, the
+whole solve multiplies one dense adjacency built from the edge list, and
+no CSR is built: at these sizes scipy's per-product dispatch costs more
+than the arithmetic. There lambda_min(S) >= -tol is decided by one dense
+Cholesky factorization of S + tol I, whose success is a proof; larger
+graphs keep the CSR and run a short Lanczos iteration that never forms S.
+The proof never looks at a factor, so the solve first tries spectral
+labels: the signs of the top Ritz vector of A - mu J after a few Lanczos
+steps, cleaned up by two rounds of x <- sign((A - mu J) x) (a median split
+in the balanced program). Above the recovery threshold these are usually
 exact (Abbe-Fan-Wang-Zhong, arXiv:1709.09565). If they certify, the rank-1
-factor x is returned and no ascent runs. Otherwise restarts of the ascent
-run, and stop at the first one whose rounded labels certify. Without a
-certificate, restarts stop at the second converged one whose objective is
-within the gap test's tolerance of the best and whose rounding is the best
-one's partition. A restart that hit its iteration cap never counts as
-agreeing. The dual certificate carries correctness, so the rank is a
-performance setting chosen by benchmark: outside the worst case a low rank
-suffices (Bandeira-Boumal-Voroninski, arXiv:1602.04426).
+factor x, its own rounding, is returned and no ascent runs. Otherwise
+restarts of the ascent run, and stop at the first one whose rounded labels
+certify. Without a certificate, restarts stop at the second converged one
+whose objective is within the gap test's tolerance of the best and whose
+rounding is the best one's partition. A restart that hit its iteration cap
+never counts as agreeing. The dual certificate carries correctness, so the
+rank is a performance setting chosen by benchmark: outside the worst case a
+low rank suffices (Bandeira-Boumal-Voroninski, arXiv:1602.04426).
 """
 from __future__ import annotations
 
@@ -55,11 +58,13 @@ _BRUTE_FORCE_CAP = 22
 _START_SEED = 0x9E3779B9  # fixed start vectors: rounding and the dual check are pure functions
 _DUAL_RTOL = 1e-9         # lambda_min(S) tolerance, relative to 1 + |rounded objective|
 _LANCZOS_STEPS = 80       # Krylov dimension cap of the dual check
-_DENSE_DUAL_MAX = 180     # largest n whose dual check is a dense Cholesky: on accepting
-                          # labels, build and factor took 0.04/0.07/0.15/0.48 ms at n =
-                          # 50/100/150/180 against 0.5-0.9 ms of Lanczos, but 0.85-4.2 ms at
-                          # n = 186-400 (numpy's Cholesky nearly doubles in cost from n = 184
-                          # to 186; 2 vCPUs, 1 BLAS thread)
+_DENSE_DUAL_MAX = 180     # largest n solved on a dense adjacency, whose dual check is a
+                          # dense Cholesky: on accepting labels, build and factor took
+                          # 0.04/0.07/0.15/0.48 ms at n = 50/100/150/180 against 0.5-0.9 ms
+                          # of Lanczos, but 0.85-4.2 ms at n = 186-400 (numpy's Cholesky
+                          # nearly doubles in cost from n = 184 to 186; 2 vCPUs, 1 BLAS
+                          # thread). A dense rank-8 product took 13 us against 50 us on
+                          # CSR at n = 180, but 40 against 29 us at n = 300, density 3.9%
 _SPECTRAL_STEPS = 12      # Krylov dimension of the spectral candidate labels
 
 
@@ -341,27 +346,28 @@ def _spectral_labels(adj, mu: float, balanced: bool) -> np.ndarray:
 def _dual_certified(adj, x: np.ndarray, mu: float, tol: float) -> bool:
     """True iff lambda_min(S) >= -tol for S = diag(((A - mu J) x) * x) - A + mu J.
 
-    On at most _DENSE_DUAL_MAX nodes the verdict is a dense Cholesky
-    factorization of S + tol I, and its success is a proof that S + tol I is
-    positive definite, so lambda_min(S) > -tol. Rounding perturbs S by the
-    factorization's backward error, of order n^2 eps ||S|| (about 1e-9 at
-    n = 180), which only blurs the boundary at -tol and sits far below
-    tol = _DUAL_RTOL (1 + |obj|) at a sketched subgraph's objective. Larger
-    graphs run the Lanczos check, whose acceptance rests on a residual test.
+    A dense adjacency (the operator of graphs of at most _DENSE_DUAL_MAX
+    nodes, `_operator`) gets a dense Cholesky factorization of S + tol I,
+    and its success is a proof that S + tol I is positive definite, so
+    lambda_min(S) > -tol. Rounding perturbs S by the factorization's
+    backward error, of order n^2 eps ||S|| (about 1e-9 at n = 180), which
+    only blurs the boundary at -tol and sits far below tol = _DUAL_RTOL
+    (1 + |obj|) at a sketched subgraph's objective. A sparse one gets the
+    Lanczos check, whose acceptance rests on a residual test.
     """
     x = x.astype(np.float64)
     d = (adj @ x - mu * x.sum()) * x
-    if x.size <= _DENSE_DUAL_MAX:
+    if isinstance(adj, np.ndarray):
         return _cholesky_certified(adj, d, mu, tol)
     return _lanczos_certified(adj, x, d, mu, tol)
 
 
-def _cholesky_certified(adj, d: np.ndarray, mu: float, tol: float) -> bool:
-    """True iff S + tol I = diag(d + tol) - A + mu J has a Cholesky factor.
+def _cholesky_certified(adj: np.ndarray, d: np.ndarray, mu: float, tol: float) -> bool:
+    """True iff S + tol I = diag(d + tol) - A + mu J, A dense, has a Cholesky factor.
 
     S x = 0, so the eigenvalue of x becomes tol and needs no shift.
     """
-    s = mu - adj.toarray()
+    s = mu - adj
     s[np.diag_indices_from(s)] += d + tol
     try:
         np.linalg.cholesky(s)
@@ -445,31 +451,48 @@ def brute_force_mle(g: Graph, *, balanced: bool = False, size: Optional[int] = N
     return labels, float(best)
 
 
-def _round_and_certify(g: Graph, y: np.ndarray, f: float, converged: bool,
-                       lam: float, balanced: bool):
+def _operator(g: Graph):
+    """The adjacency the solve multiplies: on at most _DENSE_DUAL_MAX nodes a
+    dense float64 array built from the edge list, leaving `g.adjacency`
+    unbuilt; above that, the CSR `g.adjacency`."""
+    n = g.n
+    if n > _DENSE_DUAL_MAX:
+        return g.adjacency
+    a = np.zeros(n * n)
+    u, v = g.edges[:, 0], g.edges[:, 1]
+    a[u * n + v] = a[v * n + u] = 1.0
+    return a.reshape(n, n)
+
+
+def _round_and_certify(g: Graph, adj, y: np.ndarray, f: float, converged: bool,
+                       lam: float, mu: float, balanced: bool):
     """Round a factor; tight iff converged, gap-tight and dual-certified."""
     labels = round_solution(y, balanced)
     rounded_obj = labeling_objective(g, labels, lam=lam)
     cert = _certificate_from_values(f, rounded_obj)
-    # mu = lam is the Lagrangian program's own multiplier; on the balanced
-    # program any mu gives a dual point, and mu = 1 is Abbe-Bandeira-Hall's
     tight = cert.tight and converged and _dual_certified(
-        g.adjacency, labels, 1.0 if balanced else lam,
-        _DUAL_RTOL * (1.0 + abs(rounded_obj)))
+        adj, labels, mu, _DUAL_RTOL * (1.0 + abs(rounded_obj)))
     return labels, rounded_obj, Certificate(tight=tight, gap=cert.gap)
 
 
 def _solve(g: Graph, cfg: SdpConfig, balanced: bool) -> SdpSolution:
     require_nonempty(g)
     lam = 0.0 if balanced else cfg.lam
-    adj = g.adjacency
+    # mu = lam is the Lagrangian program's own multiplier; on the balanced
+    # program any mu gives a dual point, and mu = 1 is Abbe-Bandeira-Hall's
+    mu = 1.0 if balanced else lam
+    adj = _operator(g)
 
     # spectral labels that certify are optimal: x x^T is the SDP optimum and
-    # no ascent runs; its Riemannian gradient at a +-1 rank-1 point is zero
-    x = _spectral_labels(adj, 1.0 if balanced else lam, balanced)
+    # no ascent runs; its Riemannian gradient at a +-1 rank-1 point is zero.
+    # x is its own rounding, signed as leading_eigenvector signs it, with
+    # objective f and gap 0; S is the same for x and -x
+    x = _spectral_labels(adj, mu, balanced)
     f = labeling_objective(g, x, lam=lam)
     y = x[:, None].astype(np.float64)
-    rounding = _round_and_certify(g, y, f, True, lam, balanced)
+    labels = (np.copysign(1.0, y[:, 0] @ _start_vector(g.n)) * x).astype(np.int8)
+    tight = _dual_certified(adj, x, mu, _DUAL_RTOL * (1.0 + abs(f)))
+    rounding = (labels, f, Certificate(tight=tight, gap=0.0))
     best = (y, f, 0, 0.0, True, np.empty(0), np.empty(0))
     restart_objs = [f]
     restarts_used = total_iters = 0
@@ -483,7 +506,8 @@ def _solve(g: Graph, cfg: SdpConfig, balanced: bool) -> SdpSolution:
             prev, prev_rounding = best, rounding
             if best is None or out[1] > best[1]:
                 best = out
-                rounding = _round_and_certify(g, out[0], out[1], out[4], lam, balanced)
+                rounding = _round_and_certify(g, adj, out[0], out[1], out[4], lam, mu,
+                                              balanced)
                 if rounding[2].tight:
                     break
             # a second converged restart within the gap test's tolerance of the

@@ -307,6 +307,33 @@ class TestInducedSubgraph:
         assert idx.tolist() == list(range(6))
         assert np.array_equal(sub.truth, g.truth)
 
+    @pytest.mark.parametrize("make", [
+        lambda: bs.sample_sbm(bs.SbmParams.from_rates(40, 9.0, 1.0), 2),
+        lambda: two_triangles(),
+        lambda: bs.Graph.from_edges(3, []),
+        # hand-built, not canonical: C order, unsorted, flipped rows, int32
+        lambda: bs.Graph(n=5, edges=np.array([[3, 1], [0, 4], [2, 3]], dtype=np.int32)),
+        lambda: bs.Graph(n=4, edges=np.array([[2, 3], [0, 1]]), truth=np.int8([1, -1, -1, 1])),
+    ])
+    def test_full_mask_matches_the_general_path(self, make):
+        # the general path on a copy with one extra isolated node, which the
+        # mask drops, relabels by the identity too
+        g = make()
+        truth = None if g.truth is None else np.append(g.truth, np.int8(1))
+        padded = bs.Graph(n=g.n + 1, edges=g.edges, truth=truth)
+        want, _ = bs.induced_subgraph(padded, np.arange(g.n))
+        sub, idx = bs.induced_subgraph(g, np.arange(g.n))
+        assert sub.n == want.n == g.n and idx.tolist() == list(range(g.n))
+        assert sub.edges.dtype == want.edges.dtype == np.int64
+        assert sub.edges.flags.f_contiguous and want.edges.flags.f_contiguous
+        assert np.array_equal(sub.edges, want.edges)
+        assert (sub.truth is None) == (want.truth is None) == (g.truth is None)
+        if g.truth is not None:
+            assert np.array_equal(sub.truth, want.truth)
+        # a copy: writing to the subgraph leaves the parent graph alone
+        assert not np.shares_memory(sub.edges, g.edges)
+        assert g.truth is None or not np.shares_memory(sub.truth, g.truth)
+
     def test_empty_mask(self):
         g = two_triangles()
         sub, idx = bs.induced_subgraph(g, np.array([], dtype=np.int64))
