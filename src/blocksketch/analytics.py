@@ -4,6 +4,9 @@ All closed forms are evaluated at the epsilon -> 0+ limit of the underlying
 Chernoff argument; no epsilon parameter appears at runtime. The exact
 binomial-difference tail is an independent dense-convolution oracle kept
 deliberately separate from the closed-form bound.
+
+The module needs only numpy and the standard library; log-factorials come
+from `math.lgamma`.
 """
 from __future__ import annotations
 
@@ -11,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from .errors import CapacityError, DomainError, ParameterError
 
@@ -87,36 +89,46 @@ def lemma2_bound(bp: BoundParams) -> float:
     return math.exp(-(k1p + k2q - 2.0 * math.sqrt(k1p * k2q)))
 
 
-def _binom_pmf(k_max: int, p: float) -> np.ndarray:
-    """pmf of Bin(k_max, p) on 0..k_max, anchored in log space."""
+def _xlogy(x, y):
+    """x * log(y) elementwise, with 0 * log(0) = 0: a zero count against a
+    rate of 0 or 1 (k = 0 or k = K at p in {0, 1}, or K1 = 0) adds nothing."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x == 0, 0.0, x * np.log(y))
+
+
+def _binom_pmf(k_max: int, p: float, log_fact: np.ndarray) -> np.ndarray:
+    """pmf of Bin(k_max, p) on 0..k_max, anchored in log space;
+    `log_fact[i]` is log(i!) for i = 0..k_max at least."""
     k = np.arange(k_max + 1, dtype=np.float64)
-    logpmf = (gammaln(k_max + 1.0) - gammaln(k + 1.0) - gammaln(k_max - k + 1.0)
-              + xlogy(k, p) + xlogy(k_max - k, 1.0 - p))
+    lf = log_fact[:k_max + 1]
+    logpmf = log_fact[k_max] - lf - lf[::-1] + _xlogy(k, p) + _xlogy(k_max - k, 1.0 - p)
     return np.exp(logpmf)
 
 
 def _compensated_cumsum(x: np.ndarray) -> np.ndarray:
     """Neumaier running sums; plain cumsum error would grow with length."""
-    out = np.empty_like(x)
+    out = []  # a list append costs less than a numpy item store
     total = 0.0
     comp = 0.0
-    for i, v in enumerate(x.tolist()):
+    for v in x.tolist():
         t = total + v
         if abs(total) >= abs(v):
             comp += (total - t) + v
         else:
             comp += (v - t) + total
         total = t
-        out[i] = total + comp
-    return out
+        out.append(total + comp)
+    return np.array(out)
 
 
 def binom_diff_tail_exact(bp: BoundParams) -> float:
     """P(X - Y <= 0) for X ~ Bin(K1, p), Y ~ Bin(K2, q), by dense convolution."""
     if bp.K1 + bp.K2 > _CONVOLUTION_CAP:
         raise CapacityError(f"K1 + K2 exceeds the dense convolution cap {_CONVOLUTION_CAP}")
-    pmf_x = _binom_pmf(bp.K1, bp.p)
-    pmf_y = _binom_pmf(bp.K2, bp.q)
+    k = max(bp.K1, bp.K2)
+    log_fact = np.fromiter(map(math.lgamma, range(1, k + 2)), dtype=np.float64, count=k + 1)
+    pmf_x = _binom_pmf(bp.K1, bp.p, log_fact)
+    pmf_y = _binom_pmf(bp.K2, bp.q, log_fact)
     cdf_x = np.minimum(_compensated_cumsum(pmf_x), 1.0)
     j = np.minimum(np.arange(bp.K2 + 1), bp.K1)
     total = math.fsum((pmf_y * cdf_x[j]).tolist())
@@ -138,7 +150,7 @@ def chernoff_grid_min(bp: BoundParams, t_grid=None) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         x1 = bp.p * (-np.expm1(-t))          # p (1 - e^-t) in [0, p]
         x2 = bp.q * np.expm1(t)              # -q (1 - e^t) >= 0
-        exponent = xlogy(bp.K1, 1.0 - x1)
+        exponent = _xlogy(bp.K1, 1.0 - x1)
         if bp.K2:
             exponent = exponent + bp.K2 * np.log1p(x2)
     valid = (x1 < 1.0) & np.isfinite(exponent)

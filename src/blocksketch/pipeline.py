@@ -16,8 +16,6 @@ import dataclasses
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import product
@@ -286,7 +284,11 @@ def run_sweep(n_values: Sequence[int], alpha_values: Sequence[float],
 
         if jobs == 1:
             results = map(_trial_task, tasks)
+            pool_died = ()  # no pool: an escaping exception keeps its type
         else:
+            # imported here, so that jobs=1 never loads multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool as pool_died
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
             results = pool.map(_trial_task, tasks, chunksize=max(1, len(tasks) // (jobs * 4)))
         # tasks are in (cell, t) order and both maps yield in task order
@@ -295,7 +297,7 @@ def run_sweep(n_values: Sequence[int], alpha_values: Sequence[float],
             for cell, _, rec in results:
                 record(cell, rec)
                 done += 1
-        except BrokenProcessPool as exc:  # a worker died: no later result arrives
+        except pool_died as exc:  # a worker died: no later result arrives
             for params, cfg, _, cell, t in tasks[done:]:
                 seed = seed_sequence(master_seed, *cell, t)
                 record(cell, _failed_trial(params, cfg, seed, 0.0, exc))

@@ -15,7 +15,9 @@ Every graph this module builds holds its edges column-major (`_edges_from_keys`)
 `Graph.from_edges` and `read_graph` canonicalize and validate edges through
 one routine, `_canonical_graph`, which raises the caller's error type.
 `Graph.adjacency` is built from sorted edge keys; the vote never needs it,
-and the SDP solve only on graphs of more than 180 nodes.
+and the SDP solve only on graphs of more than 180 nodes. It is the one CSR
+this package builds, so scipy is imported there, at the first build, and
+importing the package loads numpy and the standard library only.
 """
 from __future__ import annotations
 
@@ -23,13 +25,15 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .errors import EmptyGraphError, GraphFormatError, ParameterError
 from .rng import RngSeed, STREAM_SBM, STREAM_SUBSAMPLE, rng_for
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 UNASSIGNED = 0
 
@@ -106,7 +110,9 @@ class Graph:
         narrows the index dtype as it does for a COO build. Built on first
         use: the SDP solve reads it only above 180 nodes (`sdp._DENSE_DUAL_MAX`)
         and builds a dense adjacency from `edges` below, and the vote reads
-        `edges`."""
+        `edges`. The first build in a process imports `scipy.sparse`, a cost
+        that a process building no CSR never pays."""
+        from scipy.sparse import csr_matrix
         n, u, v = self.n, self.edges[:, 0], self.edges[:, 1]
         keys = np.sort(np.concatenate([u * n + v, v * n + u]))
         deg = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)

@@ -203,11 +203,12 @@ class TestBinomDiffTailExact:
 
     def test_against_scipy_oracle(self):
         rng = np.random.default_rng(0)
-        for _ in range(60):
-            K1 = int(rng.integers(0, 60))
-            K2 = int(rng.integers(0, 60))
-            p = float(rng.uniform())
-            q = float(rng.uniform())
+        cases = [(int(rng.integers(0, 60)), int(rng.integers(0, 60)),
+                  float(rng.uniform()), float(rng.uniform())) for _ in range(60)]
+        # a rate of 0 or 1 puts log(0) against the zero count at k = 0 or k = K
+        cases += [(K1, K2, p, q) for K1, K2 in ((0, 7), (9, 0), (12, 15))
+                  for p in (0.0, 0.4, 1.0) for q in (0.0, 0.3, 1.0)]
+        for K1, K2, p, q in cases:
             mine = bs.binom_diff_tail_exact(bs.BoundParams(K1=K1, K2=K2, p=p, q=q))
             assert mine == pytest.approx(
                 scipy_tail_oracle(K1, K2, p, q), rel=1e-12, abs=1e-15)
@@ -237,6 +238,11 @@ class TestChernoffGridMin:
         bp = bs.BoundParams(K1=50, K2=0, p=0.4, q=0.3)
         v = bs.chernoff_grid_min(bp, DENSE_GRID)
         assert v == pytest.approx((1.0 - 0.4) ** 50, rel=1e-6)
+        # K1 = 0: the X side adds nothing, even where 1 - p(1 - e^-t) rounds to 0
+        # at p = 1, so the t = 0 bound is the minimum
+        for p in (0.4, 1.0):
+            bp = bs.BoundParams(K1=0, K2=50, p=p, q=0.3)
+            assert bs.chernoff_grid_min(bp, np.append(DENSE_GRID, 40.0)) == 1.0
 
     def test_sandwich_on_reference_cell(self):
         bp = bs.BoundParams(K1=100, K2=100, p=0.2, q=0.05)

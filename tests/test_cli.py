@@ -436,13 +436,14 @@ class TestParsingAndSeeds:
         _, out2, _ = run(args, capsys)
         assert out1 == out2
 
-    def test_console_script_subprocess(self):
+    def test_console_script_subprocess(self, src_env):
         proc = subprocess.run(
             [sys.executable, "-c",
              "from blocksketch.cli import console_main; console_main()",
              "bounds", "--alpha", "8", "--beta", "2"],
-            capture_output=True, text=True)
-        assert proc.returncode != 0 or "gamma_star" in proc.stdout
+            env=src_env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["gamma_star=1.000000", "theorem1=boundary"]
 
 
 class TestSketchFixture:

@@ -138,7 +138,6 @@ class TestRunTrial:
         params = bs.SbmParams.explicit(4, 4, 0.9, 0.1)
         a = run_trial(params, SketchConfig(gamma=0.8), 5)
         b = run_trial(params, SketchConfig(gamma=0.8), 5)
-        assert a.wall_time != b.wall_time or True  # timing may coincide; content must not depend on it
         assert a.canonical_dict() == b.canonical_dict()
         ja = json.dumps(a.canonical_dict(), sort_keys=True)
         jb = json.dumps(b.canonical_dict(), sort_keys=True)

@@ -1,7 +1,6 @@
 """Low-rank solver, rounding, certificate, and the exhaustive oracle."""
 import itertools
 import math
-import os
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -698,14 +697,24 @@ class TestDualCertificate:
         assert not sol.certificate.tight
         assert sol.diagnostics.restarts_used == 2
 
-    def test_import_loads_no_scipy_eigensolvers(self):
-        code = ("import sys, blocksketch; print(sorted(m for m in sys.modules"
-                " if m.startswith(('scipy.sparse.linalg', 'scipy.linalg'))))")
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    def test_import_loads_no_scipy_eigensolvers(self, src_env):
+        # importing the package loads neither scipy nor the process pool; the
+        # first CSR, of a graph above the dense size, imports scipy.sparse
+        k = sdp._DENSE_DUAL_MAX // 2 + 1
+        code = "\n".join([
+            "import sys, blocksketch as bs",
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'multiprocessing',"
+            " 'concurrent.futures.process'))))",
+            f"g = bs.sample_sbm(bs.SbmParams.explicit({k}, {k}, 1.0, 0.0), 0)",
+            "from scipy.sparse import csr_matrix",
+            "print(g.n, isinstance(g.adjacency, csr_matrix))",
+            f"sol = bs.solve_lagrangian_sdp(g, bs.SdpConfig(lam={LAM_STAR!r}, seed=1))",
+            "print(type(sol).__name__, bs.partitions_equal(sol.rounded, g.truth))",
+        ])
+        out = subprocess.run([sys.executable, "-c", code], env=src_env,
                              capture_output=True, text=True)
-        assert out.stdout.strip() == "[]"
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == ["[]", f"{2 * k} True", "SdpSolution True"]
 
 
 def dense_and_sparse_cases():
