@@ -15,9 +15,9 @@ Every graph this module builds holds its edges column-major (`_edges_from_keys`)
 `Graph.from_edges` and `read_graph` canonicalize and validate edges through
 one routine, `_canonical_graph`, which raises the caller's error type.
 `Graph.adjacency` is built from sorted edge keys; the vote never needs it,
-and the SDP solve only on graphs of more than 180 nodes. It is the one CSR
-this package builds, so scipy is imported there, at the first build, and
-importing the package loads numpy and the standard library only.
+and the SDP solve only on the graphs that `sdp._operator` gives a CSR. It is
+the one CSR this package builds, so scipy is imported there, at the first
+build, and importing the package loads numpy and the standard library only.
 """
 from __future__ import annotations
 
@@ -108,10 +108,10 @@ class Graph:
         """Symmetric float64 CSR adjacency (counts stay exact in float64), built
         from the sorted keys u*n+v of both orientations; canonical, and scipy
         narrows the index dtype as it does for a COO build. Built on first
-        use: the SDP solve reads it only above 180 nodes (`sdp._DENSE_DUAL_MAX`)
-        and builds a dense adjacency from `edges` below, and the vote reads
-        `edges`. The first build in a process imports `scipy.sparse`, a cost
-        that a process building no CSR never pays."""
+        use: the SDP solve reads it only where `sdp._operator` picks a CSR
+        and builds a dense adjacency from `edges` elsewhere, and the vote
+        reads `edges`. The first build in a process imports `scipy.sparse`,
+        a cost that a process building no CSR never pays."""
         from scipy.sparse import csr_matrix
         n, u, v = self.n, self.edges[:, 0], self.edges[:, 1]
         keys = np.sort(np.concatenate([u * n + v, v * n + u]))

@@ -17,12 +17,15 @@ Labels x carry a dual certificate (Abbe-Bandeira-Hall, arXiv:1405.3267)
 when S = diag(((A - mu J) x) * x) - A + mu J, with mu = lambda (mu = 1 in
 the balanced program), is PSD: S x = 0 by construction, so S >= 0 proves
 x x^T optimal for the relaxation and x optimal for the integral program.
-On at most _DENSE_DUAL_MAX nodes, which covers the sketched subgraphs, the
-whole solve multiplies one dense adjacency built from the edge list, and
-no CSR is built: at these sizes scipy's per-product dispatch costs more
-than the arithmetic. There lambda_min(S) >= -tol is decided by one dense
-Cholesky factorization of S + tol I, whose success is a proof; larger
-graphs keep the CSR and run a short Lanczos iteration that never forms S.
+`_operator` picks the one adjacency the whole solve multiplies. On at most
+_DENSE_DUAL_MAX nodes, which covers the sketched subgraphs, and on dense
+graphs of at most _DENSE_OPERATOR_MAX nodes, such as the paper's full
+n = 400 graphs, it is a dense array built from the edge list and no CSR is
+built: there a dense build and dense products cost less than scipy's CSR
+build and per-product dispatch. Other graphs get the CSR. On at most _DENSE_DUAL_MAX nodes
+lambda_min(S) >= -tol is decided by one dense Cholesky factorization of
+S + tol I, whose success is a proof; larger graphs, dense or CSR, run a
+short Lanczos iteration that never forms S.
 The proof never looks at a factor, so the solve first tries spectral
 labels: the signs of the top Ritz vector of A - mu J after a few Lanczos
 steps, cleaned up by two rounds of x <- sign((A - mu J) x) (a median split
@@ -58,13 +61,24 @@ _BRUTE_FORCE_CAP = 22
 _START_SEED = 0x9E3779B9  # fixed start vectors: rounding and the dual check are pure functions
 _DUAL_RTOL = 1e-9         # lambda_min(S) tolerance, relative to 1 + |rounded objective|
 _LANCZOS_STEPS = 80       # Krylov dimension cap of the dual check
-_DENSE_DUAL_MAX = 180     # largest n solved on a dense adjacency, whose dual check is a
-                          # dense Cholesky: on accepting labels, build and factor took
-                          # 0.04/0.07/0.15/0.48 ms at n = 50/100/150/180 against 0.5-0.9 ms
-                          # of Lanczos, but 0.85-4.2 ms at n = 186-400 (numpy's Cholesky
-                          # nearly doubles in cost from n = 184 to 186; 2 vCPUs, 1 BLAS
-                          # thread). A dense rank-8 product took 13 us against 50 us on
-                          # CSR at n = 180, but 40 against 29 us at n = 300, density 3.9%
+_DENSE_DUAL_MAX = 180     # largest n solved on a dense adjacency at any density, and the
+                          # largest whose dual check is a dense Cholesky: on accepting labels,
+                          # build and factor took 0.04/0.07/0.15/0.48 ms at n = 50/100/150/180
+                          # against 0.5-0.9 ms of Lanczos, but 0.85-4.2 ms at n = 186-400
+                          # (numpy's Cholesky nearly doubles in cost from n = 184 to 186;
+                          # 2 vCPUs, 1 BLAS thread). A dense rank-8 product took 13 us
+                          # against 50 us on CSR at n = 180, but 40 against 29 us at n = 300,
+                          # density 3.9%
+_DENSE_OPERATOR_MAX = 400 # above _DENSE_DUAL_MAX, largest n solved on a dense adjacency,
+_DENSE_MIN_FILL = 0.15    # and only when 2m >= this share of its n^2 entries. Rank-1 / rank-8
+                          # products, CSR against dense (us; 2 vCPUs, 1 BLAS thread): n = 400
+                          # at fill 0.10 22/34, 105/141; at 0.15 20/21, 142/106; at 0.24
+                          # 45/26, 226/104. Past n = 400 the dense matrix leaves the 2 MB L2:
+                          # n = 500 at 0.15 30/49, 227/202; n = 600 at 0.24 101/138, 610/442.
+                          # A dense build takes a third of a CSR build. Whole spectral-skip
+                          # solves at n = 400 took 3.32/2.66 ms at fill 0.24, 2.83/2.72 at
+                          # 0.15 and 2.97/3.33 at 0.10; ascent solves at n = 500, fill 0.15,
+                          # 205/358 ms
 _SPECTRAL_STEPS = 12      # Krylov dimension of the spectral candidate labels
 
 
@@ -346,18 +360,19 @@ def _spectral_labels(adj, mu: float, balanced: bool) -> np.ndarray:
 def _dual_certified(adj, x: np.ndarray, mu: float, tol: float) -> bool:
     """True iff lambda_min(S) >= -tol for S = diag(((A - mu J) x) * x) - A + mu J.
 
-    A dense adjacency (the operator of graphs of at most _DENSE_DUAL_MAX
-    nodes, `_operator`) gets a dense Cholesky factorization of S + tol I,
-    and its success is a proof that S + tol I is positive definite, so
-    lambda_min(S) > -tol. Rounding perturbs S by the factorization's
-    backward error, of order n^2 eps ||S|| (about 1e-9 at n = 180), which
-    only blurs the boundary at -tol and sits far below tol = _DUAL_RTOL
-    (1 + |obj|) at a sketched subgraph's objective. A sparse one gets the
-    Lanczos check, whose acceptance rests on a residual test.
+    A dense adjacency on at most _DENSE_DUAL_MAX nodes gets a dense Cholesky
+    factorization of S + tol I, and its success is a proof that S + tol I
+    is positive definite, so lambda_min(S) > -tol. Rounding perturbs S by
+    the factorization's backward error, of order n^2 eps ||S|| (about 1e-9
+    at n = 180), which only blurs the boundary at -tol and sits far below
+    tol = _DUAL_RTOL (1 + |obj|) at a sketched subgraph's objective. Every
+    other operator, dense or CSR, gets the Lanczos check, whose acceptance
+    rests on a residual test: the route goes by size, where Cholesky pays,
+    and by type, since a CSR cannot be subtracted from a scalar.
     """
     x = x.astype(np.float64)
     d = (adj @ x - mu * x.sum()) * x
-    if isinstance(adj, np.ndarray):
+    if isinstance(adj, np.ndarray) and x.size <= _DENSE_DUAL_MAX:
         return _cholesky_certified(adj, d, mu, tol)
     return _lanczos_certified(adj, x, d, mu, tol)
 
@@ -452,11 +467,15 @@ def brute_force_mle(g: Graph, *, balanced: bool = False, size: Optional[int] = N
 
 
 def _operator(g: Graph):
-    """The adjacency the solve multiplies: on at most _DENSE_DUAL_MAX nodes a
-    dense float64 array built from the edge list, leaving `g.adjacency`
-    unbuilt; above that, the CSR `g.adjacency`."""
+    """The adjacency the solve multiplies, the one choice of matrix format.
+
+    A dense float64 array built from the edge list, leaving `g.adjacency`
+    unbuilt, on at most _DENSE_DUAL_MAX nodes, and on at most
+    _DENSE_OPERATOR_MAX nodes when 2m >= _DENSE_MIN_FILL n^2, where a dense
+    product wins; otherwise the CSR `g.adjacency`.
+    """
     n = g.n
-    if n > _DENSE_DUAL_MAX:
+    if n > _DENSE_DUAL_MAX and (n > _DENSE_OPERATOR_MAX or 2 * g.m < _DENSE_MIN_FILL * n * n):
         return g.adjacency
     a = np.zeros(n * n)
     u, v = g.edges[:, 0], g.edges[:, 1]

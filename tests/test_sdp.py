@@ -278,16 +278,36 @@ class TestSolver:
         assert g.adjacency.calls <= 1.5 * diag.iterations_total + diag.restarts_used
 
     def test_matmult_budget_spectral_skip(self):
-        # full sample far above the threshold: the spectral labels certify, and
-        # the solve costs the Krylov steps, two cleanup rounds and the dual check
-        params = bs.SbmParams.from_rates(400, 30, 2)
+        # full sample above the threshold, too sparse for a dense operator: the
+        # spectral labels certify, and the solve costs the Krylov steps, two
+        # cleanup rounds and the Lanczos dual check, all on the CSR
+        params = bs.SbmParams.from_rates(400, 10, 1)
         g = bs.sample_sbm(params, 0)
+        assert g.n > sdp._DENSE_DUAL_MAX and 2 * g.m < sdp._DENSE_MIN_FILL * g.n ** 2
         g.adjacency = CountingCSR(g.adjacency)
         sol = bs.solve_lagrangian_sdp(
             g, bs.SdpConfig(lam=bs.lambda_star(params.p, params.q)))
         assert sol.certificate.tight
         assert sol.diagnostics.iterations_total == 0
+        assert sdp._SPECTRAL_STEPS + 2 < g.adjacency.calls
         assert g.adjacency.calls <= sdp._SPECTRAL_STEPS + 2 + sdp._LANCZOS_STEPS + 1
+
+    def test_dense_full_graph_builds_no_csr_and_takes_lanczos(self, monkeypatch):
+        # the paper's full n = 400 graph is dense enough for the dense operator,
+        # and the proof is routed by size: above _DENSE_DUAL_MAX nodes a dense
+        # operator gets the Lanczos check, never the Cholesky one
+        def cholesky(*args):
+            raise AssertionError("Cholesky check above _DENSE_DUAL_MAX nodes")
+
+        monkeypatch.setattr(sdp, "_cholesky_certified", cholesky)
+        params = bs.SbmParams.from_rates(400, 30, 2)
+        g = bs.sample_sbm(params, 0)
+        assert g.n > sdp._DENSE_DUAL_MAX and isinstance(sdp._operator(g), np.ndarray)
+        sol = bs.solve_lagrangian_sdp(
+            g, bs.SdpConfig(lam=bs.lambda_star(params.p, params.q)))
+        assert sol.certificate.tight
+        assert sol.diagnostics.iterations_total == 0
+        assert "adjacency" not in g.__dict__
 
     def test_matmult_budget_dense_check(self):
         # a sketched-size subgraph: the Krylov steps, the cleanup rounds and
@@ -698,28 +718,35 @@ class TestDualCertificate:
         assert sol.diagnostics.restarts_used == 2
 
     def test_import_loads_no_scipy_eigensolvers(self, src_env):
-        # importing the package loads neither scipy nor the process pool; the
-        # first CSR, of a graph above the dense size, imports scipy.sparse
-        k = sdp._DENSE_DUAL_MAX // 2 + 1
+        # importing the package loads neither scipy nor the process pool; a
+        # threshold-shaped sweep at jobs=1 solves every graph, the full n = 400
+        # ones included, on a dense operator and loads no scipy either; the
+        # first CSR, of a sparse graph above the dense size, imports scipy.sparse
+        gammas = [c * bs.gamma_star(30.0, 2.0) for c in (0.5, 1, 2, 3)] + [1.0]
         code = "\n".join([
             "import sys, blocksketch as bs",
-            "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'multiprocessing',"
-            " 'concurrent.futures.process'))))",
-            f"g = bs.sample_sbm(bs.SbmParams.explicit({k}, {k}, 1.0, 0.0), 0)",
-            "from scipy.sparse import csr_matrix",
-            "print(g.n, isinstance(g.adjacency, csr_matrix))",
-            f"sol = bs.solve_lagrangian_sdp(g, bs.SdpConfig(lam={LAM_STAR!r}, seed=1))",
-            "print(type(sol).__name__, bs.partitions_equal(sol.rounded, g.truth))",
+            "def loaded(prefixes=('scipy', 'multiprocessing', 'concurrent.futures.process')):",
+            "    return sorted(m for m in sys.modules if m.startswith(prefixes))",
+            "print(loaded())",
+            f"t = bs.run_sweep([400], [30.0], [2.0], {gammas!r}, trials=2, master_seed=0)",
+            "print(loaded(('scipy',)), t.cells[-1].gamma, t.cells[-1].successes)",
+            "params = bs.SbmParams.from_rates(300, 3.0, 1.0)",
+            "g = bs.sample_sbm(params, 0)",
+            "lam = bs.lambda_star(params.p, params.q)",
+            "sol = bs.solve_lagrangian_sdp(g, bs.SdpConfig(lam=lam, seed=1))",
+            "print(type(sol).__name__, 'adjacency' in g.__dict__, 'scipy.sparse' in sys.modules)",
         ])
         out = subprocess.run([sys.executable, "-c", code], env=src_env,
                              capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.splitlines() == ["[]", f"{2 * k} True", "SdpSolution True"]
+        assert out.stdout.splitlines() == ["[]", "[] 1.0 2", "SdpSolution True True"]
 
 
 def dense_and_sparse_cases():
-    """(graph, mu): SBM graphs of at most 40 nodes, edgeless graphs, and the
-    crossover graphs of test_branches_agree_at_the_crossover."""
+    """(graph, mu): SBM graphs of at most 40 nodes, edgeless graphs, the
+    crossover graphs of test_branches_agree_at_the_crossover, and two full
+    graphs above it: the paper's dense n = 400 one (alpha 30, beta 2) and a
+    sparse n = 300 one (alpha 3, beta 1)."""
     small = st.builds(
         lambda k1, k2, pq, seed, mu: (bs.sample_sbm(bs.SbmParams.explicit(
             k1, k2, pq[1], pq[0]), seed), mu),
@@ -734,8 +761,14 @@ def dense_and_sparse_cases():
         g = bs.sample_sbm(bs.SbmParams.explicit(n // 2, n - n // 2, rates.p, rates.q), seed)
         return g, bs.lambda_star(rates.p, rates.q)
 
-    large = st.builds(crossover, st.sampled_from([sdp._DENSE_DUAL_MAX, sdp._DENSE_DUAL_MAX + 1]),
-                      st.sampled_from([(30.0, 2.0), (3.0, 1.0)]), st.integers(0, 2))
+    def full(model, seed):
+        params = bs.SbmParams.from_rates(*model)
+        return bs.sample_sbm(params, seed), bs.lambda_star(params.p, params.q)
+
+    large = st.one_of(
+        st.builds(crossover, st.sampled_from([sdp._DENSE_DUAL_MAX, sdp._DENSE_DUAL_MAX + 1]),
+                  st.sampled_from([(30.0, 2.0), (3.0, 1.0)]), st.integers(0, 2)),
+        st.builds(full, st.sampled_from([(400, 30.0, 2.0), (300, 3.0, 1.0)]), st.integers(0, 2)))
     return st.one_of(small, edgeless, large)
 
 
@@ -744,13 +777,14 @@ class TestDenseOperator:
     @given(case=dense_and_sparse_cases(), balanced=st.booleans(), seed=st.integers(0, 99))
     def test_dense_and_sparse_operators_agree(self, case, balanced, seed):
         g, mu = case
+        op = sdp._operator(g)
         csr = g.adjacency
         dense = csr.toarray()
-        if g.n <= sdp._DENSE_DUAL_MAX:
-            op = sdp._operator(g)
+        if g.n <= sdp._DENSE_DUAL_MAX or (g.n <= sdp._DENSE_OPERATOR_MAX
+                                          and 2 * g.m >= sdp._DENSE_MIN_FILL * g.n ** 2):
             assert isinstance(op, np.ndarray) and np.array_equal(op, dense)
         else:
-            assert sdp._operator(g) is csr
+            assert op is csr
         lam, mu = (0.0, 1.0) if balanced else (mu, mu)  # as in sdp._solve
         labels = [sdp._spectral_labels(a, mu, balanced) for a in (dense, csr)]
         if g.n > 40 or not g.m:
@@ -759,7 +793,8 @@ class TestDenseOperator:
         # entries (twin or isolated nodes) those entries' signs are rounding
         # noise under either operator, and the summation order differs
         for x in labels:
-            # the dense operator's Cholesky verdict and the CSR's Lanczos verdict
+            # up to _DENSE_DUAL_MAX nodes the dense operator's Cholesky verdict
+            # and the CSR's Lanczos verdict, above it both operators' Lanczos
             tol = sdp._DUAL_RTOL * (1.0 + abs(bs.labeling_objective(g, x, lam=lam)))
             lmin = dense_lambda_min(g, x, mu)
             if not -2.0 * tol <= lmin <= -0.5 * tol:
