@@ -22,10 +22,10 @@ _DENSE_DUAL_MAX nodes, which covers the sketched subgraphs, and on dense
 graphs of at most _DENSE_OPERATOR_MAX nodes, such as the paper's full
 n = 400 graphs, it is a dense array built from the edge list and no CSR is
 built: there a dense build and dense products cost less than scipy's CSR
-build and per-product dispatch. Other graphs get the CSR. On at most _DENSE_DUAL_MAX nodes
-lambda_min(S) >= -tol is decided by one dense Cholesky factorization of
-S + tol I, whose success is a proof; larger graphs, dense or CSR, run a
-short Lanczos iteration that never forms S.
+build and per-product dispatch. Other graphs get the CSR. On at most
+_DENSE_DUAL_MAX nodes lambda_min(S) >= -tol is decided by one dense
+Cholesky factorization of S + tol I, whose success is a proof; larger
+graphs, dense or CSR, run a short Lanczos iteration that never forms S.
 The proof never looks at a factor, so the solve first tries spectral
 labels: the signs of the top Ritz vector of A - mu J after a few Lanczos
 steps, cleaned up by two rounds of x <- sign((A - mu J) x) (a median split
@@ -70,7 +70,7 @@ _DENSE_DUAL_MAX = 180     # largest n solved on a dense adjacency at any density
                           # against 50 us on CSR at n = 180, but 40 against 29 us at n = 300,
                           # density 3.9%
 _DENSE_OPERATOR_MAX = 400 # above _DENSE_DUAL_MAX, largest n solved on a dense adjacency,
-_DENSE_MIN_FILL = 0.15    # and only when 2m >= this share of its n^2 entries. Rank-1 / rank-8
+_DENSE_MIN_FILL = 0.2     # and only when 2m >= this share of its n^2 entries. Rank-1 / rank-8
                           # products, CSR against dense (us; 2 vCPUs, 1 BLAS thread): n = 400
                           # at fill 0.10 22/34, 105/141; at 0.15 20/21, 142/106; at 0.24
                           # 45/26, 226/104. Past n = 400 the dense matrix leaves the 2 MB L2:
@@ -78,7 +78,10 @@ _DENSE_MIN_FILL = 0.15    # and only when 2m >= this share of its n^2 entries. R
                           # A dense build takes a third of a CSR build. Whole spectral-skip
                           # solves at n = 400 took 3.32/2.66 ms at fill 0.24, 2.83/2.72 at
                           # 0.15 and 2.97/3.33 at 0.10; ascent solves at n = 500, fill 0.15,
-                          # 205/358 ms
+                          # 205/358 ms. Ascent solves at n = 400 below the recovery threshold,
+                          # dense time over CSR time (mean of 4-6 graphs; Lagrangian, then
+                          # balanced): fill 0.15 0.89-0.92, 0.95-1.15; 0.17 0.87-0.89, 1.03;
+                          # 0.19 0.86, 0.81; 0.21 0.78, 0.71; 0.24 0.80, 0.64; 0.37 0.57, 0.49
 _SPECTRAL_STEPS = 12      # Krylov dimension of the spectral candidate labels
 
 

@@ -721,7 +721,8 @@ class TestDualCertificate:
         # importing the package loads neither scipy nor the process pool; a
         # threshold-shaped sweep at jobs=1 solves every graph, the full n = 400
         # ones included, on a dense operator and loads no scipy either; the
-        # first CSR, of a sparse graph above the dense size, imports scipy.sparse
+        # first CSR, of a graph above the dense size too sparse for a dense
+        # operator, imports scipy.sparse
         gammas = [c * bs.gamma_star(30.0, 2.0) for c in (0.5, 1, 2, 3)] + [1.0]
         code = "\n".join([
             "import sys, blocksketch as bs",
@@ -730,16 +731,19 @@ class TestDualCertificate:
             "print(loaded())",
             f"t = bs.run_sweep([400], [30.0], [2.0], {gammas!r}, trials=2, master_seed=0)",
             "print(loaded(('scipy',)), t.cells[-1].gamma, t.cells[-1].successes)",
-            "params = bs.SbmParams.from_rates(300, 3.0, 1.0)",
+            "params = bs.SbmParams.from_rates(400, 10.0, 1.0)",
             "g = bs.sample_sbm(params, 0)",
             "lam = bs.lambda_star(params.p, params.q)",
             "sol = bs.solve_lagrangian_sdp(g, bs.SdpConfig(lam=lam, seed=1))",
-            "print(type(sol).__name__, 'adjacency' in g.__dict__, 'scipy.sparse' in sys.modules)",
+            "print('scipy.sparse' in sys.modules)",
+            "from scipy.sparse import csr_matrix",
+            "print(isinstance(g.adjacency, csr_matrix), type(sol).__name__,",
+            "      bs.partitions_equal(sol.rounded, g.truth))",
         ])
         out = subprocess.run([sys.executable, "-c", code], env=src_env,
                              capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.splitlines() == ["[]", "[] 1.0 2", "SdpSolution True True"]
+        assert out.stdout.splitlines() == ["[]", "[] 1.0 2", "True", "True SdpSolution True"]
 
 
 def dense_and_sparse_cases():
