@@ -264,18 +264,29 @@ class TestSolver:
         assert np.array_equal(a.rounded, b.rounded)
         assert a.certificate == b.certificate
 
-    def test_matmult_budget(self):
+    def test_matmult_budget(self, monkeypatch):
         # below the recovery threshold no restart passes the gap test and the
         # spectral candidate fails the dual check within a few Lanczos steps,
-        # so nearly every product is the ascent's
+        # so nearly every product is the ascent's. Those bypass the CSR's `@`
+        # and are counted at sdp._product
         params = bs.SbmParams.from_rates(300, 3, 1)
         g = bs.sample_sbm(params, 0)
         g.adjacency = CountingCSR(g.adjacency)
+        ascent_products, make_product = [], sdp._product
+
+        def counting_product(adj, r):
+            product = make_product(adj, r)
+            return lambda y: ascent_products.append(1) or product(y)
+
+        monkeypatch.setattr(sdp, "_product", counting_product)
         sol = bs.solve_lagrangian_sdp(
             g, bs.SdpConfig(lam=bs.lambda_star(params.p, params.q)))
         diag = sol.diagnostics
         assert not sol.certificate.tight
-        assert g.adjacency.calls <= 1.5 * diag.iterations_total + diag.restarts_used
+        # one product per accepted step and one at each restart's start, at least
+        assert len(ascent_products) >= diag.iterations_total + diag.restarts_used
+        assert (len(ascent_products) + g.adjacency.calls
+                <= 1.5 * diag.iterations_total + diag.restarts_used)
 
     def test_matmult_budget_spectral_skip(self):
         # full sample above the threshold, too sparse for a dense operator: the
@@ -809,6 +820,39 @@ class TestDenseOperator:
                             np.random.default_rng(seed)) for a in (dense, csr)]
         assert outs[0][2] == outs[1][2] and outs[0][4] == outs[1][4]
         np.testing.assert_allclose(outs[0][5], outs[1][5], rtol=1e-12, atol=0)
+
+
+class TestAscentKernels:
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 60), density=st.sampled_from([0.0, 0.02, 0.1, 0.5, 1.0]),
+           r=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_csr_product_equals_scipy_matmul(self, n, density, r, seed):
+        # the ascent calls scipy's private CSR kernel itself; a scipy release
+        # that moves or changes it must fail here. Sparse draws leave isolated
+        # nodes, density 0 has no edge, and r > n on small graphs
+        rng = np.random.default_rng(seed)
+        g = random_graph(n, density, rng)
+        csr = g.adjacency
+        y = rng.standard_normal((n, r))
+        ay = sdp._product(csr, r)(y)
+        want = csr @ y
+        assert ay.shape == want.shape and ay.dtype == want.dtype
+        assert np.array_equal(ay, want)
+        dense = csr.toarray()
+        assert np.array_equal(sdp._product(dense, r)(y), dense @ y)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 300), r=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([0.0, 1e-16, 1e-14, 1e-12, 1e-8, 1.0]))
+    def test_row_norm_deviation_equals_elementwise(self, n, r, seed, scale):
+        rng = np.random.default_rng(seed)
+        y = rng.standard_normal((n, r))
+        y /= np.linalg.norm(y, axis=1)[:, None]
+        y *= 1.0 + scale * rng.standard_normal(n)[:, None]
+        want = float(np.abs(np.sqrt(np.einsum("ij,ij->i", y, y)) - 1.0).max())
+        assert sdp._row_norm_deviation(y) == want
+        y[rng.integers(n), rng.integers(r)] = np.nan
+        assert math.isnan(sdp._row_norm_deviation(y))
 
 
 class TestLabelingObjective:
