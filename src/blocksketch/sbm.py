@@ -9,9 +9,14 @@ p = alpha * log(n) / n, q = beta * log(n) / n in balanced mode.
 successive edges of each block (Batagelj and Brandes, Phys. Rev. E
 71:036113, 2005), O(edges) time and memory, each skip drawn by inversion.
 A within-community block draws codes of its strict upper triangle only, the
-cross block codes of its full grid; `_block_pairs` decodes either shape in
-exact int64 arithmetic from the sorted codes and the code each row starts at.
-Every graph this module builds holds its edges column-major (`_edges_from_keys`).
+cross block codes of its full grid. `_block_keys` turns either shape's sorted
+codes into edge keys u * n + v with no division: each row's code count comes
+from the code it starts at, and `np.repeat` hands every code its row's member
+and column offset. The keys are int32 when n^2 < 2^31, which halves the width
+of the one sort, and int64 otherwise. `_edges_from_keys` decodes sorted keys
+by a floor division by the scalar n and one subtraction, in O(edges) memory;
+every graph this module builds holds its edges column-major through it or,
+in `induced_subgraph`, by relabelling the kept edges straight into place.
 `Graph.from_edges` and `read_graph` canonicalize and validate edges through
 one routine, `_canonical_graph`, which raises the caller's error type.
 `Graph.adjacency` is built from sorted edge keys; the vote never needs it,
@@ -124,9 +129,12 @@ class Graph:
 
 
 def _edges_from_keys(keys: np.ndarray, n: int) -> np.ndarray:
-    """Column-major (m, 2) int64 edges (key // n, key % n) of int64 keys."""
+    """Column-major (m, 2) int64 edges (key // n, key % n) of nonnegative
+    int32 or int64 keys: a floor division by the scalar n, then key - u * n
+    (numpy vectorizes the division by a scalar, not `divmod`)."""
     edges = np.empty((keys.size, 2), dtype=np.int64, order="F")
-    np.divmod(keys, n, out=(edges[:, 0], edges[:, 1]))
+    u = np.floor_divide(keys, n, out=edges[:, 0])
+    np.subtract(keys, u * n, out=edges[:, 1])
     return edges
 
 
@@ -186,24 +194,37 @@ def _bernoulli_codes(rng: np.random.Generator, n_pairs: int, prob: float) -> np.
     while last < n_pairs:
         mean = (n_pairs - 1 - last) * prob
         e = rng.standard_exponential(size=int(mean + 4.0 * math.sqrt(mean)) + 2)
-        gaps = (np.minimum(e, cap) / rate).astype(np.int64) + 1
-        codes = last + np.cumsum(gaps)
+        np.minimum(e, cap, out=e)
+        e /= rate
+        codes = e.astype(np.int64)
+        codes += 1
+        codes[0] += last
+        np.cumsum(codes, out=codes)
         last = int(codes[-1])
-        chunks.append(codes[codes < n_pairs])
-    return np.concatenate(chunks)
+        # gaps are >= 1, so codes strictly increase
+        chunks.append(codes[:np.searchsorted(codes, n_pairs)])
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
-def _block_pairs(codes: np.ndarray, starts: np.ndarray, triangle: bool):
-    """(row, column) of each sorted code of a block whose row i begins at
-    code starts[i]: the s1 x s2 grid has starts i*s2 and columns code -
-    starts[i]; the strict upper triangle of s x s has starts i(2s-i-1)/2 and
-    columns code - starts[i] + i + 1. Exact int64, no division."""
+def _block_keys(codes: np.ndarray, rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """Edge keys u * n + v (u < v) of the sorted row-major codes of one block:
+    the strict upper triangle of rows x rows when `cols is rows`, else the
+    rows x cols grid. Row i of the triangle begins at code i(2s-i-1)/2 and
+    its column is code - start + i + 1; row i of the grid begins at i*s2 and
+    its column is code - start. Each edge takes its row's member and column
+    offset by `np.repeat`, with no division; the keys have the members' dtype.
+    On a triangle, sorted members and row < column give u < v directly."""
+    s, i = rows.size, np.arange(rows.size, dtype=np.int64)
+    triangle = rows is cols
+    starts = i * (2 * s - i - 1) // 2 if triangle else i * cols.size
     counts = np.diff(np.searchsorted(codes, starts), append=codes.size)
-    row = np.repeat(np.arange(starts.size), counts)
-    col = codes - starts[row]
-    if triangle:
-        col += row + 1
-    return row, col
+    u = np.repeat(rows, counts)
+    v = cols[codes + np.repeat(i + 1 - starts if triangle else -starts, counts)]
+    if not triangle:
+        u, v = np.minimum(u, v), np.maximum(u, v)
+    u *= n
+    u += v
+    return u
 
 
 def sample_sbm(params: SbmParams, seed: RngSeed) -> Graph:
@@ -215,24 +236,23 @@ def sample_sbm(params: SbmParams, seed: RngSeed) -> Graph:
     block is drawn as sorted row-major codes by geometric skips
     (`_bernoulli_codes`): a community of s nodes over the s(s-1)/2 pairs of
     its strict upper triangle, the cross block over its s1 x s2 grid.
-    `_block_pairs` turns codes into (row, column) positions in the sorted
-    member lists, so a within pair already has u < v.
+    `_block_keys` turns codes into edge keys of the sorted member lists, so
+    a within pair already has u < v.
     """
     rng = rng_for(seed, STREAM_SBM)
     n = params.n
     perm = rng.permutation(n)
     truth = np.full(n, -1, dtype=np.int8)
     truth[perm[:params.n1]] = 1
-    s1 = np.sort(perm[:params.n1]).astype(np.int64)
-    s2 = np.sort(perm[params.n1:]).astype(np.int64)
+    # the largest key is below n^2: sort 32-bit keys when they fit
+    key_dtype = np.int32 if n * n < 2 ** 31 else np.int64
+    s1 = np.sort(perm[:params.n1]).astype(key_dtype)
+    s2 = np.sort(perm[params.n1:]).astype(key_dtype)
     keys = []
     for rows, cols, prob in ((s1, s1, params.p), (s2, s2, params.p), (s1, s2, params.q)):
-        s, i, triangle = rows.size, np.arange(rows.size, dtype=np.int64), rows is cols
-        starts = i * (2 * s - i - 1) // 2 if triangle else i * cols.size
-        n_pairs = s * (s - 1) // 2 if triangle else s * cols.size
-        row, col = _block_pairs(_bernoulli_codes(rng, n_pairs, prob), starts, triangle)
-        u, v = rows[row], cols[col]
-        keys.append(np.minimum(u, v) * n + np.maximum(u, v))
+        s = rows.size
+        n_pairs = s * (s - 1) // 2 if rows is cols else s * cols.size
+        keys.append(_block_keys(_bernoulli_codes(rng, n_pairs, prob), rows, cols, n))
     keys = np.sort(np.concatenate(keys))
     return Graph(n=n, edges=_edges_from_keys(keys, n), truth=truth)
 
@@ -263,12 +283,16 @@ def induced_subgraph(g: Graph, mask: Union[SampleMask, np.ndarray, Sequence[int]
     if k == g.n:  # every node kept: the relabeling is the identity
         sub_edges = np.array(g.edges, dtype=np.int64, order="F")
     else:
-        pos = np.full(g.n, -1, dtype=np.int64)
+        keep = np.zeros(g.n, dtype=bool)
+        keep[kept] = True
+        u, v = g.edges[:, 0], g.edges[:, 1]
+        inside = np.flatnonzero(keep[u] & keep[v])
+        pos = np.empty(g.n, dtype=np.int64)
         pos[kept] = np.arange(k)
-        u, v = pos[g.edges[:, 0]], pos[g.edges[:, 1]]
-        inside = (u >= 0) & (v >= 0)
-        # pos is increasing, so the relabelled keys keep the parent's sorted order
-        sub_edges = _edges_from_keys(u[inside] * k + v[inside], k)
+        # pos is increasing, so the relabelled edges keep the parent's sorted order
+        sub_edges = np.empty((inside.size, 2), dtype=np.int64, order="F")
+        np.take(pos, u[inside], out=sub_edges[:, 0])
+        np.take(pos, v[inside], out=sub_edges[:, 1])
     return Graph(n=int(k), edges=sub_edges, truth=sub_truth), kept
 
 

@@ -1,4 +1,5 @@
 """Generation, subsampling, partition utilities, and graph file I/O."""
+import hashlib
 import math
 
 import numpy as np
@@ -151,10 +152,76 @@ class TestSampleSbm:
             if p == q == 1.0:
                 assert g.m == math.comb(g.n, 2)
 
+    @pytest.mark.parametrize("half, width", [(23170, np.int32), (23171, np.int64)])
+    def test_key_width_boundary(self, half, width, monkeypatch):
+        # n^2 just below 2^31 (32-bit sort keys) and just above it (64-bit).
+        # Past 2^31 only the few pairs near (n-2, n-1) overflow 32 bits, which a
+        # sparse draw almost never holds, so the width itself is checked too.
+        n = 2 * half
+        widths, block_keys = [], sbm_mod._block_keys
+
+        def recording(*args):
+            keys = block_keys(*args)
+            widths.append(keys.dtype)
+            return keys
+
+        monkeypatch.setattr(sbm_mod, "_block_keys", recording)
+        g = bs.sample_sbm(bs.SbmParams.explicit(half, half, 2.2e-6, 1.8e-6), 7)
+        assert widths == [np.dtype(width)] * 3
+        u, v = g.edges[:, 0], g.edges[:, 1]
+        assert 1500 < g.m < 3000 and g.edges.dtype == np.int64
+        assert np.all(u >= 0) and np.all(u < v) and v.max() < n
+        assert np.all(np.diff(u * n + v) > 0)  # strictly sorted int64 keys
+        assert np.array_equal(bs.Graph.from_edges(n, g.edges).edges, g.edges)
+
     def test_balanced_partition_varies_with_seed(self):
         params = bs.SbmParams.from_rates(20, 4.0, 0.5)
         truths = {tuple(bs.sample_sbm(params, s).truth.tolist()) for s in range(30)}
         assert len(truths) > 1
+
+
+class TestGoldenDraws:
+    """Seeded graphs pinned to the bit: SHA-256 of `edges.tobytes()` (row
+    order, whatever the layout) followed by `truth.tobytes()`. A numpy
+    upgrade that changes the `Generator` streams can legitimately move these
+    digests; any other change that moves one changed the sampler's output."""
+
+    DRAWS = {
+        "rates_400_seed0": (bs.SbmParams.from_rates(400, 30, 2), 0, 19186,
+                            "43c00e89d8e066770f92858b41158a6fc42fc771f220833e5d95b73fcc40c6e5"),
+        "rates_400_seed1": (bs.SbmParams.from_rates(400, 30, 2), 1, 19066,
+                            "664108532343743106421d45e72866a86a1a79ef87bd136f67a27ffb48103c64"),
+        "rates_300": (bs.SbmParams.from_rates(300, 3, 1), 2, 1705,
+                      "200fac8394d72da603d50312575c4dec2d328c1090ce2e6eae8df5724045c03b"),
+        "explicit_3_9": (bs.SbmParams.explicit(3, 9, 0.8, 0.3), 3, 41,
+                         "8ef82132af34c378601dc6346f4a87a9877ee74128bb82aa03883f4729d301b9"),
+        "explicit_1_1": (bs.SbmParams.explicit(1, 1, 1.0, 1.0), 4, 1,
+                         "557368a46ebb912841412b47e0896a947f2643f78f5bcaf7605ff6f3a72f8f4e"),
+        # n^2 > 2^31: the route with int64 sort keys
+        "explicit_int64_keys": (bs.SbmParams.explicit(23200, 23200, 1e-7, 1e-8), 5, 71,
+                                "82417e385ea79d0948073574b8160479a86ca631b2ef572750b1ddc6b3fa7b17"),
+    }
+    INDUCED = "beb46ac777baf200ba1bad9cd7655998b80f445e3c421c4c19d721ab14f0d1cf"
+
+    @staticmethod
+    def digest(g):
+        return hashlib.sha256(g.edges.tobytes() + g.truth.tobytes()).hexdigest()
+
+    @pytest.mark.parametrize("name", sorted(DRAWS))
+    def test_sample_sbm(self, name):
+        params, seed, m, want = self.DRAWS[name]
+        g = bs.sample_sbm(params, seed)
+        assert g.m == m and g.edges.flags.f_contiguous and g.edges.dtype == np.int64
+        assert self.digest(g) == want
+
+    def test_induced_subgraph_and_file_roundtrip(self, tmp_path):
+        params, seed, _, want = self.DRAWS["rates_400_seed0"]
+        g = bs.sample_sbm(params, seed)
+        kept = np.random.default_rng(9).permutation(400)[:120]  # unsorted
+        sub, _ = bs.induced_subgraph(g, kept)
+        assert sub.m == 1667 and self.digest(sub) == self.INDUCED
+        bs.write_graph(g, tmp_path / "g.txt")
+        assert self.digest(bs.read_graph(tmp_path / "g.txt")) == want
 
 
 class CountingRng:
@@ -205,30 +272,72 @@ class TestBernoulliCodes:
 
 
 class TestBlockPairs:
+    """`_block_keys` decodes a block's sorted row-major codes into edge keys."""
+
     @staticmethod
-    def triangle_starts(s):
-        i = np.arange(s, dtype=np.int64)
-        return i * (2 * s - i - 1) // 2
+    def decode(keys, n):
+        return np.divmod(keys.astype(np.int64), n)
 
     def test_triangle_matches_triu_indices(self):
         for s in range(64):
             every = np.ones(s * (s - 1) // 2, dtype=bool)
             some = np.random.default_rng(s).random(every.size) < 0.3
             iu = np.triu_indices(s, 1)
-            for pick in (every, some, ~every):  # all, a sorted subset, none
-                codes = np.flatnonzero(pick).astype(np.int64)
-                row, col = sbm_mod._block_pairs(codes, self.triangle_starts(s), True)
-                assert np.array_equal(row, iu[0][pick]) and np.array_equal(col, iu[1][pick])
+            # the identity members, and a sorted subset of 0..3s+1, in either key width
+            n = 3 * s + 2
+            spread = np.sort(np.random.default_rng(100 + s).choice(n, size=s, replace=False))
+            for members in (np.arange(s, dtype=np.int32), spread.astype(np.int32),
+                            np.arange(s, dtype=np.int64), spread.astype(np.int64)):
+                for pick in (every, some, ~every):  # all, a sorted subset, none
+                    codes = np.flatnonzero(pick).astype(np.int64)
+                    keys = sbm_mod._block_keys(codes, members, members, n)
+                    assert keys.dtype == members.dtype
+                    u, v = self.decode(keys, n)
+                    assert np.array_equal(u, members[iu[0][pick]])
+                    assert np.array_equal(v, members[iu[1][pick]])
 
     @pytest.mark.parametrize("s1, s2", [(1, 1), (1, 7), (7, 1), (5, 9), (13, 4)])
     def test_grid_matches_divmod(self, s1, s2):
-        starts = np.arange(s1, dtype=np.int64) * s2
+        n = s1 + s2
         every = np.arange(s1 * s2, dtype=np.int64)
         some = every[np.random.default_rng(s1 * s2).random(every.size) < 0.4]
         for codes in (np.empty(0, dtype=np.int64), every, some):
-            row, col = sbm_mod._block_pairs(codes, starts, False)
-            want_row, want_col = np.divmod(codes, s2)
-            assert np.array_equal(row, want_row) and np.array_equal(col, want_col)
+            row, col = np.divmod(codes, s2)
+            # rows below the columns, then above them: the key orients each pair
+            for shift_rows, shift_cols in ((0, s1), (s2, 0)):
+                for dtype in (np.int32, np.int64):
+                    rows = (np.arange(s1) + shift_rows).astype(dtype)
+                    cols = (np.arange(s2) + shift_cols).astype(dtype)
+                    keys = sbm_mod._block_keys(codes, rows, cols, n)
+                    assert keys.dtype == dtype
+                    u, v = self.decode(keys, n)
+                    assert np.array_equal(u, np.minimum(rows[row], cols[col]))
+                    assert np.array_equal(v, np.maximum(rows[row], cols[col]))
+
+
+class TestEdgesFromKeys:
+    # the largest n whose edge keys u * n + v fit in int64
+    BIG = 3_037_000_499
+
+    @pytest.mark.parametrize("n, dtype", [(1, np.int32), (7, np.int32), (46340, np.int32),
+                                          (46342, np.int64), (BIG, np.int64)])
+    def test_matches_divmod(self, n, dtype):
+        rng = np.random.default_rng(n % 1000)
+        top = n * n  # keys run over 0..n^2 - 1
+        ends = [k for k in (0, 1, n - 1, n, top - n - 1, top - n, top - 2, top - 1) if 0 <= k < top]
+        keys = np.unique(np.concatenate([
+            np.array(ends, dtype=np.int64),
+            rng.integers(0, top, size=200, dtype=np.int64)])).astype(dtype)
+        assert keys.max() == top - 1
+        edges = sbm_mod._edges_from_keys(keys, n)
+        want = np.divmod(keys.astype(np.int64), n)
+        assert edges.dtype == np.int64 and edges.flags.f_contiguous
+        assert np.array_equal(edges[:, 0], want[0]) and np.array_equal(edges[:, 1], want[1])
+
+    def test_empty(self):
+        for n in (0, 5):
+            edges = sbm_mod._edges_from_keys(np.empty(0, dtype=np.int64), n)
+            assert edges.shape == (0, 2) and edges.dtype == np.int64
 
 
 class TestEdgeLayout:
@@ -363,6 +472,36 @@ class TestInducedSubgraph:
             assert (idx[u], idx[v]) in edge_set
         inside = sum(1 for u, v in g.edges.tolist() if u in kept and v in kept)
         assert sub.m == inside
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(0, 60), data=st.data())
+    def test_matches_set_reference(self, n, data):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=300)) \
+            if pairs else []
+        truth = None
+        if data.draw(st.booleans()):
+            truth = np.array(data.draw(st.lists(st.sampled_from([1, -1]), min_size=n,
+                                                max_size=n)), dtype=np.int8)
+        g = bs.Graph.from_edges(n, chosen, truth=truth)
+        nodes = st.integers(0, n - 1) if n else st.nothing()
+        # unsorted and with duplicates; also the empty and the full mask
+        kept = data.draw(st.one_of(st.lists(nodes, max_size=2 * n), st.just([]),
+                                   st.permutations(range(n))))
+        sub, idx = bs.induced_subgraph(g, np.array(kept, dtype=np.int64))
+        want_kept = sorted(set(kept))
+        assert idx.dtype == np.int64 and idx.tolist() == want_kept
+        pos = {w: i for i, w in enumerate(want_kept)}
+        want = sorted((pos[u], pos[v]) for u, v in chosen if u in pos and v in pos)
+        assert sub.n == len(want_kept)
+        assert sub.edges.dtype == np.int64 and sub.edges.flags.f_contiguous
+        assert sub.edges.shape == (len(want), 2)
+        assert [tuple(e) for e in sub.edges.tolist()] == want
+        if truth is None:
+            assert sub.truth is None
+        else:
+            assert sub.truth.tolist() == [int(truth[w]) for w in want_kept]
 
 
 class TestPartitionsEqual:
