@@ -165,7 +165,7 @@ def cmd_sketch(args) -> int:
     cfg = SketchConfig(gamma=args.gamma, lam=args.lam, sdp=_sdp_config(args, seed),
                        tie_mode=args.tie_mode)
     res = sketch_and_recover(g, p, q, cfg, seed)
-    print(f"sample_size={res.mask.size}")
+    print(f"sample_size={res.kept.size}")
     print(f"lambda={'none' if res.lambda_used is None else _fmt_data(res.lambda_used)}")
     if res.solution is None:
         print("certificate=none")
@@ -174,7 +174,7 @@ def cmd_sketch(args) -> int:
     print(f"ties={res.vote.tie_count if res.vote else 0}")
     ok = partitions_equal(res.labels, g.truth)
     print(f"success={'true' if ok else 'false'}")
-    if res.degenerate:
+    if res.solution is None:
         print("degenerate sample: fewer than two nodes kept", file=sys.stderr)
     return 0 if ok else 1
 

@@ -27,8 +27,8 @@ import numpy as np
 from .analytics import lambda_star
 from .errors import ParameterError
 from .rng import RngSeed, STREAM_TIEBREAK, rng_for, seed_fingerprint, seed_sequence
-from .sbm import (Graph, SampleMask, SbmParams, induced_subgraph, partitions_equal,
-                  require_nonempty, sample_sbm, subsample_nodes)
+from .sbm import (Graph, SbmParams, induced_subgraph, partitions_equal, require_nonempty,
+                  sample_sbm, subsample_nodes)
 from .sdp import (Certificate, SdpConfig, SdpSolution, require_multiplier,
                   solve_lagrangian_sdp)
 from .vote import VoteOutcome, majority_vote
@@ -56,13 +56,13 @@ class SketchConfig:
 
 @dataclass(eq=False)
 class SketchResult:
-    """Labels plus per-stage diagnostics for one pipeline run."""
+    """Labels plus per-stage diagnostics for one pipeline run; `kept` holds
+    the sorted kept indices, and `solution` is None for a degenerate sample."""
 
     labels: np.ndarray
-    mask: SampleMask
+    kept: np.ndarray
     solution: Optional[SdpSolution]
     vote: Optional[VoteOutcome]
-    degenerate: bool
     lambda_used: Optional[float]
     tie_flips: int
 
@@ -167,16 +167,15 @@ def sketch_and_recover(g: Graph, p: float, q: float, cfg: SketchConfig,
     require_nonempty(g)
     if not (0.0 <= q < p <= 1.0):
         raise ParameterError(f"pipeline needs 0 <= q < p <= 1, got p={p}, q={q}")
-    mask = subsample_nodes(g.n, cfg.gamma, seed)
-    if mask.size <= 1:
-        return SketchResult(labels=np.zeros(g.n, dtype=np.int8), mask=mask,
-                            solution=None, vote=None, degenerate=True,
-                            lambda_used=None, tie_flips=0)
-    sub, _ = induced_subgraph(g, mask)
+    kept = subsample_nodes(g.n, cfg.gamma, seed)
+    if kept.size <= 1:
+        return SketchResult(labels=np.zeros(g.n, dtype=np.int8), kept=kept,
+                            solution=None, vote=None, lambda_used=None, tie_flips=0)
+    sub, _ = induced_subgraph(g, kept)
     lam = lambda_star(p, q) if cfg.lam is None else cfg.lam
     sdp_cfg = dataclasses.replace(cfg.sdp, lam=lam, seed=seed)
     sol = solve_lagrangian_sdp(sub, sdp_cfg)
-    outcome = majority_vote(g, mask, sol.rounded)
+    outcome = majority_vote(g, kept, sol.rounded)
     labels = outcome.labels.copy()
     tie_flips = 0
     if cfg.tie_mode == "coin" and outcome.tie_count:
@@ -184,8 +183,8 @@ def sketch_and_recover(g: Graph, p: float, q: float, cfg: SketchConfig,
         coin = rng_for(seed, STREAM_TIEBREAK)
         labels[tied] = (2 * coin.integers(0, 2, size=tied.size) - 1).astype(np.int8)
         tie_flips = int(tied.size)
-    return SketchResult(labels=labels, mask=mask, solution=sol, vote=outcome,
-                        degenerate=False, lambda_used=lam, tie_flips=tie_flips)
+    return SketchResult(labels=labels, kept=kept, solution=sol, vote=outcome,
+                        lambda_used=lam, tie_flips=tie_flips)
 
 
 def run_trial(params: SbmParams, cfg: SketchConfig, seed: RngSeed) -> TrialRecord:
@@ -194,7 +193,7 @@ def run_trial(params: SbmParams, cfg: SketchConfig, seed: RngSeed) -> TrialRecor
     g = sample_sbm(params, seed)
     res = sketch_and_recover(g, params.p, params.q, cfg, seed)
     sub_ok = (res.solution is not None
-              and partitions_equal(res.solution.rounded, g.truth[res.mask.kept]))
+              and partitions_equal(res.solution.rounded, g.truth[res.kept]))
     overall = partitions_equal(res.labels, g.truth)
     wall = time.perf_counter() - t0
     diag = res.solution.diagnostics if res.solution else None
@@ -202,13 +201,13 @@ def run_trial(params: SbmParams, cfg: SketchConfig, seed: RngSeed) -> TrialRecor
         params=params,
         gamma=cfg.gamma,
         seed=seed_fingerprint(seed),
-        sample_size=res.mask.size,
+        sample_size=res.kept.size,
         sdp_certificate=res.solution.certificate if res.solution else None,
         subgraph_success=sub_ok,
         vote_ties=res.vote.tie_count if res.vote else 0,
         overall_success=overall,
         wall_time=wall,
-        error="degenerate-sample" if res.degenerate else None,
+        error="degenerate-sample" if res.solution is None else None,
         restarts_used=diag.restarts_used if diag else None,
         iterations_total=diag.iterations_total if diag else None,
     )

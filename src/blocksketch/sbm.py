@@ -165,17 +165,6 @@ def _canonical_graph(n: int, edges, truth, error: type[Exception]) -> Graph:
     return Graph(n=n, edges=_edges_from_keys(keys, n), truth=t)
 
 
-@dataclass(eq=False)
-class SampleMask:
-    """Result of independent node subsampling: sorted kept indices."""
-
-    kept: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return int(self.kept.size)
-
-
 def _bernoulli_codes(rng: np.random.Generator, n_pairs: int, prob: float) -> np.ndarray:
     """Sorted codes of range(n_pairs), each present independently with
     probability prob: geometric skips between successes (Batagelj and
@@ -257,25 +246,24 @@ def sample_sbm(params: SbmParams, seed: RngSeed) -> Graph:
     return Graph(n=n, edges=_edges_from_keys(keys, n), truth=truth)
 
 
-def subsample_nodes(n: int, gamma: float, seed: RngSeed) -> SampleMask:
-    """Keep each of the n nodes independently with probability gamma."""
+def subsample_nodes(n: int, gamma: float, seed: RngSeed) -> np.ndarray:
+    """Keep each of the n nodes independently with probability gamma; returns
+    the sorted int64 kept indices."""
     if not (0.0 <= gamma <= 1.0):
         raise ParameterError(f"gamma must lie in [0, 1], got {gamma}")
     if n < 0:
         raise ParameterError("n must be nonnegative")
     rng = rng_for(seed, STREAM_SUBSAMPLE)
-    kept = np.flatnonzero(rng.random(n) < gamma).astype(np.int64)
-    return SampleMask(kept=kept)
+    return np.flatnonzero(rng.random(n) < gamma).astype(np.int64)
 
 
-def induced_subgraph(g: Graph, mask: Union[SampleMask, np.ndarray, Sequence[int]]):
-    """Subgraph on the kept nodes with contiguous relabeling.
+def induced_subgraph(g: Graph, kept: Union[np.ndarray, Sequence[int]]):
+    """Subgraph on the kept indices with contiguous relabeling.
 
     Returns (subgraph, index_map) where index_map[i] is the original index
     of subgraph node i; truth labels are restricted when present.
     """
-    kept = mask.kept if isinstance(mask, SampleMask) else np.asarray(mask, dtype=np.int64)
-    kept = np.unique(kept)
+    kept = np.unique(np.asarray(kept, dtype=np.int64))
     if kept.size and (kept[0] < 0 or kept[-1] >= g.n):
         raise ParameterError("kept index out of range")
     k = kept.size
@@ -327,7 +315,8 @@ def read_graph(path) -> Graph:
 
     Edge lines may come in any order, but each must read 'u v' with u < v.
     """
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
+    raw = Path(path).read_text().splitlines()
+    lines = [ln for ln in raw if ln.strip()]
     if not lines:
         raise GraphFormatError("empty graph file")
     head = lines[0].split()
@@ -351,8 +340,9 @@ def read_graph(path) -> Graph:
         if edges.shape[1] != 2:
             raise GraphFormatError("edge lines must read 'u v'")
         flipped = np.flatnonzero(edges[:, 0] > edges[:, 1])
-        if flipped.size:
-            raise GraphFormatError(f"edge line {flipped[0] + 2}: endpoints must satisfy u < v")
+        if flipped.size:  # number the file's lines, blank ones included
+            line_no = [i for i, ln in enumerate(raw, 1) if ln.strip()][flipped[0] + 1]
+            raise GraphFormatError(f"edge line {line_no}: endpoints must satisfy u < v")
     truth = None
     rest = lines[1 + m:]
     if rest:

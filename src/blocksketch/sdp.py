@@ -129,7 +129,6 @@ class SolveDiagnostics:
     iterations_total: int            # ascent iterations over all restarts run
     restarts_used: int               # 0: the spectral labels certified and no ascent ran
     final_grad_norm: float
-    rounded_balance: int
     restart_objectives: np.ndarray   # one per restart run; [objective] when none ran
     objective_trace: np.ndarray      # accepted objective per iteration, best restart
     row_norm_dev_trace: np.ndarray   # max |  ||Y_i|| - 1  | per iteration, best restart
@@ -322,24 +321,11 @@ def labeling_objective(g: Graph, labels, lam: float = 0.0) -> float:
     return quad
 
 
-def _certificate_from_values(objective: float, rounded_objective: float,
-                             gap_tol: Optional[float] = None) -> Certificate:
-    if gap_tol is None:
-        gap_tol = 1e-6 * (1.0 + abs(objective))
+def _certificate_from_values(objective: float, rounded_objective: float) -> Certificate:
+    """Gap test, a precondition of the solver's certificate and no proof:
+    tight iff objective - rounded_objective <= 1e-6 (1 + |objective|)."""
     gap = objective - rounded_objective
-    return Certificate(tight=bool(gap <= gap_tol), gap=float(gap))
-
-
-def certificate_check(sol, gap_tol: Optional[float] = None) -> Certificate:
-    """Gap test: tight iff sol.objective - sol.rounded_objective <= gap_tol.
-
-    Default gap_tol is 1e-6 * (1 + |objective|). This is the cheap
-    precondition of the solver's certificate, not a proof of optimality: a
-    local ascent can stall at a value its rounding attains while the
-    relaxation is higher. The solver's `certificate.tight` also requires a
-    converged ascent and the dual check.
-    """
-    return _certificate_from_values(sol.objective, sol.rounded_objective, gap_tol)
+    return Certificate(tight=bool(gap <= 1e-6 * (1.0 + abs(objective))), gap=float(gap))
 
 
 def _lanczos(apply, n: int, steps: int):
@@ -448,26 +434,22 @@ def _lanczos_certified(adj, x: np.ndarray, d: np.ndarray, mu: float, tol: float)
     return False
 
 
-def brute_force_mle(g: Graph, *, balanced: bool = False, size: Optional[int] = None,
-                    lam: Optional[float] = None):
+def brute_force_mle(g: Graph, *, balanced: bool = False, lam: Optional[float] = None):
     """Exhaustive maximum-likelihood labels under one constraint mode.
 
-    Modes: balanced (1^T x = 0), exact size (|{x = +1}| = size), or free with
-    a lambda penalty (maximize x^T A x - lam (1^T x)^2). Ties are broken by
-    the lexicographically smallest vector with +1 ordered before -1.
-    Returns (labels, objective). Hard-capped at n <= 22 nodes.
+    Modes: balanced (1^T x = 0), or free with a lambda penalty (maximize
+    x^T A x - lam (1^T x)^2). Ties are broken by the lexicographically
+    smallest vector with +1 ordered before -1. Returns (labels, objective).
+    Hard-capped at n <= 22 nodes.
     """
     require_nonempty(g)
     n = g.n
     if n > _BRUTE_FORCE_CAP:
         raise CapacityError(f"brute force capped at n <= {_BRUTE_FORCE_CAP}, got {n}")
-    chosen = sum((balanced, size is not None, lam is not None))
-    if chosen != 1:
-        raise ParameterError("pick exactly one mode: balanced, size=K, or lam=value")
+    if balanced == (lam is not None):
+        raise ParameterError("pick exactly one mode: balanced or lam=value")
     if balanced and n % 2:
         raise ParameterError("balanced mode needs even n")
-    if size is not None and not (0 <= size <= n):
-        raise ParameterError(f"size must lie in [0, {n}], got {size}")
 
     masks = np.arange(1 << n, dtype=np.int64)
     diff = np.zeros(masks.size, dtype=np.int64)
@@ -478,9 +460,6 @@ def brute_force_mle(g: Graph, *, balanced: bool = False, size: Optional[int] = N
     pop = np.bitwise_count(masks).astype(np.int64)
     if balanced:
         sel = pop == n // 2
-        obj = quad
-    elif size is not None:
-        sel = pop == size
         obj = quad
     else:
         sel = np.ones(masks.size, dtype=bool)
@@ -579,7 +558,6 @@ def _solve(g: Graph, cfg: SdpConfig, balanced: bool) -> SdpSolution:
         iterations_total=total_iters,
         restarts_used=restarts_used,
         final_grad_norm=grad_norm,
-        rounded_balance=int(abs(int(labels.sum()))),
         restart_objectives=np.asarray(restart_objs),
         objective_trace=obj_trace,
         row_norm_dev_trace=dev_trace,

@@ -14,8 +14,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .rng import RngSeed
-from .sbm import (UNASSIGNED, Graph, SampleMask, is_complete, partitions_equal,
-                  subsample_nodes)
+from .sbm import UNASSIGNED, Graph, is_complete, partitions_equal, subsample_nodes
 
 
 @dataclass(eq=False)
@@ -34,14 +33,14 @@ class VoteOutcome:
     tie_count: int
 
 
-def majority_vote(g: Graph, mask: SampleMask, sample_labels) -> VoteOutcome:
-    """Extend the labels given on mask.kept to all nodes by strict majority."""
-    kept = mask.kept
+def majority_vote(g: Graph, kept, sample_labels) -> VoteOutcome:
+    """Extend the labels given on the kept indices to all nodes by strict majority."""
+    kept = np.asarray(kept, dtype=np.int64)
     lab = np.asarray(sample_labels)
     if lab.shape != (kept.size,):
-        raise ParameterError("sample_labels must align with mask.kept")
+        raise ParameterError("sample_labels must align with the kept indices")
     if kept.size and (kept.min() < 0 or kept.max() >= g.n):
-        raise ParameterError("mask indices out of range")
+        raise ParameterError("kept index out of range")
     if not is_complete(lab):
         raise ParameterError("sample labels must be complete (+-1)")
 
@@ -67,8 +66,8 @@ def oracle_vote_trial(g: Graph, gamma: float, seed: RngSeed) -> bool:
     """
     if g.truth is None:
         raise ParameterError("oracle_vote_trial needs a graph with planted truth")
-    mask = subsample_nodes(g.n, gamma, seed)
-    if mask.size == 0:
+    kept = subsample_nodes(g.n, gamma, seed)
+    if kept.size == 0:
         return False
-    outcome = majority_vote(g, mask, g.truth[mask.kept])
+    outcome = majority_vote(g, kept, g.truth[kept])
     return partitions_equal(outcome.labels, g.truth)

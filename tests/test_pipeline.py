@@ -50,8 +50,8 @@ class TestSketchAndRecover:
     def test_full_sample_recovers_planted(self):
         g = bs.sample_sbm(bs.SbmParams.explicit(5, 5, 0.9, 0.1), 11)
         res = sketch_and_recover(g, 0.9, 0.1, SketchConfig(gamma=1.0), 11)
-        assert not res.degenerate
-        assert res.mask.size == 10
+        assert res.solution is not None
+        assert res.kept.size == 10
         assert res.lambda_used == bs.lambda_star(0.9, 0.1)
         assert res.vote.tie_count == 0
         assert bs.partitions_equal(res.labels, g.truth)
@@ -79,8 +79,7 @@ class TestSketchAndRecover:
         # seed 0 drops every node at n=4, gamma=0.1
         g = bs.sample_sbm(bs.SbmParams.explicit(2, 2, 0.9, 0.1), 1)
         res = sketch_and_recover(g, 0.9, 0.1, SketchConfig(gamma=0.1), 0)
-        assert res.degenerate
-        assert res.mask.size <= 1
+        assert res.kept.size <= 1
         assert np.all(res.labels == 0)
         assert res.solution is None and res.vote is None
         assert res.lambda_used is None
@@ -88,15 +87,15 @@ class TestSketchAndRecover:
     def test_sampled_nodes_keep_solver_labels(self):
         g = bs.sample_sbm(bs.SbmParams.explicit(6, 6, 0.9, 0.05), 4)
         res = sketch_and_recover(g, 0.9, 0.05, SketchConfig(gamma=0.7), 4)
-        assert not res.degenerate
-        assert np.array_equal(res.labels[res.mask.kept], res.solution.rounded)
+        assert res.solution is not None
+        assert np.array_equal(res.labels[res.kept], res.solution.rounded)
 
     def test_strict_ties_stay_unassigned(self):
         # seed 14 samples nodes 0..6, leaving the isolated node 8 with no votes
         g = cliques_plus_isolate()
         cfg = SketchConfig(gamma=0.85, lam=0.3)
         res = sketch_and_recover(g, 0.9, 0.1, cfg, 14)
-        assert 8 not in res.mask.kept
+        assert 8 not in res.kept
         assert res.vote.tie_count == 1
         assert res.labels[8] == 0
         assert res.tie_flips == 0
@@ -199,12 +198,12 @@ class TestTracedComposition:
             # successes, failures and vote ties
             seed = seed_sequence(16, 0, 0, 0, ig, t)
             g = bs.sample_sbm(params, seed)
-            mask = bs.subsample_nodes(g.n, cfg.gamma, seed)
-            sub, _ = bs.induced_subgraph(g, mask)
+            kept = bs.subsample_nodes(g.n, cfg.gamma, seed)
+            sub, _ = bs.induced_subgraph(g, kept)
             sdp_cfg = dataclasses.replace(cfg.sdp, lam=bs.lambda_star(params.p, params.q),
                                           seed=seed)
             sol = bs.solve_lagrangian_sdp(sub, sdp_cfg)
-            labels = bs.majority_vote(g, mask, sol.rounded).labels
+            labels = bs.majority_vote(g, kept, sol.rounded).labels
             ref = sketch_and_recover(g, params.p, params.q, cfg, seed)
             assert np.array_equal(labels, ref.labels)
             assert (bs.partitions_equal(labels, g.truth)

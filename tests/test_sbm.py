@@ -369,10 +369,10 @@ class TestEdgeLayout:
     def test_induced_subgraph(self):
         g = bs.sample_sbm(bs.SbmParams.from_rates(80, 9.0, 1.0), 5)
         for gamma in (0.0, 0.3, 1.0):
-            mask = bs.subsample_nodes(g.n, gamma, 7)
-            sub, _ = bs.induced_subgraph(g, mask)
+            kept = bs.subsample_nodes(g.n, gamma, 7)
+            sub, _ = bs.induced_subgraph(g, kept)
             # the relabelling written out edge by edge
-            pos = {int(w): i for i, w in enumerate(mask.kept)}
+            pos = {int(w): i for i, w in enumerate(kept)}
             want = [(pos[u], pos[v]) for u, v in g.edges.tolist() if u in pos and v in pos]
             self.assert_canonical_fortran(sub, want)
 
@@ -387,8 +387,8 @@ class TestEdgeLayout:
 
 class TestSubsample:
     def test_gamma_endpoints(self):
-        assert bs.subsample_nodes(10, 1.0, 0).kept.tolist() == list(range(10))
-        assert bs.subsample_nodes(10, 0.0, 0).kept.tolist() == []
+        assert bs.subsample_nodes(10, 1.0, 0).tolist() == list(range(10))
+        assert bs.subsample_nodes(10, 0.0, 0).tolist() == []
 
     def test_gamma_out_of_range(self):
         with pytest.raises(ParameterError):
@@ -404,8 +404,9 @@ class TestSubsample:
     def test_deterministic_and_sorted(self):
         a = bs.subsample_nodes(50, 0.4, 7)
         b = bs.subsample_nodes(50, 0.4, 7)
-        assert np.array_equal(a.kept, b.kept)
-        assert np.all(np.diff(a.kept) > 0)
+        assert type(a) is np.ndarray and a.dtype == np.int64 and a.ndim == 1
+        assert np.array_equal(a, b)
+        assert a.size and np.all(np.diff(a) > 0)  # sorted and unique
 
 
 class TestInducedSubgraph:
@@ -464,9 +465,9 @@ class TestInducedSubgraph:
     def test_edges_map_back(self):
         params = bs.SbmParams.explicit(8, 8, 0.6, 0.2)
         g = bs.sample_sbm(params, 11)
-        mask = bs.subsample_nodes(g.n, 0.5, 3)
-        sub, idx = bs.induced_subgraph(g, mask)
-        kept = set(mask.kept.tolist())
+        sample = bs.subsample_nodes(g.n, 0.5, 3)
+        sub, idx = bs.induced_subgraph(g, sample)
+        kept = set(sample.tolist())
         edge_set = set(map(tuple, g.edges.tolist()))
         for u, v in sub.edges.tolist():
             assert (idx[u], idx[v]) in edge_set
@@ -708,6 +709,12 @@ class TestGraphFileIO:
         path = tmp_path / "bad.txt"
         path.write_text(content)
         with pytest.raises(GraphFormatError):
+            bs.read_graph(path)
+
+    def test_reader_reports_file_line_of_reversed_edge(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("3 2\n\n0 1\n\n2 1\n")  # the reversed edge is on line 5
+        with pytest.raises(GraphFormatError, match=r"^edge line 5: "):
             bs.read_graph(path)
 
     def test_writer_bytes(self, tmp_path):

@@ -3,7 +3,6 @@ import itertools
 import math
 import subprocess
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -48,7 +47,7 @@ def random_graph(n, density, rng):
     return bs.Graph.from_edges(n, edges)
 
 
-def enumerate_optima(g, mode, value=None):
+def enumerate_optima(g, mode, lam=None):
     """Independent exhaustive reference; returns (objective, set of labelings)."""
     a = g.adjacency.toarray()
     best_obj = None
@@ -58,11 +57,9 @@ def enumerate_optima(g, mode, value=None):
         s = float(x.sum())
         if mode == "balanced" and s != 0:
             continue
-        if mode == "size" and int((x == 1).sum()) != value:
-            continue
         obj = float(x @ a @ x)
         if mode == "lam":
-            obj -= value * s * s
+            obj -= lam * s * s
         if best_obj is None or obj > best_obj + 1e-9:
             best_obj, best = obj, {bits}
         elif obj >= best_obj - 1e-9:
@@ -383,7 +380,7 @@ class TestBalancedSolver:
         g = two_cliques(4)
         sol = bs.solve_balanced_sdp(g, bs.SdpConfig(seed=2))
         assert bs.partitions_equal(sol.rounded, g.truth)
-        assert sol.diagnostics.rounded_balance == 0
+        assert sol.rounded.sum() == 0
         assert sol.balance_residual <= 1e-3 * g.n
         assert sol.certificate.tight
 
@@ -492,12 +489,6 @@ class TestBruteForce:
         assert obj == 2.0
         assert labels.tolist() == [1, 1, -1, -1]
 
-    def test_triangle_size_one(self):
-        g = bs.Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
-        labels, obj = bs.brute_force_mle(g, size=1)
-        assert obj == -2.0
-        assert labels.tolist() == [1, -1, -1]
-
     def test_tie_break_prefers_leading_plus_ones(self):
         g = bs.Graph.from_edges(4, [])
         labels, obj = bs.brute_force_mle(g, balanced=True)
@@ -511,17 +502,13 @@ class TestBruteForce:
         for trial in range(25):
             n = int(rng.integers(3, 9))
             g = random_graph(n, float(rng.uniform(0.2, 0.9)), rng)
-            mode = ("balanced", "size", "lam")[trial % 3]
+            mode = ("balanced", "lam")[trial % 2]
             if mode == "balanced":
                 if n % 2:
                     n += 1
                     g = random_graph(n, 0.5, rng)
                 labels, obj = bs.brute_force_mle(g, balanced=True)
                 want_obj, want_set = enumerate_optima(g, "balanced")
-            elif mode == "size":
-                k = int(rng.integers(0, n + 1))
-                labels, obj = bs.brute_force_mle(g, size=k)
-                want_obj, want_set = enumerate_optima(g, "size", k)
             else:
                 lam = float(rng.uniform(0.0, 1.0))
                 labels, obj = bs.brute_force_mle(g, lam=lam)
@@ -532,7 +519,7 @@ class TestBruteForce:
     def test_capacity_cap(self):
         g = bs.Graph.from_edges(23, [(0, 1)])
         with pytest.raises(CapacityError):
-            bs.brute_force_mle(g, balanced=False, lam=0.0, size=None)
+            bs.brute_force_mle(g, balanced=False, lam=0.0)
 
     def test_mode_selection_errors(self):
         g = two_cliques(3)
@@ -542,29 +529,30 @@ class TestBruteForce:
             bs.brute_force_mle(g, balanced=True, lam=0.1)
         with pytest.raises(ParameterError):
             bs.brute_force_mle(bs.Graph.from_edges(3, []), balanced=True)
-        with pytest.raises(ParameterError):
-            bs.brute_force_mle(g, size=7)
+        with pytest.raises(TypeError):  # the exact-size mode is gone
+            bs.brute_force_mle(g, size=3)
 
 
 class TestCertificate:
     def test_arithmetic_example(self):
-        sol = SimpleNamespace(objective=24.0, rounded_objective=23.5)
-        cert = bs.certificate_check(sol, gap_tol=0.1)
+        cert = sdp._certificate_from_values(24.0, 23.5)
         assert not cert.tight
         assert cert.gap == 0.5
         assert str(cert) == "not-tight(0.5)"
+        assert str(bs.Certificate(tight=False, gap=0.5)) == "not-tight(0.5)"
 
     def test_zero_gap_tight(self):
-        sol = SimpleNamespace(objective=24.0, rounded_objective=24.0)
-        cert = bs.certificate_check(sol)
-        assert cert.tight
+        cert = sdp._certificate_from_values(24.0, 24.0)
+        assert cert.tight and cert.gap == 0.0
         assert str(cert) == "tight"
+        assert str(bs.Certificate(tight=True, gap=0.0)) == "tight"
 
     def test_default_tolerance_scales(self):
-        sol = SimpleNamespace(objective=1000.0, rounded_objective=1000.0 - 9e-4)
-        assert bs.certificate_check(sol).tight
-        sol2 = SimpleNamespace(objective=1000.0, rounded_objective=1000.0 - 2e-3)
-        assert not bs.certificate_check(sol2).tight
+        # the tolerance is 1e-6 (1 + |objective|): 1.001e-3 at objective 1000
+        assert sdp._certificate_from_values(1000.0, 1000.0 - 9e-4).tight
+        assert not sdp._certificate_from_values(1000.0, 1000.0 - 2e-3).tight
+        assert sdp._certificate_from_values(0.0, -9e-7).tight
+        assert not sdp._certificate_from_values(0.0, -2e-6).tight
 
 
 class TestDualCertificate:

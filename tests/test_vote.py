@@ -9,7 +9,7 @@ from blocksketch.sbm import UNASSIGNED
 
 
 def mask_of(indices, n):
-    return bs.SampleMask(kept=np.asarray(sorted(indices), dtype=np.int64))
+    return np.asarray(sorted(indices), dtype=np.int64)
 
 
 def star(center_edges, n):
@@ -59,6 +59,25 @@ class TestMajorityVote:
             for labels in (bad, np.array(bad)):
                 with pytest.raises(ParameterError):
                     bs.majority_vote(g, mask_of([0, 1, 2, 3], 5), labels)
+
+    def test_list_of_kept_indices_matches_array(self):
+        g = star([(0, 3), (1, 3), (2, 3), (2, 4)], 5)
+        labels = np.array([1, 1, -1], dtype=np.int8)
+        from_list = bs.majority_vote(g, [0, 1, 2], labels)
+        from_array = bs.majority_vote(g, mask_of([0, 1, 2], 5), labels)
+        assert np.array_equal(from_list.labels, from_array.labels)
+        assert np.array_equal(from_list.margins, from_array.margins)
+        assert from_list.tie_count == from_array.tie_count == 0
+
+    def test_bad_kept_indices_rejected(self):
+        g = star([(0, 1)], 3)
+        labels = np.array([1, -1], dtype=np.int8)
+        for kept in ([0, 3], [-1, 0], mask_of([1, 3], 3)):  # out of range
+            with pytest.raises(ParameterError, match="out of range"):
+                bs.majority_vote(g, kept, labels)
+        for kept in ([0], [0, 1, 2], mask_of([], 3)):  # misaligned with the labels
+            with pytest.raises(ParameterError, match="align"):
+                bs.majority_vote(g, kept, labels)
 
     def test_double_loop_oracle(self):
         # independent recount of e(v, R1) - e(v, R2) on 100 random instances
@@ -110,20 +129,20 @@ class TestMajorityVote:
 
     def test_margin_monotone_in_added_edge(self):
         g = star([(0, 2), (1, 2)], 4)
-        mask = mask_of([0, 1, 3], 4)
+        kept = mask_of([0, 1, 3], 4)
         labels = np.array([1, -1, 1], dtype=np.int8)
-        before = bs.majority_vote(g, mask, labels)
+        before = bs.majority_vote(g, kept, labels)
         g2 = bs.Graph.from_edges(4, [(0, 2), (1, 2), (2, 3)])  # new edge to +1 node 3
-        after = bs.majority_vote(g2, mask, labels)
+        after = bs.majority_vote(g2, kept, labels)
         assert after.margins[2] >= before.margins[2]
 
     def test_vote_builds_no_full_graph_adjacency(self):
         g = bs.sample_sbm(bs.SbmParams.from_rates(400, 30.0, 2.0), 3)
-        mask = bs.subsample_nodes(g.n, 0.3, 4)
-        out = bs.majority_vote(g, mask, g.truth[mask.kept])
+        kept = bs.subsample_nodes(g.n, 0.3, 4)
+        out = bs.majority_vote(g, kept, g.truth[kept])
         assert "adjacency" not in g.__dict__
         w = np.zeros(g.n)
-        w[mask.kept] = g.truth[mask.kept]
+        w[kept] = g.truth[kept]
         assert np.array_equal(out.margins, g.adjacency @ w)
 
 
@@ -145,8 +164,8 @@ class TestOracleVoteTrial:
                                 truth=np.array([1, -1, 1], dtype=np.int8))
         found = False
         for seed in range(200):
-            mask = bs.subsample_nodes(3, 0.4, seed)
-            if 2 not in set(mask.kept.tolist()) and mask.size >= 1:
+            kept = bs.subsample_nodes(3, 0.4, seed)
+            if 2 not in set(kept.tolist()) and kept.size >= 1:
                 assert not bs.oracle_vote_trial(g, 0.4, seed)
                 found = True
                 break
