@@ -287,7 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, action="append", required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--master-seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes: this one plus jobs-1 forked children "
+                        "(POSIX only); results do not depend on it")
     p.add_argument("--out", default=None)
     p.add_argument("--trial-log", default=None,
                    help="JSONL file, one record per trial, written as each trial finishes")

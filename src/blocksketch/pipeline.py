@@ -9,12 +9,25 @@ the fields of `TrialRecord` (nested `SbmParams` and `Certificate` fields
 included); `TIMING_FIELDS` names the one field, `wall_time`, that
 `canonical_dict` leaves out and `json_dict` adds back. A sweep CSV row holds
 the fields of `CellStats` followed by `master_seed`.
+
+`run_sweep(jobs=k)` with k > 1 needs `os.fork` (POSIX) and a caller with no
+other threads running. Task i of the sweep runs in worker i mod k: worker 0 is
+the calling process itself, and each other worker is a child forked at the
+start of the call that pickles its results into its own pipe and leaves
+through `os._exit`. The caller takes results in
+task order, so the trial log keeps (cell, trial) order. If a child's pipe
+ends before its next result arrives whole, that task and every later one is
+recorded as failed with a "BrokenProcessPool" tag; every child is killed and
+reaped before `run_sweep` returns or raises.
 """
 from __future__ import annotations
 
 import dataclasses
 import json
 import math
+import os
+import pickle
+import signal
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -232,6 +245,32 @@ def _trial_task(args):
     return cell, t, rec
 
 
+class BrokenProcessPool(Exception):
+    """A forked sweep worker ended before returning all of its results."""
+
+
+def _start_worker(tasks: list, w: int, k: int, readers: list) -> int:
+    """Fork worker w of k, which runs tasks w, w + k, ... and pickles each
+    result into a new pipe, flushing after each one; append the pipe's read
+    end to `readers` and return the child's pid. The child closes every read
+    end it inherits, so its pipe ends when it does, and it leaves only through
+    os._exit, never returning into the caller's stack."""
+    r, wfd = os.pipe()
+    readers.append(os.fdopen(r, "rb"))
+    with os.fdopen(wfd, "wb") as out:  # the caller's copy closes after the fork
+        pid = os.fork()
+        if pid == 0:
+            try:
+                for f in readers:
+                    f.close()
+                for task in tasks[w::k]:
+                    pickle.dump(_trial_task(task), out)
+                    out.flush()
+            finally:
+                os._exit(0)
+    return pid
+
+
 def run_sweep(n_values: Sequence[int], alpha_values: Sequence[float],
               beta_values: Sequence[float], gamma_values: Sequence[float],
               trials: int, master_seed: int, *, config: Optional[SketchConfig] = None,
@@ -240,12 +279,17 @@ def run_sweep(n_values: Sequence[int], alpha_values: Sequence[float],
 
     The per-cell gamma overrides the template config's. An exception of any
     type inside a trial is recorded as a failed trial with an error tag
-    rather than aborting the sweep. When a worker process dies, every trial
-    the pool did not return is recorded as failed with a "BrokenProcessPool"
-    tag.
+    rather than aborting the sweep.
     `jobs` only sets the worker count; results are identical for any value
-    because trial seeds depend on cell and trial indices alone. Each
-    `trial_log` JSONL line is written as its trial's result arrives, in
+    because trial seeds depend on cell and trial indices alone. With
+    k = min(jobs, number of trials) > 1, task i runs in worker i mod k, where
+    worker 0 is the calling process and the others are `os.fork`ed children
+    (so jobs > 1 needs POSIX, and a caller with no other threads running);
+    they are started per call and killed and reaped before this returns or
+    raises. When a child's results stop short
+    (it died, or its last record is truncated), the first missing task and
+    every later one is recorded as failed with a "BrokenProcessPool" tag.
+    Each `trial_log` JSONL line is written as its trial's result arrives, in
     (cell, trial) order.
     """
     for name, ax in (("n", n_values), ("alpha", alpha_values),
@@ -256,6 +300,8 @@ def run_sweep(n_values: Sequence[int], alpha_values: Sequence[float],
         raise ParameterError("trials must be at least 1")
     if jobs < 1:
         raise ParameterError("jobs must be at least 1")
+    if jobs > 1 and not hasattr(os, "fork"):
+        raise ParameterError("jobs > 1 needs os.fork (POSIX)")
     seed_sequence(master_seed)  # a negative seed fails here, before any trial
     template = config if config is not None else SketchConfig(gamma=1.0)
 
@@ -281,25 +327,32 @@ def run_sweep(n_values: Sequence[int], alpha_values: Sequence[float],
                 log.write(json.dumps(rec.json_dict(), sort_keys=True) + "\n")
                 log.flush()
 
-        if jobs == 1:
-            results = map(_trial_task, tasks)
-            pool_died = ()  # no pool: an escaping exception keeps its type
-        else:
-            # imported here, so that jobs=1 never loads multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-            from concurrent.futures.process import BrokenProcessPool as pool_died
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
-            results = pool.map(_trial_task, tasks, chunksize=max(1, len(tasks) // (jobs * 4)))
-        # tasks are in (cell, t) order and both maps yield in task order
-        done = 0
+        k = min(jobs, len(tasks))
+        pids, readers = [], []
         try:
-            for cell, _, rec in results:
+            for w in range(1, k):
+                pids.append(_start_worker(tasks, w, k, readers))
+            for i, task in enumerate(tasks):
+                w = i % k
+                if w == 0:
+                    cell, _, rec = _trial_task(task)
+                else:
+                    try:
+                        cell, _, rec = pickle.load(readers[w - 1])
+                    except (EOFError, pickle.UnpicklingError):
+                        # a worker died: no later result is trusted
+                        exc = BrokenProcessPool(f"worker {w} ended before returning task {i}")
+                        for params, cfg, _, cell, t in tasks[i:]:
+                            seed = seed_sequence(master_seed, *cell, t)
+                            record(cell, _failed_trial(params, cfg, seed, 0.0, exc))
+                        break
                 record(cell, rec)
-                done += 1
-        except pool_died as exc:  # a worker died: no later result arrives
-            for params, cfg, _, cell, t in tasks[done:]:
-                seed = seed_sequence(master_seed, *cell, t)
-                record(cell, _failed_trial(params, cfg, seed, 0.0, exc))
+        finally:
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            for f in readers:
+                f.close()
 
     cells = []
     for cell, n, a, b, gm in cell_axes:

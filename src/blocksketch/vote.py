@@ -34,7 +34,8 @@ class VoteOutcome:
 
 
 def majority_vote(g: Graph, kept, sample_labels) -> VoteOutcome:
-    """Extend the labels given on the kept indices to all nodes by strict majority."""
+    """Extend the labels given on the kept indices to all nodes by strict
+    majority; the kept indices must be distinct and in range."""
     kept = np.asarray(kept, dtype=np.int64)
     lab = np.asarray(sample_labels)
     if lab.shape != (kept.size,):
@@ -43,14 +44,16 @@ def majority_vote(g: Graph, kept, sample_labels) -> VoteOutcome:
         raise ParameterError("kept index out of range")
     if not is_complete(lab):
         raise ParameterError("sample labels must be complete (+-1)")
+    off = np.ones(g.n, dtype=bool)
+    off[kept] = False
+    if np.count_nonzero(off) != g.n - kept.size:
+        raise ParameterError("kept indices must be distinct")
 
     w = np.zeros(g.n, dtype=np.float64)
     w[kept] = lab
     u, v = g.edges[:, 0], g.edges[:, 1]
     margins = (np.bincount(u, w[v], g.n) + np.bincount(v, w[u], g.n)).astype(np.int64)
 
-    off = np.ones(g.n, dtype=bool)
-    off[kept] = False
     labels = np.full(g.n, UNASSIGNED, dtype=np.int8)
     labels[kept] = lab
     labels[off] = np.sign(margins[off]).astype(np.int8)

@@ -3,6 +3,8 @@ import dataclasses
 import json
 import math
 import os
+import pickle
+import time
 
 import numpy as np
 import pytest
@@ -303,8 +305,10 @@ class TestRunSweep:
         run_sweep([12], [2.0], [0.5], [1.0, 0.5], trials=3, master_seed=5, trial_log=ref_log)
         ref = [json.loads(ln) for ln in ref_log.read_text().splitlines()]
 
+        parent = os.getpid()
+
         def crashing_trial(params, cfg, seed):
-            if cfg.gamma == 0.5:
+            if cfg.gamma == 0.5 and os.getpid() != parent:
                 os._exit(1)  # kills the forked worker, which inherits this patch
             return run_trial(params, cfg, seed)
 
@@ -367,6 +371,126 @@ class TestRunSweep:
         tab = run_sweep([12], [2.0], [0.5], [1.0], trials=2, master_seed=9,
                         config=template)
         assert tab.cells[0].mean_sample_size == 12.0
+
+
+def masked_log(path):
+    return [{**json.loads(ln), "wall_time": 0} for ln in path.read_text().splitlines()]
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedWorkers:
+    """run_sweep at jobs > 1: forked workers, the caller as worker 0."""
+
+    SWEEP = dict(n_values=[12], alpha_values=[2.0], beta_values=[0.5],
+                 gamma_values=[1.0, 0.5], trials=3, master_seed=5)
+
+    def test_children_reaped_on_return_crash_and_raise(self, monkeypatch, tmp_path):
+        ref_log = tmp_path / "ref.jsonl"
+        run_sweep(**self.SWEEP, jobs=3, trial_log=ref_log)
+        assert_no_children()
+
+        parent = os.getpid()
+
+        def crashing_trial(params, cfg, seed):
+            if os.getpid() != parent:
+                os._exit(1)  # every child dies at its first trial
+            return run_trial(params, cfg, seed)
+
+        monkeypatch.setattr(pipeline, "run_trial", crashing_trial)
+        crash_log = tmp_path / "crash.jsonl"
+        run_sweep(**self.SWEEP, jobs=2, trial_log=crash_log)
+        assert_no_children()
+        recs = masked_log(crash_log)
+        assert recs[0] == masked_log(ref_log)[0]  # only task 0 ran; 1 to 5 are lost
+        assert all(r["error"].startswith("BrokenProcessPool: ") for r in recs[1:])
+
+        calls = []  # each process appends to its own copy
+
+        def interrupted_trial(params, cfg, seed):
+            calls.append(seed)
+            if os.getpid() == parent and len(calls) == 2:  # task 2, the caller's share
+                raise KeyboardInterrupt
+            if os.getpid() != parent and len(calls) == 2:  # task 3: the child stalls
+                time.sleep(60)
+            return run_trial(params, cfg, seed)
+
+        monkeypatch.setattr(pipeline, "run_trial", interrupted_trial)
+        log = tmp_path / "trials.jsonl"
+        t0 = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(**self.SWEEP, jobs=2, trial_log=log)
+        assert time.monotonic() - t0 < 30  # the stalled child was killed, not awaited
+        assert_no_children()
+        assert masked_log(log) == masked_log(ref_log)[:2]
+
+    def test_more_jobs_than_tasks(self, tmp_path):
+        logs = {}
+        for jobs in (1, 8):
+            logs[jobs] = tmp_path / f"trials-{jobs}.jsonl"
+            run_sweep(**self.SWEEP, jobs=jobs, trial_log=logs[jobs])
+        assert masked_log(logs[1]) == masked_log(logs[8])
+
+    def test_records_beyond_the_pipe_buffer(self, tmp_path):
+        # at jobs=2 the child sends 200 records of more than 400 bytes each,
+        # past a 64 KiB pipe buffer, so it blocks until the caller reads
+        sweep = dict(n_values=[12], alpha_values=[4.0], beta_values=[0.5],
+                     gamma_values=[1.0, 0.05], trials=200, master_seed=5)
+        params = bs.SbmParams.from_rates(12, 4.0, 0.5)
+        for gamma in sweep["gamma_values"]:
+            task = (params, SketchConfig(gamma=gamma), 5, (0, 0, 0, 0), 0)
+            assert 200 * len(pickle.dumps(pipeline._trial_task(task))) > 65536
+        logs, csvs = {}, {}
+        for jobs in (1, 2, 3):
+            logs[jobs] = tmp_path / f"trials-{jobs}.jsonl"
+            tab = run_sweep(**sweep, jobs=jobs, trial_log=logs[jobs])
+            csvs[jobs] = [ln.split(",")[:10] for ln in tab.to_csv().splitlines()]
+        assert len(masked_log(logs[1])) == 400
+        assert masked_log(logs[1]) == masked_log(logs[2]) == masked_log(logs[3])
+        assert csvs[1] == csvs[2] == csvs[3]
+
+    @pytest.mark.parametrize("kept_bytes", [lambda size: 1, lambda size: size // 2,
+                                            lambda size: size - 1],
+                             ids=["first-byte", "half", "all-but-last-byte"])
+    def test_truncated_record_is_a_broken_worker(self, monkeypatch, tmp_path, kept_bytes):
+        ref_log = tmp_path / "ref.jsonl"
+        run_sweep(**self.SWEEP, trial_log=ref_log)
+        parent = os.getpid()
+        dump = pickle.dump
+        sent = []
+
+        def truncating_dump(obj, out):
+            if os.getpid() == parent:
+                return dump(obj, out)
+            sent.append(obj)
+            if len(sent) < 2:
+                return dump(obj, out)
+            data = pickle.dumps(obj)  # the child's second record: task 3
+            out.write(data[:kept_bytes(len(data))])
+            out.flush()
+            os._exit(1)
+
+        monkeypatch.setattr(pickle, "dump", truncating_dump)
+        log = tmp_path / "trials.jsonl"
+        run_sweep(**self.SWEEP, jobs=2, trial_log=log)
+        ref, recs = masked_log(ref_log), masked_log(log)
+        assert recs[:3] == ref[:3]
+        assert [r["seed"] for r in recs] == [r["seed"] for r in ref]
+        for r in recs[3:]:
+            assert r["error"].startswith("BrokenProcessPool: worker 1 ended before returning task 3")
+        assert_no_children()
+
+    def test_jobs_above_one_needs_fork(self, monkeypatch, tmp_path):
+        calls = []
+        monkeypatch.setattr(pipeline, "run_trial", lambda *args: calls.append(args))
+        monkeypatch.delattr(os, "fork")
+        log = tmp_path / "trials.jsonl"
+        with pytest.raises(ParameterError, match="fork"):
+            run_sweep(**self.SWEEP, jobs=2, trial_log=log)
+        assert calls == [] and not log.exists()
 
 
 class TestSweepCsv:

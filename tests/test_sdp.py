@@ -717,19 +717,22 @@ class TestDualCertificate:
         assert sol.diagnostics.restarts_used == 2
 
     def test_import_loads_no_scipy_eigensolvers(self, src_env):
-        # importing the package loads neither scipy nor the process pool; a
-        # threshold-shaped sweep at jobs=1 solves every graph, the full n = 400
-        # ones included, on a dense operator and loads no scipy either; the
-        # first CSR, of a graph above the dense size too sparse for a dense
-        # operator, imports scipy.sparse
+        # importing the package loads neither scipy nor a process pool; a
+        # threshold-shaped sweep solves every graph, the full n = 400 ones
+        # included, on a dense operator and loads no scipy either, and at
+        # jobs=2 it forks its worker without multiprocessing or
+        # concurrent.futures; the first CSR, of a graph above the dense size
+        # too sparse for a dense operator, imports scipy.sparse
         gammas = [c * bs.gamma_star(30.0, 2.0) for c in (0.5, 1, 2, 3)] + [1.0]
         code = "\n".join([
             "import sys, blocksketch as bs",
-            "def loaded(prefixes=('scipy', 'multiprocessing', 'concurrent.futures.process')):",
+            "def loaded(prefixes=('scipy', 'multiprocessing', 'concurrent.futures')):",
             "    return sorted(m for m in sys.modules if m.startswith(prefixes))",
             "print(loaded())",
             f"t = bs.run_sweep([400], [30.0], [2.0], {gammas!r}, trials=2, master_seed=0)",
-            "print(loaded(('scipy',)), t.cells[-1].gamma, t.cells[-1].successes)",
+            f"t2 = bs.run_sweep([400], [30.0], [2.0], {gammas!r}, trials=2, master_seed=0, jobs=2)",
+            "print(loaded(), t.cells[-1].gamma, t.cells[-1].successes,",
+            "      [c.successes for c in t2.cells] == [c.successes for c in t.cells])",
             "params = bs.SbmParams.from_rates(400, 10.0, 1.0)",
             "g = bs.sample_sbm(params, 0)",
             "lam = bs.lambda_star(params.p, params.q)",
@@ -742,7 +745,8 @@ class TestDualCertificate:
         out = subprocess.run([sys.executable, "-c", code], env=src_env,
                              capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.splitlines() == ["[]", "[] 1.0 2", "True", "True SdpSolution True"]
+        assert out.stdout.splitlines() == ["[]", "[] 1.0 2 True", "True",
+                                           "True SdpSolution True"]
 
 
 def dense_and_sparse_cases():

@@ -78,6 +78,12 @@ class TestMajorityVote:
         for kept in ([0], [0, 1, 2], mask_of([], 3)):  # misaligned with the labels
             with pytest.raises(ParameterError, match="align"):
                 bs.majority_vote(g, kept, labels)
+        path = star([(0, 2), (2, 1)], 3)  # the path 0-2-1
+        for kept, sample in (([0, 0], [1, -1]), ([0, 0], [1, 1]),  # conflicting, agreeing
+                             ([1, 0, 1], [1, 1, 1])):
+            for k in (kept, np.array(kept)):
+                with pytest.raises(ParameterError, match="distinct"):
+                    bs.majority_vote(path, k, np.array(sample, dtype=np.int8))
 
     def test_double_loop_oracle(self):
         # independent recount of e(v, R1) - e(v, R2) on 100 random instances
