@@ -1,7 +1,9 @@
 """Fixtures shared by the test modules."""
+import contextlib
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 
@@ -22,3 +24,28 @@ def no_unreaped_children():
         return  # no child at all
     pytest.fail("a child process outlived the test "
                 + ("and is still running" if pid == 0 else f"unreaped (pid {pid})"))
+
+
+
+@pytest.fixture(scope="session")
+def watch_retractions():
+    """A context manager: while it is open, each `sdp._project` call, rejected
+    trial points included, appends max_i | ||Y_i|| - 1 | of its result to the
+    list it yields (nan if a row is nan; read it with np.max, which keeps nan).
+    Session-scoped, so hypothesis bodies may open it once per example."""
+    from blocksketch import sdp
+
+    @contextlib.contextmanager
+    def watch():
+        project, deviations = sdp._project, []
+
+        def watched(y, balanced):
+            out = project(y, balanced)
+            deviations.append(float(np.abs(np.sqrt(np.einsum("ij,ij->i", out, out)) - 1.0).max()))
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sdp, "_project", watched)
+            yield deviations
+
+    return watch

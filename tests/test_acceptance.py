@@ -185,15 +185,17 @@ class TestCriterion6SolverNumerics:
                f"rel err {worst:.2e}")
         assert worst <= 1e-5
 
-    def test_feasibility_trace(self):
+    def test_feasibility_trace(self, watch_retractions):
         # the full solver certifies this graph spectrally and runs no ascent,
-        # so the ascent's first restart is run directly
+        # so the ascent's first restart is run directly; every retraction,
+        # rejected trial points included, is checked
         g = bs.sample_sbm(bs.SbmParams.explicit(30, 30, 0.6, 0.1), 8)
         cfg = bs.SdpConfig(lam=bs.lambda_star(0.6, 0.1), seed=8)
-        _, _, iters, _, _, _, dev_trace = sdp._ascent(
-            g.adjacency, g.n, cfg.rank, cfg.lam, False, cfg.max_iters,
-            bs.rng_for(cfg.seed, STREAM_SDP, 0))
-        dev = float(dev_trace.max())
+        with watch_retractions() as deviations:
+            iters = sdp._ascent(g.adjacency, g.n, cfg.rank, cfg.lam, False, cfg.max_iters,
+                                bs.rng_for(cfg.seed, STREAM_SDP, 0)).iterations
+        assert len(deviations) >= iters + 1
+        dev = float(np.max(deviations))
         ok = dev <= 1e-9
         report(f"criterion-6b {'PASS' if ok else 'FAIL'}: max row-norm "
                f"deviation {dev:.2e} over {iters} iterations")

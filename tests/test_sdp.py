@@ -104,6 +104,51 @@ class TestDefaultRank:
             assert not sol.certificate.tight
 
 
+class TestStopTolerance:
+    def test_tighter_tolerance_changes_no_result(self, monkeypatch):
+        # the stop tolerance is tight enough where uncertified ascents decide the
+        # result: 1e-11, ten times below the default, returns the same partitions,
+        # verdicts and objectives with no fewer restarts, at more iterations. On
+        # 25 cases this catches 1e-9 and 1e-8 but not 5e-10, which changed one
+        # partition in 200 control graphs (see _STEP_TOL); tools/replay_solver.py
+        # is the wider check. Cases, seeds fixed in advance: TestDefaultRank's
+        # control graphs, and the first 20 sketched n = 400 subgraphs at half the
+        # threshold rate whose spectral labels do not certify
+        def solve(g, lam, seed):
+            return bs.solve_lagrangian_sdp(g, bs.SdpConfig(lam=lam, seed=seed))
+
+        def samples():
+            full = bs.SbmParams.from_rates(400, 30.0, 2.0)
+            lam, gamma = bs.lambda_star(full.p, full.q), 0.5 * bs.gamma_star(30.0, 2.0)
+            for i in itertools.count():
+                seed = bs.seed_sequence(2210, i)
+                kept = bs.subsample_nodes(full.n, gamma, seed)
+                if kept.size >= 2:
+                    yield bs.induced_subgraph(bs.sample_sbm(full, seed), kept)[0], lam, seed
+
+        control = bs.SbmParams.from_rates(300, 3.0, 1.0)
+        lam = bs.lambda_star(control.p, control.q)
+        cases = [(bs.sample_sbm(control, seed), lam, seed) for seed in range(5)]
+        default = [solve(*case) for case in cases]
+        for case in samples():
+            if len(cases) == 25:
+                break
+            sol = solve(*case)
+            if sol.diagnostics.restarts_used:
+                cases.append(case)
+                default.append(sol)
+        monkeypatch.setattr(sdp, "_STEP_TOL", 1e-11)
+        tighter = [solve(*case) for case in cases]
+        for sol, ref in zip(default, tighter):
+            assert bs.partitions_equal(sol.rounded, ref.rounded)
+            assert sol.certificate.tight == ref.certificate.tight
+            assert sol.diagnostics.restarts_used <= ref.diagnostics.restarts_used
+            # within the gap test's tolerance, which restarts need to agree
+            assert ref.objective - sol.objective <= 1e-6 * (1.0 + abs(ref.objective))
+        assert (sum(s.diagnostics.iterations_total for s in default)
+                < sum(s.diagnostics.iterations_total for s in tighter))
+
+
 class TestSdpConfig:
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -179,11 +224,15 @@ class TestSolver:
         assert bs.partitions_equal(sol.rounded, g.truth)
         assert sol.certificate.tight
 
-    def test_unit_rows_and_feasibility_trace(self):
+    def test_unit_rows_and_feasibility_trace(self, watch_retractions):
         g = relaxation_gap_graph()  # no spectral skip: the returned factor is the ascent's
-        sol = bs.solve_lagrangian_sdp(g, bs.SdpConfig(lam=LAM_STAR, seed=3))
+        with watch_retractions() as deviations:
+            sol = bs.solve_lagrangian_sdp(g, bs.SdpConfig(lam=LAM_STAR, seed=3))
         assert np.abs(np.linalg.norm(sol.factor, axis=1) - 1.0).max() <= 1e-9
-        assert sol.diagnostics.row_norm_dev_trace.max() <= 1e-9
+        # every restart retracts its start and at least one trial point per iteration
+        d = sol.diagnostics
+        assert len(deviations) >= d.iterations_total + d.restarts_used
+        assert np.max(deviations) <= 1e-9
 
     def test_monotone_ascent(self):
         # both retractions: the balanced one centres columns before normalizing.
@@ -192,7 +241,7 @@ class TestSolver:
         for lam, balanced in ((0.2, False), (0.0, True)):
             out = sdp._ascent(g.adjacency, g.n, bs.SdpConfig().rank, lam, balanced,
                               500, rng_for(0, STREAM_SDP, 0))
-            trace = out[5]
+            trace = out.objectives
             assert len(trace) >= 1
             assert np.all(np.diff(trace) >= -1e-12)
 
@@ -202,17 +251,19 @@ class TestSolver:
            graph_seed=st.integers(0, 2**32 - 1), lam=st.floats(0.0, 1.5),
            balanced=st.booleans(), restart=st.integers(0, 1000))
     def test_ascent_invariants_at_default_rank(self, k1, k2, pq, graph_seed, lam,
-                                               balanced, restart):
+                                               balanced, restart, watch_retractions):
         # n <= 8, so the default rank reaches or exceeds n
         q, p = pq
         if balanced:
             k2, lam = k1, 0.0
         g = bs.sample_sbm(bs.SbmParams.explicit(k1, k2, p, q), graph_seed)
-        y, f, _, _, _, trace, dev = sdp._ascent(
-            g.adjacency, g.n, bs.SdpConfig().rank, lam, balanced, 500,
-            rng_for(graph_seed, STREAM_SDP, restart))
-        assert np.all(np.diff(trace) >= 0.0)
-        assert np.all(dev <= 1e-12)
+        with watch_retractions() as deviations:
+            out = sdp._ascent(g.adjacency, g.n, bs.SdpConfig().rank, lam, balanced, 500,
+                              rng_for(graph_seed, STREAM_SDP, restart))
+        y, f = out.factor, out.objective
+        assert np.all(np.diff(out.objectives) >= 0.0)
+        assert len(deviations) >= out.iterations + 1
+        assert np.max(deviations) <= 1e-12
         assert np.abs(np.linalg.norm(y, axis=1) - 1.0).max() <= 1e-12
         assert f == pytest.approx(objective_and_gradient(g.adjacency, y, lam)[0],
                                   rel=1e-12, abs=0)
@@ -633,8 +684,7 @@ class TestDualCertificate:
         assert bs.partitions_equal(sol.rounded, g.truth)
         assert sol.objective == sol.rounded_objective
         assert sol.iterations == d.iterations_total == d.restarts_used == 0
-        assert d.converged and d.final_grad_norm == 0.0
-        assert d.objective_trace.size == 0 == d.row_norm_dev_trace.size
+        assert d.converged
         assert d.restart_objectives.tolist() == [sol.objective]
         # the returned factor is the rank-1 labeling, a stationary point
         assert sol.factor.shape == (g.n, 1)
@@ -685,8 +735,8 @@ class TestDualCertificate:
         # the early stop returns the partition that running every restart would
         outs = [sdp._ascent(g.adjacency, g.n, cfg.rank, LAM_STAR, False, cfg.max_iters,
                             rng_for(cfg.seed, STREAM_SDP, k)) for k in range(cfg.restarts)]
-        best = max(outs, key=lambda out: out[1])
-        assert bs.partitions_equal(sol.rounded, bs.round_solution(best[0]))
+        best = max(outs, key=lambda out: out.objective)
+        assert bs.partitions_equal(sol.rounded, bs.round_solution(best.factor))
 
     def test_unconverged_restarts_never_agree(self, monkeypatch):
         g = relaxation_gap_graph()
@@ -698,8 +748,7 @@ class TestDualCertificate:
         ascent = sdp._ascent
 
         def capped(*args):
-            out = ascent(*args)
-            return out[:4] + (False,) + out[5:]
+            return ascent(*args)._replace(converged=False)
 
         monkeypatch.setattr(sdp, "_ascent", capped)
         cfg = bs.SdpConfig(lam=LAM_STAR, seed=6)
@@ -810,8 +859,9 @@ class TestDenseOperator:
         # the same ascent, up to the summation order of the products
         outs = [sdp._ascent(a, g.n, bs.SdpConfig().rank, lam, balanced, 500,
                             np.random.default_rng(seed)) for a in (dense, csr)]
-        assert outs[0][2] == outs[1][2] and outs[0][4] == outs[1][4]
-        np.testing.assert_allclose(outs[0][5], outs[1][5], rtol=1e-12, atol=0)
+        assert outs[0].iterations == outs[1].iterations
+        assert outs[0].converged == outs[1].converged
+        np.testing.assert_allclose(outs[0].objectives, outs[1].objectives, rtol=1e-12, atol=0)
 
 
 class TestAscentKernels:
@@ -832,19 +882,6 @@ class TestAscentKernels:
         assert np.array_equal(ay, want)
         dense = csr.toarray()
         assert np.array_equal(sdp._product(dense, r)(y), dense @ y)
-
-    @settings(max_examples=100, deadline=None)
-    @given(n=st.integers(1, 300), r=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
-           scale=st.sampled_from([0.0, 1e-16, 1e-14, 1e-12, 1e-8, 1.0]))
-    def test_row_norm_deviation_equals_elementwise(self, n, r, seed, scale):
-        rng = np.random.default_rng(seed)
-        y = rng.standard_normal((n, r))
-        y /= np.linalg.norm(y, axis=1)[:, None]
-        y *= 1.0 + scale * rng.standard_normal(n)[:, None]
-        want = float(np.abs(np.sqrt(np.einsum("ij,ij->i", y, y)) - 1.0).max())
-        assert sdp._row_norm_deviation(y) == want
-        y[rng.integers(n), rng.integers(r)] = np.nan
-        assert math.isnan(sdp._row_norm_deviation(y))
 
 
 class TestLabelingObjective:
