@@ -71,7 +71,8 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--restarts", type=int, default=SdpConfig.restarts,
                    help="upper bound; none run when the spectral labels certify, else the "
                         "solve stops at the first certified restart, or at a second "
-                        "converged one matching the best objective and partition")
+                        "converged one matching the best objective and partition; on "
+                        "the Lagrangian program that one stops as soon as it matches")
 
 
 def _sdp_config(args, seed: int, lam: float = 0.0) -> SdpConfig:

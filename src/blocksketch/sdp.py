@@ -38,9 +38,17 @@ restarts of the ascent run, and stop at the first one whose rounded labels
 certify. Without a certificate, restarts stop at the second converged one
 whose objective is within the gap test's tolerance of the best and whose
 rounding is the best one's partition. A restart that hit its iteration cap
-never counts as agreeing. The dual certificate carries correctness, so the
-rank is a performance setting chosen by benchmark: outside the worst case a
-low rank suffices (Bandeira-Boumal-Voroninski, arXiv:1602.04426).
+never counts as agreeing. On the Lagrangian program a restart after a
+converged best need not converge itself: its first iterate within the gap
+test's tolerance of the best objective is rounded once, and a match ends the
+solve there, keeping the converged restart as the best. Such a restart only
+confirms, and run to its own stop rule it spent about a third of its
+iterations after it already matched. The balanced program keeps the full
+rule: its restarts end far off the balance constraint, and stopping one
+early there lowered the objective beyond the tolerance. The dual
+certificate carries correctness, so the rank is a performance setting
+chosen by benchmark: outside the worst case a low rank suffices
+(Bandeira-Boumal-Voroninski, arXiv:1602.04426).
 """
 from __future__ import annotations
 
@@ -102,7 +110,9 @@ class SdpConfig:
     max_iters: int = 500
     restarts: int = 5               # upper bound: none run when the spectral labels certify; else
                                     # stops at the first dual-certified restart or a second
-                                    # converged one with the best's value and labels
+                                    # converged one with the best's value and labels; on the
+                                    # Lagrangian program that second one stops as soon as it
+                                    # matches, unconverged
     lam: float = 0.0                # the Lagrangian multiplier; must be 0 in the balanced solve
     seed: RngSeed = 0
 
@@ -165,13 +175,6 @@ def _value(y: np.ndarray, ay: np.ndarray, lam: float):
     return f, cs
 
 
-def _grad_from(ay: np.ndarray, cs, lam: float) -> np.ndarray:
-    grad = 2.0 * ay
-    if lam:
-        grad -= (2.0 * lam) * cs
-    return grad
-
-
 def objective_and_gradient(adj, y, lam: float = 0.0):
     """Value and pre-projection gradient of Tr(A Y Y^T) - lam ||Y^T 1||^2.
 
@@ -182,7 +185,10 @@ def objective_and_gradient(adj, y, lam: float = 0.0):
     y = np.asarray(y, dtype=np.float64)
     ay = adj @ y
     f, cs = _value(y, ay, lam)
-    return f, _grad_from(ay, cs, lam)
+    grad = 2.0 * ay
+    if lam:
+        grad -= (2.0 * lam) * cs
+    return f, grad
 
 
 def _product(adj, r: int):
@@ -212,11 +218,20 @@ class _Restart(NamedTuple):
     factor: np.ndarray
     objective: float
     iterations: int
-    converged: bool
+    converged: bool                  # ended on a stop rule
     objectives: list                 # accepted objective per iteration; never decreases
+    confirmed: bool = False          # stopped early on matching the `confirm` target
 
 
-def _ascent(adj, n: int, r: int, lam: float, balanced: bool, max_iters: int, rng):
+def _ascent(adj, n: int, r: int, lam: float, balanced: bool, max_iters: int, rng,
+            confirm=None):
+    """One restart of the ascent from a random start drawn from `rng`.
+
+    `confirm` is None or (objective, labels) of a converged restart. The first
+    accepted iterate within the gap test's tolerance of that objective is
+    rounded once; if it has the same partition, the ascent stops there,
+    unconverged and confirmed.
+    """
     # the balanced variant handles the constraint by projection, not penalty
     lam_eff = 0.0 if balanced else lam
     product = _product(adj, r)
@@ -225,28 +240,36 @@ def _ascent(adj, n: int, r: int, lam: float, balanced: bool, max_iters: int, rng
     f, cs = _value(y, ay, lam_eff)
     objectives = []
     step = 1.0
-    y_prev = d_prev = None
+    y_prev = h_prev = None
     converged = False
     for iters in range(1, max_iters + 1):
-        grad = _grad_from(ay, cs, lam_eff)
+        # h, half the projected gradient, built in place in A Y, which is spent
+        # once f is known. Each factor 2 of the gradient 2 h is folded into a
+        # scalar instead: scaling by a power of two is exact, so every value is
+        # the one the full gradient gives, to the bit
+        h = ay
+        if lam_eff:
+            h -= lam_eff * cs
         if balanced:
-            grad -= grad.mean(axis=0, keepdims=True)
-        direction = grad - np.einsum("ij,ij->i", grad, y)[:, None] * y
-        gsq = float(np.vdot(direction, direction))
+            h -= h.mean(axis=0, keepdims=True)
+        h -= np.einsum("ij,ij->i", h, y)[:, None] * y
+        gsq = 4.0 * float(np.vdot(h, h))
         if math.sqrt(gsq) <= _GRAD_TOL * (1.0 + abs(f)):
             converged = True
             iters -= 1
             break
-        if d_prev is not None:
-            # Barzilai-Borwein step, long and short formulas alternating
-            s, z = y - y_prev, direction - d_prev
+        if h_prev is not None:
+            # Barzilai-Borwein step, long and short formulas alternating; z is
+            # half the gradient difference
+            s, z = y - y_prev, h - h_prev
             sz = abs(float(np.vdot(s, z)))
             if sz:
-                bb = float(np.vdot(s, s)) / sz if iters % 2 else sz / float(np.vdot(z, z))
+                bb = (float(np.vdot(s, s)) / (2.0 * sz) if iters % 2
+                      else sz / (2.0 * float(np.vdot(z, z))))
                 step = min(max(bb, 1e-10), 1e10)
         t = step
         for _ in range(_MAX_HALVINGS):
-            cand = _project(y + t * direction, balanced)
+            cand = _project(y + (2.0 * t) * h, balanced)
             ayc = product(cand)
             fc, csc = _value(cand, ayc, lam_eff)
             if fc >= f + _ARMIJO * t * gsq:
@@ -257,12 +280,17 @@ def _ascent(adj, n: int, r: int, lam: float, balanced: bool, max_iters: int, rng
             iters -= 1
             break
         gain = fc - f
-        y_prev, d_prev = y, direction
+        y_prev, h_prev = y, h
         y, f, ay, cs = cand, fc, ayc, csc
         objectives.append(f)
         if gain <= _STEP_TOL * (1.0 + abs(f)):
             converged = True
             break
+        if confirm is not None and _certificate_from_values(
+                max(f, confirm[0]), min(f, confirm[0])).tight:
+            if partitions_equal(round_solution(y), confirm[1]):
+                return _Restart(y, f, iters, False, objectives, confirmed=True)
+            confirm = None  # one rounding per restart; then its own stop rule decides
     return _Restart(y, f, iters, converged, objectives)
 
 
@@ -533,9 +561,15 @@ def _solve(g: Graph, cfg: SdpConfig, balanced: bool) -> SdpSolution:
         best, restart_objs = None, []
         for k in range(cfg.restarts):
             rng = rng_for(cfg.seed, STREAM_SDP, k)
-            out = _ascent(adj, g.n, cfg.rank, lam, balanced, cfg.max_iters, rng)
+            # on the Lagrangian program a restart after a converged one stops as
+            # soon as it matches it, which ends the solve
+            confirm = (None if balanced or best is None or not best.converged
+                       else (best.objective, rounding[0]))
+            out = _ascent(adj, g.n, cfg.rank, lam, balanced, cfg.max_iters, rng, confirm)
             restart_objs.append(out.objective)
             total_iters += out.iterations
+            if out.confirmed:
+                break
             prev, prev_rounding = best, rounding
             if best is None or out.objective > best.objective:
                 best = out

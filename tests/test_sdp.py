@@ -1,4 +1,5 @@
 """Low-rank solver, rounding, certificate, and the exhaustive oracle."""
+import hashlib
 import itertools
 import math
 import subprocess
@@ -147,6 +148,88 @@ class TestStopTolerance:
             assert ref.objective - sol.objective <= 1e-6 * (1.0 + abs(ref.objective))
         assert (sum(s.diagnostics.iterations_total for s in default)
                 < sum(s.diagnostics.iterations_total for s in tighter))
+
+
+class TestEarlyConfirmation:
+    CONTROL = bs.SbmParams.from_rates(300, 3.0, 1.0)
+    LAM = bs.lambda_star(CONTROL.p, CONTROL.q)
+
+    @staticmethod
+    def to_stop_rule(monkeypatch):
+        """Make every restart run to its own stop rule, as before the early
+        confirmation: the ascent never receives a target."""
+        ascent = sdp._ascent
+        monkeypatch.setattr(sdp, "_ascent", lambda *args: ascent(*args[:7]))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_confirming_restart_stops_once_it_matches(self, seed, monkeypatch):
+        # control graphs below the threshold, seeds fixed in advance: restart 0
+        # converges uncertified, restart 1 confirms it before its stop rule
+        g = bs.sample_sbm(self.CONTROL, seed)
+        cfg = bs.SdpConfig(lam=self.LAM, seed=seed)
+        sol = bs.solve_lagrangian_sdp(g, cfg)
+        d = sol.diagnostics
+        first, second = (sdp._ascent(sdp._operator(g), g.n, cfg.rank, self.LAM, False,
+                                     cfg.max_iters, rng_for(seed, STREAM_SDP, k))
+                         for k in range(2))
+        assert first.converged and second.converged
+        assert d.restarts_used == 2 and d.converged
+        assert first.iterations < d.iterations_total < first.iterations + second.iterations
+        # the converged restart stays the best, and the confirming one reached
+        # its objective to within the gap test's tolerance
+        assert sol.objective == d.restart_objectives[0] == first.objective
+        assert sol.iterations == first.iterations
+        f0 = d.restart_objectives[0]
+        assert d.restart_objectives[1] >= f0 - 1e-6 * (1.0 + abs(f0))
+        self.to_stop_rule(monkeypatch)
+        ref = bs.solve_lagrangian_sdp(g, cfg)
+        assert ref.diagnostics.iterations_total == first.iterations + second.iterations
+        assert bs.partitions_equal(sol.rounded, ref.rounded)
+        assert sol.diagnostics.restarts_used == ref.diagnostics.restarts_used
+        assert sol.certificate.tight == ref.certificate.tight
+
+    def test_confirmed_restart_and_mismatch(self):
+        g = bs.sample_sbm(self.CONTROL, 0)
+        adj = sdp._operator(g)
+
+        def ascent(confirm=None):
+            return sdp._ascent(adj, g.n, 8, self.LAM, False, 500,
+                               rng_for(0, STREAM_SDP, 1), confirm)
+
+        full = ascent()
+        labels = bs.round_solution(full.factor)
+        out = ascent((full.objective, -labels))  # the same partition, other sign
+        assert out.confirmed and not out.converged
+        assert out.iterations < full.iterations
+        assert out.objectives == full.objectives[:out.iterations]
+        # another partition is rounded once, then the stop rule decides: the
+        # same run to the bit
+        other = ascent((full.objective, np.ones_like(labels)))
+        assert not other.confirmed and other.converged
+        assert np.array_equal(other.factor, full.factor)
+        assert other.objectives == full.objectives
+        # an objective the restart never reaches leaves it unconfirmed too
+        assert not ascent((full.objective + 1.0, labels)).confirmed
+
+    def test_balanced_solve_is_unchanged(self, monkeypatch):
+        g = bs.sample_sbm(self.CONTROL, 0)
+        ascent, targets = sdp._ascent, []
+
+        def watched(*args):
+            targets.append(args[7])
+            return ascent(*args)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(sdp, "_ascent", watched)
+            sol = bs.solve_balanced_sdp(g, bs.SdpConfig(seed=0))
+        assert len(targets) == sol.diagnostics.restarts_used > 1
+        assert targets == [None] * len(targets)
+        self.to_stop_rule(monkeypatch)
+        ref = bs.solve_balanced_sdp(g, bs.SdpConfig(seed=0))
+        assert sol.diagnostics.iterations_total == ref.diagnostics.iterations_total
+        assert np.array_equal(sol.diagnostics.restart_objectives,
+                              ref.diagnostics.restart_objectives)
+        assert np.array_equal(sol.rounded, ref.rounded)
 
 
 class TestSdpConfig:
@@ -882,6 +965,51 @@ class TestAscentKernels:
         assert np.array_equal(ay, want)
         dense = csr.toarray()
         assert np.array_equal(sdp._product(dense, r)(y), dense @ y)
+
+
+class TestGoldenAscent:
+    """Seeded ascents pinned to the bit: SHA-256 of the factor's bytes, then the
+    accepted objectives and the final one as float64, then (iterations,
+    converged) as int64. One n = 400 graph (alpha 10, beta 2, a CSR under
+    `_operator`) is multiplied as a CSR and as a dense array, on both programs;
+    a control graph below the threshold runs to its stop rule and to a short
+    iteration cap. The digests were recorded before the ascent's per-iteration
+    arithmetic was regrouped, which must keep every bit. A numpy or BLAS change
+    that reorders a sum can legitimately move them; any other change that moves
+    one changed the ascent's arithmetic."""
+
+    ASCENTS = {  # model, dense, balanced, max_iters, iterations, converged, digest
+        "csr_lagrangian": ((400, 10, 2), False, False, 500, 27, True,
+                           "38feeab9d62a3ef7fcdc5abbf8ce477674d0b72da56522c364727fbfaa219fd4"),
+        "csr_balanced": ((400, 10, 2), False, True, 500, 25, True,
+                         "f38414f1451b1de7e8b224a75aa48707a325a933b392359e78dae8ba200ce4d1"),
+        "dense_lagrangian": ((400, 10, 2), True, False, 500, 27, True,
+                             "123fef2e674210d0eaaba22601bcd6c0035e0e0855ed53bd93ebf2e17d9a7233"),
+        "dense_balanced": ((400, 10, 2), True, True, 500, 25, True,
+                           "7bc472e6a2bc5d9804cc1cf0089e9aeaf8293258e402750401795d1dae0e8ac1"),
+        "control_lagrangian": ((300, 3, 1), False, False, 500, 123, True,
+                               "e323671fc6ea7d88654bd9f0a7ce953a4580b0dfc23fa56a54f506c44efce5ea"),
+        "control_capped": ((300, 3, 1), False, False, 40, 40, False,
+                           "cf536ac7a708f06870a52ddbc6573f2c7be2712d7ffcdb0a356388e290c77873"),
+    }
+
+    @staticmethod
+    def digest(out):
+        h = hashlib.sha256(out.factor.tobytes())
+        h.update(np.asarray(out.objectives + [out.objective], dtype=np.float64).tobytes())
+        h.update(np.array([out.iterations, out.converged], dtype=np.int64).tobytes())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("name", sorted(ASCENTS))
+    def test_ascent(self, name):
+        model, dense, balanced, max_iters, iterations, converged, want = self.ASCENTS[name]
+        params = bs.SbmParams.from_rates(*model)
+        g = bs.sample_sbm(params, 0)
+        adj = g.adjacency.toarray() if dense else g.adjacency
+        lam = 0.0 if balanced else bs.lambda_star(params.p, params.q)
+        out = sdp._ascent(adj, g.n, 8, lam, balanced, max_iters, rng_for(7, STREAM_SDP, 0))
+        assert (out.iterations, out.converged) == (iterations, converged)
+        assert self.digest(out) == want
 
 
 class TestLabelingObjective:

@@ -1,13 +1,15 @@
 """Replay a fixed battery of seeded SDP solves; print one line per cell.
 
-    PYTHONPATH=src python tools/replay_solver.py    # about 25 s on one core
+    PYTHONPATH=src python tools/replay_solver.py    # about 15 s on a 2-vCPU host
 
 Cells: 300 sketched subgraphs of n = 400 graphs (alpha 30, beta 2) at half the
 threshold rate, every third even-sized one also on the balanced program; 10 at
 n = 5000; 60 full n = 300 graphs below the threshold (alpha 3, beta 1) on both
 programs. A line gives solves, ascents, tight verdicts, a restarts_used histogram,
-total iterations, and a SHA-256 over every (partition with node 0 labelled +1,
-tight, restarts_used), so that two commits' outputs can be diffed.
+total iterations, a SHA-256 over every (partition with node 0 labelled +1,
+tight, restarts_used), and a second SHA-256 over every solve's restart_objectives
+bytes and iterations_total, so that two commits' outputs can be diffed: the first
+for the same results, the second for the same bits along the way.
 """
 import collections
 import hashlib
@@ -53,12 +55,15 @@ if __name__ == "__main__":
     for name, sol in battery():
         d = sol.diagnostics
         cells[name].append((sol.rounded * sol.rounded[0], sol.certificate.tight,
-                            d.restarts_used, d.iterations_total))
+                            d.restarts_used, d.iterations_total,
+                            d.restart_objectives.tobytes()))
     for name, rows in cells.items():
-        labels, tight, restarts, iters = zip(*rows)
+        labels, tight, restarts, iters, objectives = zip(*rows)
         digest = hashlib.sha256(b"".join(x.tobytes() + bytes([t, r])
                                          for x, t, r in zip(labels, tight, restarts)))
+        bits = hashlib.sha256(b"".join(o + i.to_bytes(8, "little")
+                                       for o, i in zip(objectives, iters)))
         histogram = dict(sorted(collections.Counter(restarts).items()))
         print(f"{name}: solves={len(rows)} ascents={sum(r > 0 for r in restarts)} "
               f"tight={sum(tight)} restarts={histogram} iterations={sum(iters)} "
-              f"sha256={digest.hexdigest()}")
+              f"sha256={digest.hexdigest()} bits_sha256={bits.hexdigest()}")
