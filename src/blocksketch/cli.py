@@ -70,9 +70,8 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iters", type=int, default=SdpConfig.max_iters)
     p.add_argument("--restarts", type=int, default=SdpConfig.restarts,
                    help="upper bound; none run when the spectral labels certify, else the "
-                        "solve stops at the first certified restart, or at a second "
-                        "converged one matching the best objective and partition; on "
-                        "the Lagrangian program that one stops as soon as it matches")
+                        "solve stops at the first certified restart or at one that "
+                        "confirms the best objective and partition")
 
 
 def _sdp_config(args, seed: int, lam: float = 0.0) -> SdpConfig:

@@ -35,20 +35,19 @@ in the balanced program). Above the recovery threshold these are usually
 exact (Abbe-Fan-Wang-Zhong, arXiv:1709.09565). If they certify, the rank-1
 factor x, its own rounding, is returned and no ascent runs. Otherwise
 restarts of the ascent run, and stop at the first one whose rounded labels
-certify. Without a certificate, restarts stop at the second converged one
-whose objective is within the gap test's tolerance of the best and whose
-rounding is the best one's partition. A restart that hit its iteration cap
-never counts as agreeing. On the Lagrangian program a restart after a
-converged best need not converge itself: its first iterate within the gap
-test's tolerance of the best objective is rounded once, and a match ends the
-solve there, keeping the converged restart as the best. Such a restart only
-confirms, and run to its own stop rule it spent about a third of its
-iterations after it already matched. The balanced program keeps the full
-rule: its restarts end far off the balance constraint, and stopping one
-early there lowered the objective beyond the tolerance. The dual
-certificate carries correctness, so the rank is a performance setting
-chosen by benchmark: outside the worst case a low rank suffices
-(Bandeira-Boumal-Voroninski, arXiv:1602.04426).
+certify. Without a certificate one rule ends them: a restart confirms the
+best converged restart when its objective is within the gap test's
+tolerance of the best's and it rounds to the best's partition. A restart
+that confirms ends the solve, and the earlier restart stays the best.
+`_ascent` checks this at a converged restart's stop, never at an iteration
+cap. On the Lagrangian program it also rounds the first accepted iterate
+within the tolerance once, and a match stops the restart there,
+unconverged: run to its stop rule, such a restart spent about a third of
+its iterations after it already matched. Balanced restarts end far off the
+balance constraint, and stopping one early lowered the objective beyond
+the tolerance. The dual certificate carries correctness, so the rank is a
+performance setting chosen by benchmark: outside the worst case a low rank
+suffices (Bandeira-Boumal-Voroninski, arXiv:1602.04426).
 """
 from __future__ import annotations
 
@@ -109,10 +108,8 @@ class SdpConfig:
     rank: int = 8                   # a performance setting, picked by benchmark; may exceed n
     max_iters: int = 500
     restarts: int = 5               # upper bound: none run when the spectral labels certify; else
-                                    # stops at the first dual-certified restart or a second
-                                    # converged one with the best's value and labels; on the
-                                    # Lagrangian program that second one stops as soon as it
-                                    # matches, unconverged
+                                    # stops at the first dual-certified restart or at one that
+                                    # confirms the best (see the module docstring)
     lam: float = 0.0                # the Lagrangian multiplier; must be 0 in the balanced solve
     seed: RngSeed = 0
 
@@ -220,17 +217,18 @@ class _Restart(NamedTuple):
     iterations: int
     converged: bool                  # ended on a stop rule
     objectives: list                 # accepted objective per iteration; never decreases
-    confirmed: bool = False          # stopped early on matching the `confirm` target
+    confirmed: bool = False          # matched the `confirm` target, which ends the solve
 
 
 def _ascent(adj, n: int, r: int, lam: float, balanced: bool, max_iters: int, rng,
             confirm=None):
     """One restart of the ascent from a random start drawn from `rng`.
 
-    `confirm` is None or (objective, labels) of a converged restart. The first
-    accepted iterate within the gap test's tolerance of that objective is
-    rounded once; if it has the same partition, the ascent stops there,
-    unconverged and confirmed.
+    `confirm` is None or (objective, labels) of a converged restart. The
+    restart confirms it when, within the gap test's tolerance of that
+    objective, it rounds to the same partition: checked at a converged stop,
+    and on the Lagrangian program also at the first accepted iterate within
+    the tolerance, rounded once, where a match stops the ascent unconverged.
     """
     # the balanced variant handles the constraint by projection, not penalty
     lam_eff = 0.0 if balanced else lam
@@ -242,6 +240,7 @@ def _ascent(adj, n: int, r: int, lam: float, balanced: bool, max_iters: int, rng
     step = 1.0
     y_prev = h_prev = None
     converged = False
+    early = confirm is not None and not balanced
     for iters in range(1, max_iters + 1):
         # h, half the projected gradient, built in place in A Y, which is spent
         # once f is known. Each factor 2 of the gradient 2 h is folded into a
@@ -286,12 +285,13 @@ def _ascent(adj, n: int, r: int, lam: float, balanced: bool, max_iters: int, rng
         if gain <= _STEP_TOL * (1.0 + abs(f)):
             converged = True
             break
-        if confirm is not None and _certificate_from_values(
-                max(f, confirm[0]), min(f, confirm[0])).tight:
+        if early and _agrees(f, confirm[0]):
             if partitions_equal(round_solution(y), confirm[1]):
                 return _Restart(y, f, iters, False, objectives, confirmed=True)
-            confirm = None  # one rounding per restart; then its own stop rule decides
-    return _Restart(y, f, iters, converged, objectives)
+            early = False  # one early rounding; then its own stop rule decides
+    confirmed = (converged and confirm is not None and _agrees(f, confirm[0])
+                 and partitions_equal(round_solution(y, balanced), confirm[1]))
+    return _Restart(y, f, iters, converged, objectives, confirmed)
 
 
 @functools.lru_cache(maxsize=128)
@@ -355,6 +355,11 @@ def _certificate_from_values(objective: float, rounded_objective: float) -> Cert
     tight iff objective - rounded_objective <= 1e-6 (1 + |objective|)."""
     gap = objective - rounded_objective
     return Certificate(tight=bool(gap <= 1e-6 * (1.0 + abs(objective))), gap=float(gap))
+
+
+def _agrees(a: float, b: float) -> bool:
+    """a and b are within the gap test's tolerance of each other."""
+    return _certificate_from_values(max(a, b), min(a, b)).tight
 
 
 def _lanczos(apply, n: int, steps: int):
@@ -479,6 +484,8 @@ def brute_force_mle(g: Graph, *, balanced: bool = False, lam: Optional[float] = 
         raise ParameterError("pick exactly one mode: balanced or lam=value")
     if balanced and n % 2:
         raise ParameterError("balanced mode needs even n")
+    if not balanced:
+        require_multiplier(lam)
 
     masks = np.arange(1 << n, dtype=np.int64)
     diff = np.zeros(masks.size, dtype=np.int64)
@@ -561,29 +568,18 @@ def _solve(g: Graph, cfg: SdpConfig, balanced: bool) -> SdpSolution:
         best, restart_objs = None, []
         for k in range(cfg.restarts):
             rng = rng_for(cfg.seed, STREAM_SDP, k)
-            # on the Lagrangian program a restart after a converged one stops as
-            # soon as it matches it, which ends the solve
-            confirm = (None if balanced or best is None or not best.converged
+            confirm = (None if best is None or not best.converged
                        else (best.objective, rounding[0]))
             out = _ascent(adj, g.n, cfg.rank, lam, balanced, cfg.max_iters, rng, confirm)
             restart_objs.append(out.objective)
             total_iters += out.iterations
-            if out.confirmed:
+            if out.confirmed:  # the best stays
                 break
-            prev, prev_rounding = best, rounding
             if best is None or out.objective > best.objective:
                 best = out
                 rounding = _round_and_certify(g, adj, out.factor, out.objective,
                                               out.converged, lam, mu, balanced)
                 if rounding[2].tight:
-                    break
-            # a second converged restart within the gap test's tolerance of the
-            # best objective, rounding to the best's partition, ends the solve
-            if (prev is not None and prev.converged and out.converged
-                    and _certificate_from_values(
-                        best.objective, min(prev.objective, out.objective)).tight):
-                labels = rounding[0] if best is out else round_solution(out.factor, balanced)
-                if partitions_equal(labels, prev_rounding[0]):
                     break
         restarts_used = len(restart_objs)
     labels, rounded_obj, cert = rounding

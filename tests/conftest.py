@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def src_env():
     """Environment of a fresh interpreter that imports blocksketch from this
     checkout's src/, as pytest's own `pythonpath` setting does in-process."""

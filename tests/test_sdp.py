@@ -1,6 +1,6 @@
 """Low-rank solver, rounding, certificate, and the exhaustive oracle."""
-import hashlib
 import itertools
+import json
 import math
 import subprocess
 import sys
@@ -17,6 +17,7 @@ from blocksketch.rng import STREAM_SDP, rng_for
 from blocksketch.sdp import objective_and_gradient
 
 LAM_STAR = bs.lambda_star(0.9, 0.1)
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def two_cliques(k, p=1.0, q=0.0, seed=0):
@@ -157,9 +158,17 @@ class TestEarlyConfirmation:
     @staticmethod
     def to_stop_rule(monkeypatch):
         """Make every restart run to its own stop rule, as before the early
-        confirmation: the ascent never receives a target."""
+        confirmation: the ascent never receives a target, and a converged
+        restart is checked against it afterwards."""
         ascent = sdp._ascent
-        monkeypatch.setattr(sdp, "_ascent", lambda *args: ascent(*args[:7]))
+
+        def at_stop(*args):
+            out, balanced, confirm = ascent(*args[:7]), args[4], args[7]
+            return out._replace(confirmed=bool(
+                confirm and out.converged and sdp._agrees(out.objective, confirm[0])
+                and bs.partitions_equal(bs.round_solution(out.factor, balanced), confirm[1])))
+
+        monkeypatch.setattr(sdp, "_ascent", at_stop)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_confirming_restart_stops_once_it_matches(self, seed, monkeypatch):
@@ -213,23 +222,58 @@ class TestEarlyConfirmation:
 
     def test_balanced_solve_is_unchanged(self, monkeypatch):
         g = bs.sample_sbm(self.CONTROL, 0)
-        ascent, targets = sdp._ascent, []
+        ascent, calls = sdp._ascent, []
 
         def watched(*args):
-            targets.append(args[7])
-            return ascent(*args)
+            calls.append((args, ascent(*args)))
+            return calls[-1][1]
 
         with monkeypatch.context() as mp:
             mp.setattr(sdp, "_ascent", watched)
             sol = bs.solve_balanced_sdp(g, bs.SdpConfig(seed=0))
-        assert len(targets) == sol.diagnostics.restarts_used > 1
-        assert targets == [None] * len(targets)
+        assert len(calls) == sol.diagnostics.restarts_used > 1
+        assert any(args[7] is not None for args, _ in calls)
+        # a target never cuts a balanced ascent short: each restart runs as
+        # it does without one
+        for k, (args, out) in enumerate(calls):
+            ref = ascent(*args[:6], rng_for(0, STREAM_SDP, k), None)
+            assert out.objectives == ref.objectives and out.converged == ref.converged
         self.to_stop_rule(monkeypatch)
         ref = bs.solve_balanced_sdp(g, bs.SdpConfig(seed=0))
         assert sol.diagnostics.iterations_total == ref.diagnostics.iterations_total
         assert np.array_equal(sol.diagnostics.restart_objectives,
                               ref.diagnostics.restart_objectives)
         assert np.array_equal(sol.rounded, ref.rounded)
+
+    def test_confirming_restart_above_the_best_keeps_the_best(self):
+        # graph 66 of tools/replay_solver.py's sketched battery, a balanced
+        # solve on 24 nodes: both restarts converge uncertified, and restart 1
+        # ends above restart 0 by less than the gap test's tolerance, on the
+        # same partition. It confirms restart 0, which is returned
+        full = bs.SbmParams.from_rates(400, 30.0, 2.0)
+        seed = bs.seed_sequence(20261020, 0, 66)
+        kept = bs.subsample_nodes(full.n, 0.5 * bs.gamma_star(30.0, 2.0), seed)
+        g = bs.induced_subgraph(bs.sample_sbm(full, seed), kept)[0]
+        assert g.n == 24
+        cfg = bs.SdpConfig(seed=seed)
+        sol = bs.solve_balanced_sdp(g, cfg)
+        d = sol.diagnostics
+        adj = sdp._operator(g)
+        first, second = (sdp._ascent(adj, g.n, cfg.rank, 0.0, True, cfg.max_iters,
+                                     rng_for(seed, STREAM_SDP, k)) for k in range(2))
+        assert first.converged and second.converged
+        assert first.objective < second.objective and sdp._agrees(first.objective,
+                                                                  second.objective)
+        assert d.restarts_used == 2 and d.converged
+        assert d.iterations_total == first.iterations + second.iterations
+        assert sol.objective == d.restart_objectives[0] == first.objective
+        assert d.restart_objectives[1] == second.objective
+        assert sol.iterations == first.iterations
+        # the partition and verdict restart 1 would have given
+        labels, _, cert = sdp._round_and_certify(g, adj, second.factor, second.objective,
+                                                 True, 0.0, 1.0, True)
+        assert bs.partitions_equal(sol.rounded, labels)
+        assert not sol.certificate.tight and not cert.tight
 
 
 class TestSdpConfig:
@@ -666,6 +710,12 @@ class TestBruteForce:
         with pytest.raises(TypeError):  # the exact-size mode is gone
             bs.brute_force_mle(g, size=3)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_multiplier(self, lam):
+        # the multipliers the solvers reject
+        with pytest.raises(ParameterError, match="lambda"):
+            bs.brute_force_mle(two_cliques(3), lam=lam)
+
 
 class TestCertificate:
     def test_arithmetic_example(self):
@@ -973,7 +1023,9 @@ class TestGoldenAscent:
     converged) as int64. One n = 400 graph (alpha 10, beta 2, a CSR under
     `_operator`) is multiplied as a CSR and as a dense array, on both programs;
     a control graph below the threshold runs to its stop rule and to a short
-    iteration cap. The digests were recorded before the ascent's per-iteration
+    iteration cap. The ascents run in a fresh interpreter on one BLAS thread, as
+    perfbench runs them, since the dense products' sums follow the thread
+    count. The digests were recorded before the ascent's per-iteration
     arithmetic was regrouped, which must keep every bit. A numpy or BLAS change
     that reorders a sum can legitimately move them; any other change that moves
     one changed the ascent's arithmetic."""
@@ -984,32 +1036,48 @@ class TestGoldenAscent:
         "csr_balanced": ((400, 10, 2), False, True, 500, 25, True,
                          "f38414f1451b1de7e8b224a75aa48707a325a933b392359e78dae8ba200ce4d1"),
         "dense_lagrangian": ((400, 10, 2), True, False, 500, 27, True,
-                             "123fef2e674210d0eaaba22601bcd6c0035e0e0855ed53bd93ebf2e17d9a7233"),
+                             "b2597f521776389892f2429856f10e639e977ba22c71309a3be75ea2c23b0c2c"),
         "dense_balanced": ((400, 10, 2), True, True, 500, 25, True,
-                           "7bc472e6a2bc5d9804cc1cf0089e9aeaf8293258e402750401795d1dae0e8ac1"),
+                           "36b3457f1770177feaed4e079fa986044f92b543815866a4a302a02dec1cd22a"),
         "control_lagrangian": ((300, 3, 1), False, False, 500, 123, True,
                                "e323671fc6ea7d88654bd9f0a7ce953a4580b0dfc23fa56a54f506c44efce5ea"),
         "control_capped": ((300, 3, 1), False, False, 40, 40, False,
                            "cf536ac7a708f06870a52ddbc6573f2c7be2712d7ffcdb0a356388e290c77873"),
     }
 
-    @staticmethod
-    def digest(out):
-        h = hashlib.sha256(out.factor.tobytes())
-        h.update(np.asarray(out.objectives + [out.objective], dtype=np.float64).tobytes())
-        h.update(np.array([out.iterations, out.converged], dtype=np.int64).tobytes())
-        return h.hexdigest()
+    RUN = """
+import hashlib, json, sys
+import numpy as np
+import blocksketch as bs
+from blocksketch import sdp
+from blocksketch.rng import STREAM_SDP, rng_for
+result = {}
+for name, (model, dense, balanced, max_iters, *_) in json.loads(sys.argv[1]).items():
+    params = bs.SbmParams.from_rates(*model)
+    g = bs.sample_sbm(params, 0)
+    adj = g.adjacency.toarray() if dense else g.adjacency
+    lam = 0.0 if balanced else bs.lambda_star(params.p, params.q)
+    out = sdp._ascent(adj, g.n, 8, lam, balanced, max_iters, rng_for(7, STREAM_SDP, 0))
+    h = hashlib.sha256(out.factor.tobytes())
+    h.update(np.asarray(out.objectives + [out.objective], dtype=np.float64).tobytes())
+    h.update(np.array([out.iterations, out.converged], dtype=np.int64).tobytes())
+    result[name] = [out.iterations, out.converged, h.hexdigest()]
+print(json.dumps(result))
+"""
+
+    @pytest.fixture(scope="class")
+    def ascents(self, src_env):
+        """{name: [iterations, converged, digest]} of every pinned ascent."""
+        env = dict(src_env, **dict.fromkeys(BLAS_THREAD_VARS, "1"))
+        out = subprocess.run([sys.executable, "-c", self.RUN, json.dumps(self.ASCENTS)],
+                             env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        return json.loads(out.stdout)
 
     @pytest.mark.parametrize("name", sorted(ASCENTS))
-    def test_ascent(self, name):
-        model, dense, balanced, max_iters, iterations, converged, want = self.ASCENTS[name]
-        params = bs.SbmParams.from_rates(*model)
-        g = bs.sample_sbm(params, 0)
-        adj = g.adjacency.toarray() if dense else g.adjacency
-        lam = 0.0 if balanced else bs.lambda_star(params.p, params.q)
-        out = sdp._ascent(adj, g.n, 8, lam, balanced, max_iters, rng_for(7, STREAM_SDP, 0))
-        assert (out.iterations, out.converged) == (iterations, converged)
-        assert self.digest(out) == want
+    def test_ascent(self, name, ascents):
+        *_, iterations, converged, want = self.ASCENTS[name]
+        assert ascents[name] == [iterations, converged, want]
 
 
 class TestLabelingObjective:

@@ -7,12 +7,15 @@ threshold rate, every third even-sized one also on the balanced program; 10 at
 n = 5000; 60 full n = 300 graphs below the threshold (alpha 3, beta 1) on both
 programs. A line gives solves, ascents, tight verdicts, a restarts_used histogram,
 total iterations, a SHA-256 over every (partition with node 0 labelled +1,
-tight, restarts_used), and a second SHA-256 over every solve's restart_objectives
-bytes and iterations_total, so that two commits' outputs can be diffed: the first
-for the same results, the second for the same bits along the way.
+tight, restarts_used), a second SHA-256 over every solve's restart_objectives
+bytes and iterations_total, and a third over every solve's returned objective,
+iterations and certificate gap, so that two commits' outputs can be diffed: the
+first for the same results, the second for the same bits along the way, the third
+for which restart a solve returned.
 """
 import collections
 import hashlib
+import struct
 
 import blocksketch as bs
 
@@ -56,14 +59,18 @@ if __name__ == "__main__":
         d = sol.diagnostics
         cells[name].append((sol.rounded * sol.rounded[0], sol.certificate.tight,
                             d.restarts_used, d.iterations_total,
-                            d.restart_objectives.tobytes()))
+                            d.restart_objectives.tobytes(),
+                            struct.pack("<dqd", sol.objective, sol.iterations,
+                                        sol.certificate.gap)))
     for name, rows in cells.items():
-        labels, tight, restarts, iters, objectives = zip(*rows)
+        labels, tight, restarts, iters, objectives, returned = zip(*rows)
         digest = hashlib.sha256(b"".join(x.tobytes() + bytes([t, r])
                                          for x, t, r in zip(labels, tight, restarts)))
         bits = hashlib.sha256(b"".join(o + i.to_bytes(8, "little")
                                        for o, i in zip(objectives, iters)))
+        returned_digest = hashlib.sha256(b"".join(returned))
         histogram = dict(sorted(collections.Counter(restarts).items()))
         print(f"{name}: solves={len(rows)} ascents={sum(r > 0 for r in restarts)} "
               f"tight={sum(tight)} restarts={histogram} iterations={sum(iters)} "
-              f"sha256={digest.hexdigest()} bits_sha256={bits.hexdigest()}")
+              f"sha256={digest.hexdigest()} bits_sha256={bits.hexdigest()} "
+              f"returned_sha256={returned_digest.hexdigest()}")
