@@ -27,6 +27,7 @@ from .sdp import SdpConfig, solve_balanced_sdp, solve_lagrangian_sdp
 from .vote import oracle_vote_trial
 
 ENV_SEED = "BLOCKSKETCH_SEED"
+_RATE_PAIRS = (("p", "q"), ("alpha", "beta"))
 
 
 def _default_seed() -> int:
@@ -64,19 +65,16 @@ def _add_rate_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument(name, type=float)
 
 
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
+def _add_rank_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rank", type=int, default=SdpConfig.rank,
                    help="factor rank, a performance setting (default %(default)s)")
-    p.add_argument("--max-iters", type=int, default=SdpConfig.max_iters)
-    p.add_argument("--restarts", type=int, default=SdpConfig.restarts,
-                   help="upper bound; none run when the spectral labels certify, else the "
-                        "solve stops at the first certified restart or at one that "
-                        "confirms the best objective and partition")
 
 
-def _sdp_config(args, seed: int, lam: float = 0.0) -> SdpConfig:
-    return SdpConfig(rank=args.rank, max_iters=args.max_iters,
-                     restarts=args.restarts, lam=lam, seed=seed)
+def _require_whole_pairs(args, pairs=_RATE_PAIRS) -> None:
+    """Each flag pair is given whole or not at all; a lone half is a usage error."""
+    for a, b in pairs:
+        if (getattr(args, a) is None) != (getattr(args, b) is None):
+            raise ParameterError(f"--{a}/--{b} must be given together")
 
 
 def _params_from_flags(args) -> SbmParams:
@@ -98,10 +96,7 @@ def _params_from_flags(args) -> SbmParams:
 def _rates_from_flags(args, n: int) -> Optional[tuple[float, float]]:
     """The rates of the one complete pair given, --p/--q or --alpha/--beta;
     None when neither is. A half pair, or both pairs, is a usage error."""
-    pairs = (("--p/--q", args.p, args.q), ("--alpha/--beta", args.alpha, args.beta))
-    for names, a, b in pairs:
-        if (a is None) != (b is None):
-            raise ParameterError(f"{names} must be given together")
+    _require_whole_pairs(args)
     if args.p is not None and args.alpha is not None:
         raise ParameterError("give either --p/--q or --alpha/--beta, not both")
     if args.p is not None:
@@ -135,10 +130,10 @@ def cmd_solve(args) -> int:
         raise ParameterError("solve needs exactly one multiplier source: --lambda, "
                              "--p/--q, --alpha/--beta, or --balanced")
     if args.balanced:
-        sol = solve_balanced_sdp(g, _sdp_config(args, seed))
+        sol = solve_balanced_sdp(g, SdpConfig(rank=args.rank, seed=seed))
     else:
         lam = args.lam if args.lam is not None else lambda_star(*rates)
-        sol = solve_lagrangian_sdp(g, _sdp_config(args, seed, lam=lam))
+        sol = solve_lagrangian_sdp(g, SdpConfig(rank=args.rank, lam=lam, seed=seed))
     print(f"objective={_fmt_data(sol.objective)}")
     print(f"rounded_objective={_fmt_data(sol.rounded_objective)}")
     print(f"certificate={'tight' if sol.certificate.tight else 'not-tight'}")
@@ -162,7 +157,7 @@ def cmd_sketch(args) -> int:
         raise ParameterError("rates required: --p/--q or --alpha/--beta")
     p, q = rates
     seed = _resolve_seed(args.seed)
-    cfg = SketchConfig(gamma=args.gamma, lam=args.lam, sdp=_sdp_config(args, seed),
+    cfg = SketchConfig(gamma=args.gamma, lam=args.lam, sdp=SdpConfig(rank=args.rank),
                        tie_mode=args.tie_mode)
     res = sketch_and_recover(g, p, q, cfg, seed)
     print(f"sample_size={res.kept.size}")
@@ -220,20 +215,23 @@ def cmd_vote_oracle(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    _require_whole_pairs(args, _RATE_PAIRS + (("K1", "K2"),))
+    if args.gamma is not None and args.alpha is None:
+        raise ParameterError("--gamma needs --alpha/--beta")
     lines = []
-    if args.alpha is not None and args.beta is not None:
+    if args.alpha is not None:
         lines.append(f"gamma_star={_fmt6(gamma_star(args.alpha, args.beta))}")
         lines.append(f"theorem1={exact_recovery_possible(args.alpha, args.beta)}")
         if args.gamma is not None:
             lines.append(
                 f"lemma2_exponent={_fmt6(lemma2_exponent(args.alpha, args.beta, args.gamma))}")
-    if args.p is not None and args.q is not None:
+    if args.p is not None:
         lines.append(f"lambda_star={_fmt6(lambda_star(args.p, args.q))}")
-    elif args.alpha is not None and args.beta is not None and args.n is not None:
+    elif args.alpha is not None and args.n is not None:
         p, q = _scaled_rates(args.alpha, args.beta, args.n)
         lines.append(f"lambda_star={_fmt6(lambda_star(p, q))}")
-    if args.K1 is not None and args.K2 is not None:
-        if args.p is None or args.q is None:
+    if args.K1 is not None:
+        if args.p is None:
             raise ParameterError("--K1/--K2 need --p and --q")
         bp = BoundParams(K1=args.K1, K2=args.K2, p=args.p, q=args.q)
         lines.append(f"lemma2_bound={_fmt_prob(lemma2_bound(bp))}")
@@ -267,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     _add_rate_flags(p)
     p.add_argument("--seed", type=int, default=None)
-    _add_solver_flags(p)
+    _add_rank_flag(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("sketch", help="subsample, solve, and vote on a graph file")
@@ -277,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--tie-mode", choices=("strict", "coin"), default="strict")
     p.add_argument("--seed", type=int, default=None)
-    _add_solver_flags(p)
+    _add_rank_flag(p)
     p.set_defaults(func=cmd_sketch)
 
     p = sub.add_parser("sweep", help="Monte Carlo sweep over a parameter product")

@@ -48,12 +48,12 @@ from .vote import VoteOutcome, majority_vote
 
 @dataclass(frozen=True)
 class SketchConfig:
-    """Pipeline knobs: sampling rate, multiplier, Lagrangian solver, tie policy."""
+    """Pipeline knobs: sampling rate, multiplier, solver rank, tie policy."""
 
     gamma: float
     lam: Optional[float] = None     # None -> lambda_star(p, q) of the model rates
-    sdp: SdpConfig = SdpConfig()    # lam must stay 0: `lam` sets the multiplier;
-                                    # seed is replaced by the trial seed
+    sdp: SdpConfig = SdpConfig()    # carries only the rank: the pipeline sets the
+                                    # multiplier from `lam` and the seed from the trial
     tie_mode: str = "strict"        # "strict" | "coin"
 
     def __post_init__(self):
@@ -63,8 +63,8 @@ class SketchConfig:
             require_multiplier(self.lam)
         if self.tie_mode not in ("strict", "coin"):
             raise ParameterError(f"unknown tie_mode {self.tie_mode!r}")
-        if self.sdp.lam:
-            raise ParameterError("set the pipeline multiplier with lam, not sdp.lam")
+        if self.sdp != SdpConfig(rank=self.sdp.rank):
+            raise ParameterError("sdp sets only the rank: lam and the seed are set per call")
 
 
 @dataclass(eq=False)

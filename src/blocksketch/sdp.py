@@ -33,12 +33,13 @@ labels: the signs of the top Ritz vector of A - mu J after a few Lanczos
 steps, cleaned up by two rounds of x <- sign((A - mu J) x) (a median split
 in the balanced program). Above the recovery threshold these are usually
 exact (Abbe-Fan-Wang-Zhong, arXiv:1709.09565). If they certify, the rank-1
-factor x, its own rounding, is returned and no ascent runs. Otherwise
-restarts of the ascent run, and stop at the first one whose rounded labels
-certify. Without a certificate one rule ends them: a restart confirms the
-best converged restart when its objective is within the gap test's
-tolerance of the best's and it rounds to the best's partition. A restart
-that confirms ends the solve, and the earlier restart stays the best.
+factor x, its own rounding, is returned and no ascent runs. Otherwise up to
+_RESTARTS restarts of the ascent run, each capped at _MAX_ITERS iterations,
+and stop at the first one whose rounded labels certify. Without a
+certificate one rule ends them: a restart confirms the best converged
+restart when its objective is within the gap test's tolerance of the
+best's and it rounds to the best's partition. A restart that confirms
+ends the solve, and the earlier restart stays the best.
 `_ascent` checks this at a converged restart's stop, never at an iteration
 cap. On the Lagrangian program it also rounds the first accepted iterate
 within the tolerance once, and a match stops the restart there,
@@ -96,6 +97,8 @@ _DENSE_MIN_FILL = 0.2     # and only when 2m >= this share of its n^2 entries. R
                           # balanced): fill 0.15 0.89-0.92, 0.95-1.15; 0.17 0.87-0.89, 1.03;
                           # 0.19 0.86, 0.81; 0.21 0.78, 0.71; 0.24 0.80, 0.64; 0.37 0.57, 0.49
 _SPECTRAL_STEPS = 12      # Krylov dimension of the spectral candidate labels
+_MAX_ITERS = 500          # iteration cap of one restart
+_RESTARTS = 5             # upper bound on the restarts of one solve
 
 
 def require_multiplier(lam: float) -> None:
@@ -105,21 +108,14 @@ def require_multiplier(lam: float) -> None:
 
 @dataclass(frozen=True)
 class SdpConfig:
-    rank: int = 8                   # a performance setting, picked by benchmark; may exceed n
-    max_iters: int = 500
-    restarts: int = 5               # upper bound: none run when the spectral labels certify; else
-                                    # stops at the first dual-certified restart or at one that
-                                    # confirms the best (see the module docstring)
+    rank: int = 8                   # the solver's one setting, for performance, picked
+                                    # by benchmark; may exceed n
     lam: float = 0.0                # the Lagrangian multiplier; must be 0 in the balanced solve
     seed: RngSeed = 0
 
     def __post_init__(self):
         if self.rank < 2:
             raise ParameterError("rank must be at least 2")
-        if self.max_iters < 1:
-            raise ParameterError("max_iters must be at least 1")
-        if self.restarts < 1:
-            raise ParameterError("restarts must be at least 1")
         require_multiplier(self.lam)
         if not isinstance(self.seed, np.random.SeedSequence):
             seed_sequence(self.seed)  # a negative seed fails even when no restart runs
@@ -566,11 +562,11 @@ def _solve(g: Graph, cfg: SdpConfig, balanced: bool) -> SdpSolution:
     restarts_used = total_iters = 0
     if not rounding[2].tight:
         best, restart_objs = None, []
-        for k in range(cfg.restarts):
+        for k in range(_RESTARTS):
             rng = rng_for(cfg.seed, STREAM_SDP, k)
             confirm = (None if best is None or not best.converged
                        else (best.objective, rounding[0]))
-            out = _ascent(adj, g.n, cfg.rank, lam, balanced, cfg.max_iters, rng, confirm)
+            out = _ascent(adj, g.n, cfg.rank, lam, balanced, _MAX_ITERS, rng, confirm)
             restart_objs.append(out.objective)
             total_iters += out.iterations
             if out.confirmed:  # the best stays

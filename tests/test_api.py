@@ -1,4 +1,8 @@
-"""The package's public names: `__all__` lists exactly what it exports."""
+"""The package's public names: `__all__` lists exactly what it exports, and
+each module uses every name it imports."""
+import ast
+from pathlib import Path
+
 import blocksketch as bs
 
 
@@ -12,3 +16,23 @@ def test_removed_names_stay_removed():
     for name in ("certificate_check", "SampleMask"):
         assert name not in bs.__all__
         assert not hasattr(bs, name)
+
+
+def test_modules_use_every_name_they_import():
+    # names in annotations count as used; `from __future__` binds nothing
+    unused = []
+    for path in sorted(Path(bs.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert unused == []

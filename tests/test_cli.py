@@ -332,6 +332,13 @@ class TestBounds:
                          "--gamma", "0.5"], capsys)
         assert kv(out)["lemma2_exponent"] == "2.250000"
 
+    def test_both_rate_pairs_together(self, capsys):
+        code, out, _ = run(["bounds", "--alpha", "8", "--beta", "2", "--p", "0.2",
+                            "--q", "0.05", "--K1", "100", "--K2", "100"], capsys)
+        assert code == 0
+        assert list(kv(out)) == ["gamma_star", "theorem1", "lambda_star", "lemma2_bound",
+                                 "exact_tail", "chernoff_min"]
+
     def test_no_computable_group(self, capsys):
         assert run(["bounds"], capsys)[0] == 2
         assert run(["bounds", "--K1", "10", "--K2", "10"], capsys)[0] == 2
@@ -382,6 +389,17 @@ class TestParsingAndSeeds:
         ["solve", "--in", "{cliques}", "--balanced", "--beta", "1"],
         ["solve", "--in", "{cliques}", "--lambda", "0.3", "--p", "0.9", "--q", "0.1"],
         ["solve", "--in", "{cliques}", "--lambda", "0.3", "--q", "0.1"],
+        # bounds: a lone half of any flag pair, or --gamma without --alpha/--beta
+        ["bounds", "--alpha", "8"],
+        ["bounds", "--beta", "2"],
+        ["bounds", "--p", "0.2"],
+        ["bounds", "--q", "0.1"],
+        ["bounds", "--alpha", "8", "--beta", "2", "--K1", "100"],
+        ["bounds", "--alpha", "8", "--beta", "2", "--K2", "100"],
+        ["bounds", "--alpha", "8", "--beta", "2", "--p", "0.2"],
+        ["bounds", "--K1", "100", "--K2", "100", "--p", "0.2", "--q", "0.05", "--beta", "2"],
+        ["bounds", "--gamma", "0.5"],
+        ["bounds", "--p", "0.2", "--q", "0.1", "--gamma", "0.5"],
     ])
     def test_bad_numbers_are_parameter_errors(self, argv, clique_file, tmp_path, capsys):
         empty = tmp_path / "empty.txt"
@@ -395,9 +413,19 @@ class TestParsingAndSeeds:
 
     def test_solver_flag_defaults_come_from_sdp_config(self):
         args = build_parser().parse_args(["solve", "--in", "g.txt"])
-        cfg = bs.SdpConfig()
-        assert (args.rank, args.max_iters, args.restarts) == \
-            (cfg.rank, cfg.max_iters, cfg.restarts)
+        assert args.rank == bs.SdpConfig().rank
+
+    @pytest.mark.parametrize("command", [
+        ["solve", "--lambda", "0.3"],
+        ["sketch", "--gamma", "1", "--p", "1", "--q", "0", "--lambda", "0.3"],
+    ])
+    @pytest.mark.parametrize("flag", ["--max-iters", "--restarts"])
+    def test_iteration_cap_and_restart_bound_are_not_flags(self, command, flag,
+                                                           clique_file, capsys):
+        argv = command[:1] + ["--in", clique_file] + command[1:]
+        assert run(argv, capsys)[0] == 0
+        code, out, _ = run(argv + [flag, "5"], capsys)
+        assert code == 2 and out == ""
 
     def test_env_seed_default(self, tmp_path, capsys, monkeypatch):
         a, b = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")

@@ -46,9 +46,21 @@ class TestSketchConfig:
             SketchConfig(gamma=0.5, tie_mode="drop")
         with pytest.raises(ParameterError):
             SketchConfig(gamma=0.5, sdp=bs.SdpConfig(lam=0.3))  # the pipeline sets it
+        with pytest.raises(ParameterError):
+            SketchConfig(gamma=0.5, sdp=bs.SdpConfig(seed=3))  # and the seed
+        assert SketchConfig(gamma=0.5, sdp=bs.SdpConfig(rank=4)).sdp.rank == 4
 
 
 class TestSketchAndRecover:
+    def test_rank_reaches_the_solve(self):
+        # below the threshold, so the ascent runs at the rank the config carries
+        params = bs.SbmParams.from_rates(100, 3.0, 1.0)
+        g = bs.sample_sbm(params, 1)
+        cfg = SketchConfig(gamma=1.0, sdp=bs.SdpConfig(rank=3))
+        res = sketch_and_recover(g, params.p, params.q, cfg, 1)
+        assert res.solution.diagnostics.restarts_used > 0
+        assert res.solution.factor.shape == (100, 3)
+
     def test_full_sample_recovers_planted(self):
         g = bs.sample_sbm(bs.SbmParams.explicit(5, 5, 0.9, 0.1), 11)
         res = sketch_and_recover(g, 0.9, 0.1, SketchConfig(gamma=1.0), 11)

@@ -1,4 +1,5 @@
 """Low-rank solver, rounding, certificate, and the exhaustive oracle."""
+import dataclasses
 import itertools
 import json
 import math
@@ -179,7 +180,7 @@ class TestEarlyConfirmation:
         sol = bs.solve_lagrangian_sdp(g, cfg)
         d = sol.diagnostics
         first, second = (sdp._ascent(sdp._operator(g), g.n, cfg.rank, self.LAM, False,
-                                     cfg.max_iters, rng_for(seed, STREAM_SDP, k))
+                                     sdp._MAX_ITERS, rng_for(seed, STREAM_SDP, k))
                          for k in range(2))
         assert first.converged and second.converged
         assert d.restarts_used == 2 and d.converged
@@ -259,7 +260,7 @@ class TestEarlyConfirmation:
         sol = bs.solve_balanced_sdp(g, cfg)
         d = sol.diagnostics
         adj = sdp._operator(g)
-        first, second = (sdp._ascent(adj, g.n, cfg.rank, 0.0, True, cfg.max_iters,
+        first, second = (sdp._ascent(adj, g.n, cfg.rank, 0.0, True, sdp._MAX_ITERS,
                                      rng_for(seed, STREAM_SDP, k)) for k in range(2))
         assert first.converged and second.converged
         assert first.objective < second.objective and sdp._agrees(first.objective,
@@ -277,13 +278,15 @@ class TestEarlyConfirmation:
 
 
 class TestSdpConfig:
+    def test_rank_is_the_one_solver_setting(self):
+        # the iteration cap and the restart bound are module constants; the
+        # callers set the multiplier and the seed
+        assert [f.name for f in dataclasses.fields(bs.SdpConfig)] == ["rank", "lam", "seed"]
+        assert (sdp._MAX_ITERS, sdp._RESTARTS) == (500, 5)
+
     def test_validation(self):
         with pytest.raises(ParameterError):
             bs.SdpConfig(rank=1)
-        with pytest.raises(ParameterError):
-            bs.SdpConfig(max_iters=0)
-        with pytest.raises(ParameterError):
-            bs.SdpConfig(restarts=0)
         with pytest.raises(ParameterError):
             bs.SdpConfig(lam=-0.5)
         with pytest.raises(ParameterError):
@@ -529,10 +532,11 @@ class TestSolver:
         assert np.array_equal(again.rounded, sol.rounded)
         assert again.objective == sol.objective
 
-    def test_nonconvergence_blocks_certificate(self):
+    def test_nonconvergence_blocks_certificate(self, monkeypatch):
         g = relaxation_gap_graph()  # no spectral skip: the capped ascent is returned
-        sol = bs.solve_lagrangian_sdp(
-            g, bs.SdpConfig(lam=LAM_STAR, max_iters=1, restarts=1, seed=0))
+        monkeypatch.setattr(sdp, "_MAX_ITERS", 1)
+        monkeypatch.setattr(sdp, "_RESTARTS", 1)
+        sol = bs.solve_lagrangian_sdp(g, bs.SdpConfig(lam=LAM_STAR, seed=0))
         assert not sol.diagnostics.converged
         assert not sol.certificate.tight
 
@@ -866,17 +870,19 @@ class TestDualCertificate:
         assert not sol.certificate.tight
         assert sol.diagnostics.restarts_used == 2 == len(sol.diagnostics.restart_objectives)
         # the early stop returns the partition that running every restart would
-        outs = [sdp._ascent(g.adjacency, g.n, cfg.rank, LAM_STAR, False, cfg.max_iters,
-                            rng_for(cfg.seed, STREAM_SDP, k)) for k in range(cfg.restarts)]
+        outs = [sdp._ascent(g.adjacency, g.n, cfg.rank, LAM_STAR, False, sdp._MAX_ITERS,
+                            rng_for(cfg.seed, STREAM_SDP, k)) for k in range(sdp._RESTARTS)]
         best = max(outs, key=lambda out: out.objective)
         assert bs.partitions_equal(sol.rounded, bs.round_solution(best.factor))
 
     def test_unconverged_restarts_never_agree(self, monkeypatch):
         g = relaxation_gap_graph()
-        cfg = bs.SdpConfig(lam=LAM_STAR, seed=6, max_iters=1)
-        sol = bs.solve_lagrangian_sdp(g, cfg)
+        cfg = bs.SdpConfig(lam=LAM_STAR, seed=6)
+        with monkeypatch.context() as m:
+            m.setattr(sdp, "_MAX_ITERS", 1)
+            sol = bs.solve_lagrangian_sdp(g, cfg)
         assert not sol.diagnostics.converged
-        assert sol.diagnostics.restarts_used == cfg.restarts
+        assert sol.diagnostics.restarts_used == sdp._RESTARTS
         # restarts that agree on objective and partition but report the cap
         ascent = sdp._ascent
 
@@ -884,8 +890,7 @@ class TestDualCertificate:
             return ascent(*args)._replace(converged=False)
 
         monkeypatch.setattr(sdp, "_ascent", capped)
-        cfg = bs.SdpConfig(lam=LAM_STAR, seed=6)
-        assert bs.solve_lagrangian_sdp(g, cfg).diagnostics.restarts_used == cfg.restarts
+        assert bs.solve_lagrangian_sdp(g, cfg).diagnostics.restarts_used == sdp._RESTARTS
 
     def test_lanczos_nonconvergence_is_not_tight(self, monkeypatch):
         g = two_cliques(sdp._DENSE_DUAL_MAX // 2 + 1)  # above the dense check's size
