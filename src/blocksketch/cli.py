@@ -218,6 +218,8 @@ def cmd_bounds(args) -> int:
     _require_whole_pairs(args, _RATE_PAIRS + (("K1", "K2"),))
     if args.gamma is not None and args.alpha is None:
         raise ParameterError("--gamma needs --alpha/--beta")
+    if args.n is not None and (args.alpha is None or args.p is not None):
+        raise ParameterError("--n is used only with --alpha/--beta, without --p/--q")
     lines = []
     if args.alpha is not None:
         lines.append(f"gamma_star={_fmt6(gamma_star(args.alpha, args.beta))}")
@@ -227,7 +229,7 @@ def cmd_bounds(args) -> int:
                 f"lemma2_exponent={_fmt6(lemma2_exponent(args.alpha, args.beta, args.gamma))}")
     if args.p is not None:
         lines.append(f"lambda_star={_fmt6(lambda_star(args.p, args.q))}")
-    elif args.alpha is not None and args.n is not None:
+    elif args.n is not None:
         p, q = _scaled_rates(args.alpha, args.beta, args.n)
         lines.append(f"lambda_star={_fmt6(lambda_star(p, q))}")
     if args.K1 is not None:

@@ -1,4 +1,5 @@
 """Command surface: flags, exit codes, report formats, reproducibility."""
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -338,6 +339,24 @@ class TestBounds:
         assert code == 0
         assert list(kv(out)) == ["gamma_star", "theorem1", "lambda_star", "lemma2_bound",
                                  "exact_tail", "chernoff_min"]
+
+    def test_n_scales_the_rates_for_lambda_star(self, capsys):
+        code, out, _ = run(["bounds", "--alpha", "30", "--beta", "2", "--n", "400"], capsys)
+        assert code == 0
+        p, q = (r * math.log(400) / 400 for r in (30.0, 2.0))
+        assert kv(out)["lambda_star"] == f"{bs.lambda_star(p, q):.6f}"
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "100", "--p", "0.2", "--q", "0.1"],
+        ["--n", "100", "--K1", "10", "--K2", "10"],
+        ["--n", "100", "--alpha", "8", "--beta", "2", "--p", "0.2", "--q", "0.1"],
+    ])
+    def test_unused_n_is_rejected(self, argv, capsys):
+        # --n only scales --alpha/--beta into the rates of lambda_star, which
+        # --p/--q give directly
+        code, out, err = run(["bounds", *argv], capsys)
+        assert code == 2 and out == ""
+        assert "--n" in err
 
     def test_no_computable_group(self, capsys):
         assert run(["bounds"], capsys)[0] == 2

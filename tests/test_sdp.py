@@ -103,7 +103,7 @@ class TestDefaultRank:
             ref = bs.solve_lagrangian_sdp(g, bs.SdpConfig(rank=25, lam=lam, seed=seed))
             assert sol.factor.shape == (300, 8)
             assert bs.partitions_equal(sol.rounded, ref.rounded)
-            assert sol.diagnostics.restarts_used == 2
+            assert sol.diagnostics.restarts_used == 1  # restart 0 is rank-deficient
             assert not sol.certificate.tight
 
 
@@ -152,99 +152,85 @@ class TestStopTolerance:
                 < sum(s.diagnostics.iterations_total for s in tighter))
 
 
-class TestEarlyConfirmation:
+def rank_ratio(factor):
+    """lambda_min / lambda_max of the Gram matrix Y^T Y."""
+    ev = np.linalg.eigvalsh(factor.T @ factor)
+    return ev[0] / ev[-1]
+
+
+def rank_test_fires(monkeypatch, fires: bool):
+    """Make the solve's rank test pass every converged best restart, or none."""
+    monkeypatch.setattr(sdp, "_RANK_TOL", math.inf if fires else -math.inf)
+
+
+class TestRankStop:
     CONTROL = bs.SbmParams.from_rates(300, 3.0, 1.0)
     LAM = bs.lambda_star(CONTROL.p, CONTROL.q)
 
-    @staticmethod
-    def to_stop_rule(monkeypatch):
-        """Make every restart run to its own stop rule, as before the early
-        confirmation: the ascent never receives a target, and a converged
-        restart is checked against it afterwards."""
-        ascent = sdp._ascent
-
-        def at_stop(*args):
-            out, balanced, confirm = ascent(*args[:7]), args[4], args[7]
-            return out._replace(confirmed=bool(
-                confirm and out.converged and sdp._agrees(out.objective, confirm[0])
-                and bs.partitions_equal(bs.round_solution(out.factor, balanced), confirm[1])))
-
-        monkeypatch.setattr(sdp, "_ascent", at_stop)
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_confirming_restart_stops_once_it_matches(self, seed, monkeypatch):
-        # control graphs below the threshold, seeds fixed in advance: restart 0
-        # converges uncertified, restart 1 confirms it before its stop rule
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rank_deficient_restart_ends_the_solve(self, seed, monkeypatch):
+        # TestDefaultRank's control graphs below the threshold: restart 0
+        # converges uncertified on a rank-deficient factor and ends the solve
         g = bs.sample_sbm(self.CONTROL, seed)
         cfg = bs.SdpConfig(lam=self.LAM, seed=seed)
         sol = bs.solve_lagrangian_sdp(g, cfg)
         d = sol.diagnostics
-        first, second = (sdp._ascent(sdp._operator(g), g.n, cfg.rank, self.LAM, False,
-                                     sdp._MAX_ITERS, rng_for(seed, STREAM_SDP, k))
-                         for k in range(2))
-        assert first.converged and second.converged
-        assert d.restarts_used == 2 and d.converged
-        assert first.iterations < d.iterations_total < first.iterations + second.iterations
-        # the converged restart stays the best, and the confirming one reached
-        # its objective to within the gap test's tolerance
-        assert sol.objective == d.restart_objectives[0] == first.objective
-        assert sol.iterations == first.iterations
-        f0 = d.restart_objectives[0]
-        assert d.restart_objectives[1] >= f0 - 1e-6 * (1.0 + abs(f0))
-        self.to_stop_rule(monkeypatch)
+        assert d.restarts_used == 1 == len(d.restart_objectives) and d.converged
+        assert d.iterations_total == sol.iterations
+        assert rank_ratio(sol.factor) <= sdp._RANK_TOL
+        assert not sol.certificate.tight
+        # the partition, verdict and returned restart of a solve whose
+        # restarts run on until one confirms restart 0
+        rank_test_fires(monkeypatch, False)
         ref = bs.solve_lagrangian_sdp(g, cfg)
-        assert ref.diagnostics.iterations_total == first.iterations + second.iterations
+        assert ref.diagnostics.restarts_used == 2
         assert bs.partitions_equal(sol.rounded, ref.rounded)
-        assert sol.diagnostics.restarts_used == ref.diagnostics.restarts_used
-        assert sol.certificate.tight == ref.certificate.tight
+        assert sol.certificate == ref.certificate
+        assert sol.objective == ref.objective and np.array_equal(sol.factor, ref.factor)
 
-    def test_confirmed_restart_and_mismatch(self):
-        g = bs.sample_sbm(self.CONTROL, 0)
+    def test_full_rank_restart_waits_for_confirmation(self):
+        # graph 12 of 200 control graphs seeded seed_sequence(555000, i): restart
+        # 0 converges on a full-rank factor, and restart 1 confirms it at its stop
+        seed = bs.seed_sequence(555000, 12)
+        g = bs.sample_sbm(self.CONTROL, seed)
+        cfg = bs.SdpConfig(lam=self.LAM, seed=seed)
+        sol = bs.solve_lagrangian_sdp(g, cfg)
+        d = sol.diagnostics
         adj = sdp._operator(g)
+        first = sdp._ascent(adj, g.n, cfg.rank, self.LAM, False, sdp._MAX_ITERS,
+                            rng_for(seed, STREAM_SDP, 0))
+        assert first.converged and rank_ratio(first.factor) > sdp._RANK_TOL
+        second = sdp._ascent(adj, g.n, cfg.rank, self.LAM, False, sdp._MAX_ITERS,
+                             rng_for(seed, STREAM_SDP, 1),
+                             (first.objective, bs.round_solution(first.factor)))
+        assert second.confirmed and second.converged
+        assert d.restarts_used == 2 and d.converged
+        assert d.iterations_total == first.iterations + second.iterations
+        assert sol.objective == d.restart_objectives[0] == first.objective
+        assert d.restart_objectives[1] == second.objective
+        assert np.array_equal(sol.factor, first.factor)
 
-        def ascent(confirm=None):
-            return sdp._ascent(adj, g.n, 8, self.LAM, False, 500,
-                               rng_for(0, STREAM_SDP, 1), confirm)
 
-        full = ascent()
-        labels = bs.round_solution(full.factor)
-        out = ascent((full.objective, -labels))  # the same partition, other sign
-        assert out.confirmed and not out.converged
-        assert out.iterations < full.iterations
-        assert out.objectives == full.objectives[:out.iterations]
-        # another partition is rounded once, then the stop rule decides: the
-        # same run to the bit
-        other = ascent((full.objective, np.ones_like(labels)))
-        assert not other.confirmed and other.converged
-        assert np.array_equal(other.factor, full.factor)
-        assert other.objectives == full.objectives
-        # an objective the restart never reaches leaves it unconfirmed too
-        assert not ascent((full.objective + 1.0, labels)).confirmed
+class TestEarlyConfirmation:
+    """Restart confirmation, checked only at a converged stop, and the balanced
+    program's exemption from the rank stop."""
 
     def test_balanced_solve_is_unchanged(self, monkeypatch):
-        g = bs.sample_sbm(self.CONTROL, 0)
-        ascent, calls = sdp._ascent, []
-
-        def watched(*args):
-            calls.append((args, ascent(*args)))
-            return calls[-1][1]
-
-        with monkeypatch.context() as mp:
-            mp.setattr(sdp, "_ascent", watched)
-            sol = bs.solve_balanced_sdp(g, bs.SdpConfig(seed=0))
-        assert len(calls) == sol.diagnostics.restarts_used > 1
-        assert any(args[7] is not None for args, _ in calls)
-        # a target never cuts a balanced ascent short: each restart runs as
-        # it does without one
-        for k, (args, out) in enumerate(calls):
-            ref = ascent(*args[:6], rng_for(0, STREAM_SDP, k), None)
-            assert out.objectives == ref.objectives and out.converged == ref.converged
-        self.to_stop_rule(monkeypatch)
-        ref = bs.solve_balanced_sdp(g, bs.SdpConfig(seed=0))
-        assert sol.diagnostics.iterations_total == ref.diagnostics.iterations_total
-        assert np.array_equal(sol.diagnostics.restart_objectives,
-                              ref.diagnostics.restart_objectives)
-        assert np.array_equal(sol.rounded, ref.rounded)
+        # the rank test never stops a balanced solve: its restarts end off the
+        # balance constraint. The same solve results whether the test would
+        # pass every converged restart or none
+        g = bs.sample_sbm(TestRankStop.CONTROL, 0)
+        cfg = bs.SdpConfig(seed=0)
+        sol = bs.solve_balanced_sdp(g, cfg)
+        d = sol.diagnostics
+        assert d.restarts_used > 1 and d.converged
+        for fires in (True, False):
+            with monkeypatch.context() as mp:
+                rank_test_fires(mp, fires)
+                ref = bs.solve_balanced_sdp(g, cfg)
+            assert ref.diagnostics.iterations_total == d.iterations_total
+            assert np.array_equal(ref.diagnostics.restart_objectives, d.restart_objectives)
+            assert np.array_equal(ref.rounded, sol.rounded)
 
     def test_confirming_restart_above_the_best_keeps_the_best(self):
         # graph 66 of tools/replay_solver.py's sketched battery, a balanced
@@ -868,8 +854,9 @@ class TestDualCertificate:
         cfg = bs.SdpConfig(lam=LAM_STAR, seed=6)
         sol = bs.solve_lagrangian_sdp(g, cfg)
         assert not sol.certificate.tight
-        assert sol.diagnostics.restarts_used == 2 == len(sol.diagnostics.restart_objectives)
-        # the early stop returns the partition that running every restart would
+        # restart 0's factor is rank-deficient, which ends the solve
+        assert sol.diagnostics.restarts_used == 1 == len(sol.diagnostics.restart_objectives)
+        # it returns the partition that running every restart would
         outs = [sdp._ascent(g.adjacency, g.n, cfg.rank, LAM_STAR, False, sdp._MAX_ITERS,
                             rng_for(cfg.seed, STREAM_SDP, k)) for k in range(sdp._RESTARTS)]
         best = max(outs, key=lambda out: out.objective)
@@ -901,7 +888,7 @@ class TestDualCertificate:
         sol = bs.solve_lagrangian_sdp(g, cfg)
         assert sol.certificate.gap <= 1e-6 * (1.0 + abs(sol.objective))
         assert not sol.certificate.tight
-        assert sol.diagnostics.restarts_used == 2
+        assert sol.diagnostics.restarts_used == 1  # restart 0 is rank-deficient
 
     def test_import_loads_no_scipy_eigensolvers(self, src_env):
         # importing the package loads neither scipy nor a process pool; a

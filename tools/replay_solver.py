@@ -6,12 +6,16 @@ Cells: 300 sketched subgraphs of n = 400 graphs (alpha 30, beta 2) at half the
 threshold rate, every third even-sized one also on the balanced program; 10 at
 n = 5000; 60 full n = 300 graphs below the threshold (alpha 3, beta 1) on both
 programs. A line gives solves, ascents, tight verdicts, a restarts_used histogram,
-total iterations, a SHA-256 over every (partition with node 0 labelled +1,
-tight, restarts_used), a second SHA-256 over every solve's restart_objectives
-bytes and iterations_total, and a third over every solve's returned objective,
-iterations and certificate gap, so that two commits' outputs can be diffed: the
-first for the same results, the second for the same bits along the way, the third
-for which restart a solve returned.
+total iterations, and four SHA-256 digests, so that two commits' outputs can be
+diffed:
+- sha256 over every (partition with node 0 labelled +1, tight, restarts_used):
+  the same results in the same number of restarts;
+- bits_sha256 over every solve's restart_objectives bytes and iterations_total:
+  the same bits along the way;
+- returned_sha256 over every solve's returned objective, iterations and
+  certificate gap: which restart a solve returned;
+- results_sha256 over every (partition with node 0 labelled +1, tight): the same
+  results, however many restarts they took.
 """
 import collections
 import hashlib
@@ -69,8 +73,11 @@ if __name__ == "__main__":
         bits = hashlib.sha256(b"".join(o + i.to_bytes(8, "little")
                                        for o, i in zip(objectives, iters)))
         returned_digest = hashlib.sha256(b"".join(returned))
+        results = hashlib.sha256(b"".join(x.tobytes() + bytes([t])
+                                          for x, t in zip(labels, tight)))
         histogram = dict(sorted(collections.Counter(restarts).items()))
         print(f"{name}: solves={len(rows)} ascents={sum(r > 0 for r in restarts)} "
               f"tight={sum(tight)} restarts={histogram} iterations={sum(iters)} "
               f"sha256={digest.hexdigest()} bits_sha256={bits.hexdigest()} "
-              f"returned_sha256={returned_digest.hexdigest()}")
+              f"returned_sha256={returned_digest.hexdigest()} "
+              f"results_sha256={results.hexdigest()}")
