@@ -11,6 +11,7 @@ from `math.lgamma`.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,10 +39,13 @@ class BoundParams:
     q: float
 
     def __post_init__(self):
-        if self.K1 < 0 or self.K2 < 0:
-            raise ParameterError("K1 and K2 must be nonnegative integers")
-        if int(self.K1) != self.K1 or int(self.K2) != self.K2:
-            raise ParameterError("K1 and K2 must be integers")
+        for k in (self.K1, self.K2):
+            try:  # numpy integers pass; floats, even integral ones, and bools do not
+                nonnegative = not isinstance(k, bool) and operator.index(k) >= 0
+            except TypeError:
+                nonnegative = False
+            if not nonnegative:
+                raise ParameterError("K1 and K2 must be nonnegative integers")
         if not (0.0 <= self.p <= 1.0 and 0.0 <= self.q <= 1.0):
             raise ParameterError("p and q must lie in [0, 1]")
 

@@ -33,21 +33,22 @@ labels: the signs of the top Ritz vector of A - mu J after a few Lanczos
 steps, cleaned up by two rounds of x <- sign((A - mu J) x) (a median split
 in the balanced program). Above the recovery threshold these are usually
 exact (Abbe-Fan-Wang-Zhong, arXiv:1709.09565). If they certify, the rank-1
-factor x, its own rounding, is returned and no ascent runs. Otherwise up to
-_RESTARTS restarts of the ascent run, each capped at _MAX_ITERS iterations,
-and stop at the first one whose rounded labels certify. Without a
-certificate, a converged Lagrangian best restart with a rank-deficient
-factor ends the solve: a rank-deficient second-order critical point of the
-factored problem is a global SDP optimum (Journee-Bach-Absil-Sepulchre,
-arXiv:0807.4423; Boumal-Voroninski-Bandeira, arXiv:1606.04970). The stop
-rule is first order, so this is no proof, and `tight` never rests on it.
-Balanced restarts end off the balance constraint, where a rank stop changed
-partitions. They and full-rank factors wait for a restart that confirms the
-best converged one: at its own converged stop, its objective is within the
-gap test's tolerance of the best's and it rounds to the best's partition;
-the best stays. The dual certificate carries correctness, so the rank is a
-performance setting chosen by benchmark: outside the worst case a low rank
-suffices (Bandeira-Boumal-Voroninski, arXiv:1602.04426).
+factor x, its own rounding, is returned and no ascent runs. Otherwise `_solve`
+runs up to _RESTARTS restarts of the ascent, each capped at _MAX_ITERS
+iterations, and alone decides when they stop. The first restart whose rounded
+labels certify ends the solve. Without a certificate, so does a converged
+Lagrangian best restart with a rank-deficient factor: a rank-deficient
+second-order critical point of the factored problem is a global SDP optimum
+(Journee-Bach-Absil-Sepulchre, arXiv:0807.4423; Boumal-Voroninski-Bandeira,
+arXiv:1606.04970). The stop rule is first order, so this is no proof, and
+`tight` never rests on it. Balanced restarts end off the balance constraint,
+where a rank stop changed partitions. They and full-rank factors wait for a
+restart that confirms the best converged one: at its own converged stop, its
+objective is within the gap test's tolerance of the best's and it rounds to
+the best's partition; the best stays. The dual certificate carries
+correctness, so the rank is a performance setting chosen by benchmark: outside
+the worst case a low rank suffices (Bandeira-Boumal-Voroninski,
+arXiv:1602.04426).
 """
 from __future__ import annotations
 
@@ -116,8 +117,8 @@ class SdpConfig:
     seed: RngSeed = 0
 
     def __post_init__(self):
-        if self.rank < 2:
-            raise ParameterError("rank must be at least 2")
+        if not isinstance(self.rank, (int, np.integer)) or self.rank < 2:
+            raise ParameterError("rank must be an integer of at least 2")
         require_multiplier(self.lam)
         if not isinstance(self.seed, np.random.SeedSequence):
             seed_sequence(self.seed)  # a negative seed fails even when no restart runs
@@ -216,17 +217,10 @@ class _Restart(NamedTuple):
     iterations: int
     converged: bool                  # ended on a stop rule
     objectives: list                 # accepted objective per iteration; never decreases
-    confirmed: bool = False          # matched the `confirm` target, which ends the solve
 
 
-def _ascent(adj, n: int, r: int, lam: float, balanced: bool, max_iters: int, rng,
-            confirm=None):
-    """One restart of the ascent from a random start drawn from `rng`.
-
-    `confirm` is None or (objective, labels) of a converged restart, which
-    this restart confirms if it stops converged, not capped, within the gap
-    test's tolerance of that objective and rounds to the same partition.
-    """
+def _ascent(adj, n: int, r: int, lam: float, balanced: bool, max_iters: int, rng):
+    """One restart of the ascent from a random start drawn from `rng`."""
     # the balanced variant handles the constraint by projection, not penalty
     lam_eff = 0.0 if balanced else lam
     product = _product(adj, r)
@@ -281,9 +275,7 @@ def _ascent(adj, n: int, r: int, lam: float, balanced: bool, max_iters: int, rng
         if gain <= _STEP_TOL * (1.0 + abs(f)):
             converged = True
             break
-    confirmed = (converged and confirm is not None and _agrees(f, confirm[0])
-                 and partitions_equal(round_solution(y, balanced), confirm[1]))
-    return _Restart(y, f, iters, converged, objectives, confirmed)
+    return _Restart(y, f, iters, converged, objectives)
 
 
 @functools.lru_cache(maxsize=128)
@@ -554,35 +546,30 @@ def _solve(g: Graph, cfg: SdpConfig, balanced: bool) -> SdpSolution:
     tight = _dual_certified(adj, x, mu, _DUAL_RTOL * (1.0 + abs(f)))
     rounding = (labels, f, Certificate(tight=tight, gap=0.0))
     best = _Restart(factor=y, objective=f, iterations=0, converged=True, objectives=[])
-    restart_objs = [f]
-    restarts_used = total_iters = 0
-    if not rounding[2].tight:
-        best, restart_objs = None, []
-        for k in range(_RESTARTS):
-            rng = rng_for(cfg.seed, STREAM_SDP, k)
-            confirm = (None if best is None or not best.converged
-                       else (best.objective, rounding[0]))
-            out = _ascent(adj, g.n, cfg.rank, lam, balanced, _MAX_ITERS, rng, confirm)
-            restart_objs.append(out.objective)
-            total_iters += out.iterations
-            if out.confirmed:  # the best stays
+    # exits: a certified rounding, the restart bound, the rank stop, a confirmation
+    runs = []
+    while not rounding[2].tight and len(runs) < _RESTARTS:
+        out = _ascent(adj, g.n, cfg.rank, lam, balanced, _MAX_ITERS,
+                      rng_for(cfg.seed, STREAM_SDP, len(runs)))
+        runs.append(out)
+        if (len(runs) > 1 and best.converged and out.converged
+                and _agrees(out.objective, best.objective)
+                and partitions_equal(round_solution(out.factor, balanced), rounding[0])):
+            break  # out confirms the best, which stays
+        if len(runs) == 1 or out.objective > best.objective:
+            best = out
+            rounding = _round_and_certify(g, adj, out.factor, out.objective,
+                                          out.converged, lam, mu, balanced)
+            ev = np.linalg.eigvalsh(out.factor.T @ out.factor)  # of the Gram Y^T Y
+            if out.converged and not balanced and ev[0] <= _RANK_TOL * ev[-1]:
                 break
-            if best is None or out.objective > best.objective:
-                best = out
-                rounding = _round_and_certify(g, adj, out.factor, out.objective,
-                                              out.converged, lam, mu, balanced)
-                ev = np.linalg.eigvalsh(out.factor.T @ out.factor)  # of the Gram Y^T Y
-                if rounding[2].tight or (out.converged and not balanced
-                                         and ev[0] <= _RANK_TOL * ev[-1]):
-                    break
-        restarts_used = len(restart_objs)
     labels, rounded_obj, cert = rounding
     cs = best.factor.sum(axis=0)
     diag = SolveDiagnostics(
         converged=best.converged,
-        iterations_total=total_iters,
-        restarts_used=restarts_used,
-        restart_objectives=np.asarray(restart_objs),
+        iterations_total=sum(out.iterations for out in runs),
+        restarts_used=len(runs),
+        restart_objectives=np.asarray([out.objective for out in runs] or [f]),
     )
     return SdpSolution(
         factor=best.factor,

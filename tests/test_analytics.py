@@ -155,6 +155,15 @@ class TestBoundParams:
             bs.BoundParams(K1=-1, K2=0, p=0.5, q=0.5)
         with pytest.raises(ParameterError):
             bs.BoundParams(K1=1, K2=1, p=1.5, q=0.5)
+        # integral floats, bools and infinities are not counts
+        for k in (2.0, True, False, math.inf, np.float64(3.0), np.True_):
+            with pytest.raises(ParameterError):
+                bs.BoundParams(K1=k, K2=3, p=0.5, q=0.1)
+            with pytest.raises(ParameterError):
+                bs.BoundParams(K1=3, K2=k, p=0.5, q=0.1)
+        bp = bs.BoundParams(K1=np.int64(2), K2=np.int32(3), p=0.5, q=0.1)
+        assert bs.binom_diff_tail_exact(bp) == bs.binom_diff_tail_exact(
+            bs.BoundParams(K1=2, K2=3, p=0.5, q=0.1))
 
 
 class TestLemma2Bound:

@@ -190,20 +190,20 @@ class TestRankStop:
 
     def test_full_rank_restart_waits_for_confirmation(self):
         # graph 12 of 200 control graphs seeded seed_sequence(555000, i): restart
-        # 0 converges on a full-rank factor, and restart 1 confirms it at its stop
+        # 0 converges on a full-rank factor, and restart 1 confirms it: it
+        # converges, agrees with restart 0 and rounds to restart 0's partition
         seed = bs.seed_sequence(555000, 12)
         g = bs.sample_sbm(self.CONTROL, seed)
         cfg = bs.SdpConfig(lam=self.LAM, seed=seed)
         sol = bs.solve_lagrangian_sdp(g, cfg)
         d = sol.diagnostics
         adj = sdp._operator(g)
-        first = sdp._ascent(adj, g.n, cfg.rank, self.LAM, False, sdp._MAX_ITERS,
-                            rng_for(seed, STREAM_SDP, 0))
+        first, second = (sdp._ascent(adj, g.n, cfg.rank, self.LAM, False, sdp._MAX_ITERS,
+                                     rng_for(seed, STREAM_SDP, k)) for k in range(2))
         assert first.converged and rank_ratio(first.factor) > sdp._RANK_TOL
-        second = sdp._ascent(adj, g.n, cfg.rank, self.LAM, False, sdp._MAX_ITERS,
-                             rng_for(seed, STREAM_SDP, 1),
-                             (first.objective, bs.round_solution(first.factor)))
-        assert second.confirmed and second.converged
+        assert second.converged and sdp._agrees(second.objective, first.objective)
+        assert bs.partitions_equal(bs.round_solution(second.factor),
+                                   bs.round_solution(first.factor))
         assert d.restarts_used == 2 and d.converged
         assert d.iterations_total == first.iterations + second.iterations
         assert sol.objective == d.restart_objectives[0] == first.objective
@@ -211,7 +211,7 @@ class TestRankStop:
         assert np.array_equal(sol.factor, first.factor)
 
 
-class TestEarlyConfirmation:
+class TestConfirmation:
     """Restart confirmation, checked only at a converged stop, and the balanced
     program's exemption from the rank stop."""
 
@@ -262,6 +262,36 @@ class TestEarlyConfirmation:
         assert bs.partitions_equal(sol.rounded, labels)
         assert not sol.certificate.tight and not cert.tight
 
+    def test_capped_restarts_neither_confirm_nor_are_confirmed(self, monkeypatch):
+        # TestRankStop's graph 12, where restart 1 confirms restart 0. Reported
+        # capped, restart 0 cannot be confirmed and restart 1 cannot confirm:
+        # either way the solve runs on until two converged restarts agree
+        seed = bs.seed_sequence(555000, 12)
+        g = bs.sample_sbm(TestRankStop.CONTROL, seed)
+        cfg = bs.SdpConfig(lam=TestRankStop.LAM, seed=seed)
+        ascent = sdp._ascent
+        for capped, restarts in ((0, 3), (1, 4)):
+            runs = []
+
+            def capping(*args):
+                runs.append(ascent(*args))
+                out = runs[-1]
+                return out._replace(converged=False) if len(runs) - 1 == capped else out
+
+            monkeypatch.setattr(sdp, "_ascent", capping)
+            assert bs.solve_lagrangian_sdp(g, cfg).diagnostics.restarts_used == restarts
+
+    def test_uncertified_spectral_labels_are_not_a_restart(self, monkeypatch):
+        # with the dual check failing everywhere, restart 0 on two cliques ends
+        # on the spectral labels' partition and objective; it must become the
+        # best, not confirm the spectral candidate
+        monkeypatch.setattr(sdp, "_dual_certified", lambda *args: False)
+        g = two_cliques(4)
+        sol = bs.solve_lagrangian_sdp(g, bs.SdpConfig(lam=LAM_STAR, seed=1))
+        assert bs.partitions_equal(sol.rounded, g.truth) and not sol.certificate.tight
+        assert sol.diagnostics.restarts_used == 1
+        assert sol.factor.shape == (g.n, bs.SdpConfig().rank) and sol.iterations > 0
+
 
 class TestSdpConfig:
     def test_rank_is_the_one_solver_setting(self):
@@ -273,6 +303,10 @@ class TestSdpConfig:
     def test_validation(self):
         with pytest.raises(ParameterError):
             bs.SdpConfig(rank=1)
+        for rank in (2.5, 8.0):  # not an integer, though 8.0 is integral
+            with pytest.raises(ParameterError):
+                bs.SdpConfig(rank=rank)
+        assert bs.SdpConfig(rank=np.int64(8)).rank == 8
         with pytest.raises(ParameterError):
             bs.SdpConfig(lam=-0.5)
         with pytest.raises(ParameterError):
@@ -849,7 +883,7 @@ class TestDualCertificate:
             assert sol.certificate.gap == 0.0 and sol.rounded_objective == obj
             assert obj == pytest.approx(best, rel=0, abs=g.n * sdp._DUAL_RTOL * (1.0 + abs(obj)))
 
-    def test_uncertified_solve_stops_when_restarts_agree(self):
+    def test_uncertified_solve_stops_on_a_rank_deficient_restart(self):
         g = relaxation_gap_graph()
         cfg = bs.SdpConfig(lam=LAM_STAR, seed=6)
         sol = bs.solve_lagrangian_sdp(g, cfg)
@@ -1070,6 +1104,98 @@ print(json.dumps(result))
     def test_ascent(self, name, ascents):
         *_, iterations, converged, want = self.ASCENTS[name]
         assert ascents[name] == [iterations, converged, want]
+
+
+class TestGoldenSolve:
+    """Seeded solves pinned to the bit, one for each way a solve ends: SHA-256
+    of the factor's bytes and the labels, then the objective, the rounded
+    objective, the gap and the restart objectives as float64, then
+    (iterations_total, restarts_used, converged, tight, iterations) as int64.
+    The graphs: the paper's full n = 400 graph (alpha 30, beta 2), whose
+    spectral labels certify; sketched subgraphs of it at half the threshold
+    rate, seeded as tools/replay_solver.py seeds them, where graph 341's
+    restart 0 certifies and graph 66's balanced restart 1 confirms restart 0;
+    and control graphs below the threshold (n = 300, alpha 3, beta 1), where
+    graph 0's Lagrangian restart 0 is rank-deficient, the full-rank restart 0
+    of seed_sequence(555000, 12) is confirmed by restart 1, and the balanced
+    restarts of graph 0 of tools/replay_solver.py's control cell run to the
+    restart bound: restart 1 rounds to restart 0's partition but its objective
+    does not agree. The solves run in a fresh interpreter on one BLAS thread,
+    as TestGoldenAscent's do. The digests were recorded before the restart
+    loop was restructured, which must keep every bit."""
+
+    SOLVES = {  # name: restarts_used, tight, digest
+        "spectral_skip": [0, True,
+            "4e9b35c8f3b735ec2d32e270fed308f3dc9803e50ae43a5d4e384040f19c22c6"],
+        "certified_restart": [1, True,
+            "118f51da55bbeb24e780e3abd036f7d4b4aeab56c4fcf7df924bd24ebff63a2d"],
+        "rank_stop": [1, False,
+            "83600ec2ec2636f8a89595977027cb2767ab1f182322bf350759b31b3cbb5e67"],
+        "lagrangian_confirmation": [2, False,
+            "3279750132c92a0f8ffa77abb2924da7256c7b3c4cad06d08cf02a66b4ae9403"],
+        "balanced_confirmation": [2, False,
+            "707766f797027631f68a8468eee939d0ba4a777c1167127ffed68f4675293175"],
+        "restart_bound": [5, False,
+            "a78868bca0b168b65384caa38814e902989356cecb4f221095b79321fc7a0a68"],
+    }
+
+    RUN = """
+import hashlib, json
+import numpy as np
+import blocksketch as bs
+FULL = bs.SbmParams.from_rates(400, 30.0, 2.0)
+CONTROL = bs.SbmParams.from_rates(300, 3.0, 1.0)
+
+def sketched(i):
+    seed = bs.seed_sequence(20261020, 0, i)
+    kept = bs.subsample_nodes(FULL.n, 0.5 * bs.gamma_star(30.0, 2.0), seed)
+    return bs.induced_subgraph(bs.sample_sbm(FULL, seed), kept)[0], seed
+
+def control(seed):
+    return bs.sample_sbm(CONTROL, seed), seed
+
+def lagrangian(params, g, seed):
+    lam = bs.lambda_star(params.p, params.q)
+    return bs.solve_lagrangian_sdp(g, bs.SdpConfig(lam=lam, seed=seed))
+
+def balanced(g, seed):
+    return bs.solve_balanced_sdp(g, bs.SdpConfig(seed=seed))
+
+SOLVES = {
+    "spectral_skip": lambda: lagrangian(FULL, bs.sample_sbm(FULL, 0), 0),
+    "certified_restart": lambda: lagrangian(FULL, *sketched(341)),
+    "rank_stop": lambda: lagrangian(CONTROL, *control(0)),
+    "lagrangian_confirmation": lambda: lagrangian(CONTROL,
+                                                  *control(bs.seed_sequence(555000, 12))),
+    "balanced_confirmation": lambda: balanced(*sketched(66)),
+    "restart_bound": lambda: balanced(*control(bs.seed_sequence(20261020, 2, 0))),
+}
+result = {}
+for name, solve in SOLVES.items():
+    sol = solve()
+    d, cert = sol.diagnostics, sol.certificate
+    h = hashlib.sha256(sol.factor.tobytes())
+    h.update(sol.rounded.tobytes())
+    h.update(np.array([sol.objective, sol.rounded_objective, cert.gap]).tobytes())
+    h.update(d.restart_objectives.astype(np.float64).tobytes())
+    h.update(np.array([d.iterations_total, d.restarts_used, d.converged, cert.tight,
+                       sol.iterations], dtype=np.int64).tobytes())
+    result[name] = [d.restarts_used, cert.tight, h.hexdigest()]
+print(json.dumps(result))
+"""
+
+    @pytest.fixture(scope="class")
+    def solves(self, src_env):
+        """{name: [restarts_used, tight, digest]} of every pinned solve."""
+        env = dict(src_env, **dict.fromkeys(BLAS_THREAD_VARS, "1"))
+        out = subprocess.run([sys.executable, "-c", self.RUN], env=env,
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        return json.loads(out.stdout)
+
+    @pytest.mark.parametrize("name", sorted(SOLVES))
+    def test_solve(self, name, solves):
+        assert solves[name] == self.SOLVES[name]
 
 
 class TestLabelingObjective:

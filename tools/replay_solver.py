@@ -1,13 +1,14 @@
 """Replay a fixed battery of seeded SDP solves; print one line per cell.
 
-    PYTHONPATH=src python tools/replay_solver.py    # about 15 s on a 2-vCPU host
+    PYTHONPATH=src python tools/replay_solver.py    # about 20 s on a 2-vCPU host
 
 Cells: 300 sketched subgraphs of n = 400 graphs (alpha 30, beta 2) at half the
 threshold rate, every third even-sized one also on the balanced program; 10 at
 n = 5000; 60 full n = 300 graphs below the threshold (alpha 3, beta 1) on both
-programs. A line gives solves, ascents, tight verdicts, a restarts_used histogram,
-total iterations, and four SHA-256 digests, so that two commits' outputs can be
-diffed:
+programs; 200 more such control graphs, seeded seed_sequence(555000, i), on the
+Lagrangian program, the set that sized _STEP_TOL and _RANK_TOL. A line gives
+solves, ascents, tight verdicts, a restarts_used histogram, total iterations,
+and four SHA-256 digests, so that two commits' outputs can be diffed:
 - sha256 over every (partition with node 0 labelled +1, tight, restarts_used):
   the same results in the same number of restarts;
 - bits_sha256 over every solve's restart_objectives bytes and iterations_total:
@@ -27,12 +28,16 @@ SEED = 20261020  # fixed before any result was read
 HALF = 0.5 * bs.gamma_star(30.0, 2.0)
 
 
-def graphs(cell: int, n: int, alpha: float, beta: float, gamma: float, count: int):
-    """(graph, lambda_star, seed) for `count` seeded draws, sketched when gamma < 1."""
+def keyed_seeds(count: int, *key: int):
+    """seed_sequence(*key, i) for i < count."""
+    return (bs.seed_sequence(*key, i) for i in range(count))
+
+
+def graphs(n: int, alpha: float, beta: float, gamma: float, seeds):
+    """(graph, lambda_star, seed) for each seed's draw, sketched when gamma < 1."""
     params = bs.SbmParams.from_rates(n, alpha, beta)
     lam = bs.lambda_star(params.p, params.q)
-    for i in range(count):
-        seed = bs.seed_sequence(SEED, cell, i)
+    for seed in seeds:
         g = bs.sample_sbm(params, seed)
         if gamma < 1.0:
             g, _ = bs.induced_subgraph(g, bs.subsample_nodes(n, gamma, seed))
@@ -44,17 +49,19 @@ def battery():
     """Yield (cell name, solution) for every solve, in a fixed order."""
     lagrangian, balanced = bs.solve_lagrangian_sdp, bs.solve_balanced_sdp
     even = 0
-    for g, lam, seed in graphs(0, 400, 30.0, 2.0, HALF, 300):
+    for g, lam, seed in graphs(400, 30.0, 2.0, HALF, keyed_seeds(300, SEED, 0)):
         yield "n400-half lagrangian", lagrangian(g, bs.SdpConfig(lam=lam, seed=seed))
         if g.n % 2 == 0:
             if even % 3 == 0:
                 yield "n400-half balanced", balanced(g, bs.SdpConfig(seed=seed))
             even += 1
-    for g, lam, seed in graphs(1, 5000, 30.0, 2.0, HALF, 10):
+    for g, lam, seed in graphs(5000, 30.0, 2.0, HALF, keyed_seeds(10, SEED, 1)):
         yield "n5000-half lagrangian", lagrangian(g, bs.SdpConfig(lam=lam, seed=seed))
-    for g, lam, seed in graphs(2, 300, 3.0, 1.0, 1.0, 60):
+    for g, lam, seed in graphs(300, 3.0, 1.0, 1.0, keyed_seeds(60, SEED, 2)):
         yield "control lagrangian", lagrangian(g, bs.SdpConfig(lam=lam, seed=seed))
         yield "control balanced", balanced(g, bs.SdpConfig(seed=seed))
+    for g, lam, seed in graphs(300, 3.0, 1.0, 1.0, keyed_seeds(200, 555000)):
+        yield "control-555000 lagrangian", lagrangian(g, bs.SdpConfig(lam=lam, seed=seed))
 
 
 if __name__ == "__main__":
