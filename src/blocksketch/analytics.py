@@ -11,12 +11,11 @@ from `math.lgamma`.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, ParameterError
+from .errors import CapacityError, DomainError, ParameterError, as_int
 
 # below / above: which side of the exact-recovery threshold (alpha, beta) fall on
 BELOW = "below"
@@ -25,8 +24,10 @@ BOUNDARY = "boundary"
 
 _CONVOLUTION_CAP = 100_000
 # t = 0 (the trivial bound 1) must be a candidate: when K1 p = K2 q the
-# optimum sits exactly there and every positive t gives a bound above 1
-_DEFAULT_T_GRID = 0.01 * np.arange(0, 2001)
+# optimum sits exactly there and every positive t gives a bound above 1.
+# Its exponent is 0 for every BoundParams, so some grid point is always valid.
+_T_GRID = 0.01 * np.arange(0, 2001)
+_BOUNDARY_TOL = 1e-12     # |sqrt(alpha) - sqrt(beta) - sqrt(2)| <= this is BOUNDARY
 
 
 @dataclass(frozen=True)
@@ -39,13 +40,8 @@ class BoundParams:
     q: float
 
     def __post_init__(self):
-        for k in (self.K1, self.K2):
-            try:  # numpy integers pass; floats, even integral ones, and bools do not
-                nonnegative = not isinstance(k, bool) and operator.index(k) >= 0
-            except TypeError:
-                nonnegative = False
-            if not nonnegative:
-                raise ParameterError("K1 and K2 must be nonnegative integers")
+        if as_int(self.K1, "K1") < 0 or as_int(self.K2, "K2") < 0:
+            raise ParameterError("K1 and K2 must be nonnegative integers")
         if not (0.0 <= self.p <= 1.0 and 0.0 <= self.q <= 1.0):
             raise ParameterError("p and q must lie in [0, 1]")
 
@@ -57,12 +53,12 @@ def gamma_star(alpha: float, beta: float) -> float:
     return 2.0 / (math.sqrt(alpha) - math.sqrt(beta)) ** 2
 
 
-def exact_recovery_possible(alpha: float, beta: float, tol: float = 1e-12) -> str:
+def exact_recovery_possible(alpha: float, beta: float) -> str:
     """Classify sqrt(alpha) - sqrt(beta) against sqrt(2): BELOW / ABOVE / BOUNDARY."""
     if not (alpha >= beta >= 0.0):
         raise ParameterError(f"need alpha >= beta >= 0, got alpha={alpha}, beta={beta}")
     d = (math.sqrt(alpha) - math.sqrt(beta)) - math.sqrt(2.0)
-    if abs(d) <= tol:
+    if abs(d) <= _BOUNDARY_TOL:
         return BOUNDARY
     return ABOVE if d > 0 else BELOW
 
@@ -79,8 +75,8 @@ def lemma2_exponent(alpha: float, beta: float, gamma: float) -> float:
     """Rate exponent (alpha + beta) * gamma / 2 - gamma * sqrt(alpha * beta)."""
     if not (alpha > beta >= 0.0):
         raise ParameterError(f"need alpha > beta >= 0, got alpha={alpha}, beta={beta}")
-    if gamma < 0:
-        raise ParameterError("gamma must be nonnegative")
+    if not 0.0 <= gamma < math.inf:
+        raise ParameterError(f"gamma must be finite and nonnegative, got {gamma}")
     return (alpha + beta) * gamma / 2.0 - gamma * math.sqrt(alpha * beta)
 
 
@@ -139,25 +135,19 @@ def binom_diff_tail_exact(bp: BoundParams) -> float:
     return min(max(total, 0.0), 1.0)
 
 
-def chernoff_grid_min(bp: BoundParams, t_grid=None) -> float:
-    """Minimum over a t-grid of the exact-MGF Chernoff bound on P(X - Y <= 0).
+def chernoff_grid_min(bp: BoundParams) -> float:
+    """Minimum over t in {0, 0.01, ..., 20} of the exact-MGF Chernoff bound
+    on P(X - Y <= 0).
 
     Each valid t >= 0 gives the bound
     exp(K1 * log(1 - p(1 - e^-t)) + K2 * log(1 - q(1 - e^t)));
     grid points with a non-positive log argument or non-finite value are skipped.
     """
-    t = _DEFAULT_T_GRID if t_grid is None else np.asarray(t_grid, dtype=np.float64)
-    if t.size == 0:
-        raise ParameterError("t grid must be non-empty")
-    if (t < 0).any():
-        raise ParameterError("t grid values must be nonnegative")
     with np.errstate(over="ignore", invalid="ignore"):
-        x1 = bp.p * (-np.expm1(-t))          # p (1 - e^-t) in [0, p]
-        x2 = bp.q * np.expm1(t)              # -q (1 - e^t) >= 0
+        x1 = bp.p * (-np.expm1(-_T_GRID))    # p (1 - e^-t) in [0, p]
+        x2 = bp.q * np.expm1(_T_GRID)        # -q (1 - e^t) >= 0
         exponent = _xlogy(bp.K1, 1.0 - x1)
         if bp.K2:
             exponent = exponent + bp.K2 * np.log1p(x2)
     valid = (x1 < 1.0) & np.isfinite(exponent)
-    if not valid.any():
-        raise DomainError("no valid grid point for the Chernoff bound")
     return float(np.exp(np.min(exponent[valid])))

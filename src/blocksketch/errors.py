@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one integer check."""
+
+import operator
 
 
 class BlocksketchError(Exception):
@@ -23,3 +25,14 @@ class CapacityError(BlocksketchError, RuntimeError):
 
 class GraphFormatError(BlocksketchError, ValueError):
     """A graph text file violates the on-disk format."""
+
+
+def as_int(value, what: str) -> int:
+    """`value` as a Python int: integers, numpy integers included, pass;
+    bools and floats, even integral ones, raise ParameterError."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ParameterError(f"{what} must be an integer, got {value!r}")

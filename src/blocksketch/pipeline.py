@@ -7,8 +7,10 @@ tables do not depend on worker count or completion order.
 The on-disk schemas come from the record dataclasses. A trial-log line holds
 the fields of `TrialRecord` (nested `SbmParams` and `Certificate` fields
 included); `TIMING_FIELDS` names the one field, `wall_time`, that
-`canonical_dict` leaves out and `json_dict` adds back. A sweep CSV row holds
-the fields of `CellStats` followed by `master_seed`.
+`canonical_dict` leaves out and `json_dict` adds back. A sweep table is what
+its CSV holds: `master_seed` plus one `CellStats` per cell, each row the
+fields of `CellStats` followed by `master_seed`. Each cell of `run_sweep`
+runs the default `SketchConfig` at its own gamma.
 
 `run_sweep(jobs=k)` with k > 1 needs `os.fork` (POSIX) and a caller with no
 other threads running. Task i of the sweep runs in worker i mod k: worker 0 is
@@ -38,7 +40,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .analytics import lambda_star
-from .errors import ParameterError
+from .errors import ParameterError, as_int
 from .rng import RngSeed, STREAM_TIEBREAK, rng_for, seed_fingerprint, seed_sequence
 from .sbm import (Graph, SbmParams, induced_subgraph, partitions_equal, require_nonempty,
                   sample_sbm, subsample_nodes)
@@ -150,11 +152,6 @@ def _csv_text(kind: type, value, exact: bool = False) -> str:
 
 @dataclass(eq=False)
 class SweepTable:
-    n_values: tuple
-    alpha_values: tuple
-    beta_values: tuple
-    gamma_values: tuple
-    trials_per_cell: int
     master_seed: int
     cells: list
 
@@ -273,11 +270,12 @@ def _start_worker(tasks: list, w: int, k: int, readers: list) -> int:
 
 def run_sweep(n_values: Sequence[int], alpha_values: Sequence[float],
               beta_values: Sequence[float], gamma_values: Sequence[float],
-              trials: int, master_seed: int, *, config: Optional[SketchConfig] = None,
-              jobs: int = 1, trial_log=None) -> SweepTable:
+              trials: int, master_seed: int, *, jobs: int = 1,
+              trial_log=None) -> SweepTable:
     """Full product sweep over (n, alpha, beta, gamma) with `trials` per cell.
 
-    The per-cell gamma overrides the template config's. An exception of any
+    Each cell runs the default SketchConfig at its own gamma, so the cell's
+    CSV row names every input of its trials. An exception of any
     type inside a trial is recorded as a failed trial with an error tag
     rather than aborting the sweep.
     `jobs` only sets the worker count; results are identical for any value
@@ -296,24 +294,22 @@ def run_sweep(n_values: Sequence[int], alpha_values: Sequence[float],
                      ("beta", beta_values), ("gamma", gamma_values)):
         if len(ax) == 0:
             raise ParameterError(f"axis {name} must be non-empty")
+    trials, jobs = as_int(trials, "trials"), as_int(jobs, "jobs")
     if trials < 1:
         raise ParameterError("trials must be at least 1")
     if jobs < 1:
         raise ParameterError("jobs must be at least 1")
     if jobs > 1 and not hasattr(os, "fork"):
         raise ParameterError("jobs > 1 needs os.fork (POSIX)")
-    seed_sequence(master_seed)  # a negative seed fails here, before any trial
-    template = config if config is not None else SketchConfig(gamma=1.0)
+    seed_sequence(master_seed)  # a negative or non-integer seed fails here, before any trial
 
     tasks = []
-    cell_axes = []
     for (i_n, n), (i_a, a), (i_b, b), (i_g, gm) in product(
             enumerate(n_values), enumerate(alpha_values),
             enumerate(beta_values), enumerate(gamma_values)):
-        params = SbmParams.from_rates(int(n), float(a), float(b))
-        cfg = dataclasses.replace(template, gamma=float(gm))
+        params = SbmParams.from_rates(n, float(a), float(b))
+        cfg = SketchConfig(gamma=float(gm))
         cell = (i_n, i_a, i_b, i_g)
-        cell_axes.append((cell, int(n), float(a), float(b), float(gm)))
         for t in range(trials):
             tasks.append((params, cfg, master_seed, cell, t))
 
@@ -355,28 +351,20 @@ def run_sweep(n_values: Sequence[int], alpha_values: Sequence[float],
                 f.close()
 
     cells = []
-    for cell, n, a, b, gm in cell_axes:
-        recs = by_cell[cell]
+    for recs in by_cell.values():  # every task is recorded, in cell order
+        params = recs[0].params
         successes = sum(r.overall_success for r in recs)
         sub = sum(r.subgraph_success for r in recs)
         cells.append(CellStats(
-            n=n, alpha=a, beta=b, gamma=gm, trials=trials,
-            successes=int(successes),
+            n=params.n, alpha=params.alpha, beta=params.beta, gamma=recs[0].gamma,
+            trials=trials, successes=int(successes),
             success_rate=successes / trials,
             subgraph_success_rate=sub / trials,
             mean_sample_size=float(np.mean([r.sample_size for r in recs])),
             mean_tie_count=float(np.mean([r.vote_ties for r in recs])),
             mean_wall_ms=float(np.mean([r.wall_time for r in recs])) * 1e3,
         ))
-    return SweepTable(
-        n_values=tuple(int(v) for v in n_values),
-        alpha_values=tuple(float(v) for v in alpha_values),
-        beta_values=tuple(float(v) for v in beta_values),
-        gamma_values=tuple(float(v) for v in gamma_values),
-        trials_per_cell=trials,
-        master_seed=int(master_seed),
-        cells=cells,
-    )
+    return SweepTable(master_seed=int(master_seed), cells=cells)
 
 
 def _check_csv_row(row: dict) -> None:
@@ -407,7 +395,6 @@ def parse_sweep_csv(text: str) -> SweepTable:
     cells = []
     seeds = set()
     trials_seen = set()
-    axes = {"n": [], "alpha": [], "beta": [], "gamma": []}
     for i, ln in enumerate(lines[1:], 1):
         try:
             row = {name: kind(v) for (name, kind), v
@@ -418,15 +405,6 @@ def parse_sweep_csv(text: str) -> SweepTable:
         seeds.add(row.pop("master_seed"))
         cells.append(CellStats(**row))
         trials_seen.add(row["trials"])
-        for key, vals in axes.items():
-            if row[key] not in vals:
-                vals.append(row[key])
     if len(seeds) > 1 or len(trials_seen) > 1:
         raise ParameterError("inconsistent master_seed or trials across rows")
-    return SweepTable(
-        n_values=tuple(axes["n"]), alpha_values=tuple(axes["alpha"]),
-        beta_values=tuple(axes["beta"]), gamma_values=tuple(axes["gamma"]),
-        trials_per_cell=trials_seen.pop() if trials_seen else 0,
-        master_seed=seeds.pop() if seeds else 0,
-        cells=cells,
-    )
+    return SweepTable(master_seed=seeds.pop() if seeds else 0, cells=cells)

@@ -11,7 +11,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, as_int
 
 RngSeed = Union[int, np.random.SeedSequence]
 
@@ -23,10 +23,12 @@ STREAM_TIEBREAK = 3
 
 
 def seed_sequence(seed: RngSeed, *stream: int) -> np.random.SeedSequence:
-    """SeedSequence for `seed` narrowed to the given stream ids; int seeds are >= 0."""
+    """SeedSequence for `seed` narrowed to the given stream ids; int seeds are
+    integers >= 0, numpy integers included, and enter as Python ints."""
     if isinstance(seed, np.random.SeedSequence):
         key = tuple(seed.spawn_key) + tuple(stream)
         return np.random.SeedSequence(seed.entropy, spawn_key=key)
+    seed = as_int(seed, "seed")
     if seed < 0:
         raise ParameterError(f"seed must be nonnegative, got {seed}")
     return np.random.SeedSequence(seed, spawn_key=tuple(stream))

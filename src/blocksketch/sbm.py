@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import EmptyGraphError, GraphFormatError, ParameterError
+from .errors import EmptyGraphError, GraphFormatError, ParameterError, as_int
 from .rng import RngSeed, STREAM_SBM, STREAM_SUBSAMPLE, rng_for
 
 if TYPE_CHECKING:
@@ -55,7 +55,7 @@ class SbmParams:
     balanced: bool = False
 
     def __post_init__(self):
-        if self.n1 < 1 or self.n2 < 1:
+        if as_int(self.n1, "n1") < 1 or as_int(self.n2, "n2") < 1:
             raise ParameterError(f"both communities need a node, got sizes {self.n1}, {self.n2}")
         if not (0.0 <= self.q <= 1.0 and 0.0 <= self.p <= 1.0):
             raise ParameterError(f"probabilities outside [0, 1]: p={self.p}, q={self.q}")
@@ -71,6 +71,7 @@ class SbmParams:
     @classmethod
     def from_rates(cls, n: int, alpha: float, beta: float) -> "SbmParams":
         """Balanced model with p = alpha*log(n)/n, q = beta*log(n)/n."""
+        n = as_int(n, "n")
         if n < 2 or n % 2:
             raise ParameterError(f"balanced mode needs even n >= 2, got {n}")
         if not (alpha > beta >= 0.0):
@@ -142,10 +143,12 @@ def _canonical_graph(n: int, edges, truth, error: type[Exception]) -> Graph:
     """Orient each edge u < v and sort; raise `error` on a negative n or one
     too large for int64 edge keys, an out-of-range endpoint, a self-loop, a
     duplicate in either orientation, or a truth vector that is not a
-    complete +-1 vector of length n."""
+    complete +-1 vector of length n. A non-integer n, which only `from_edges`
+    can pass, raises ParameterError."""
+    n = as_int(n, "node count")
     if n < 0:
         raise error(f"node count must be nonnegative, got n={n}")
-    if int(n) ** 2 > 2 ** 63:
+    if n ** 2 > 2 ** 63:
         raise error(f"n={n} nodes is too many: edge keys u * n + v must fit in int64")
     e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     u, v = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
@@ -251,7 +254,7 @@ def subsample_nodes(n: int, gamma: float, seed: RngSeed) -> np.ndarray:
     the sorted int64 kept indices."""
     if not (0.0 <= gamma <= 1.0):
         raise ParameterError(f"gamma must lie in [0, 1], got {gamma}")
-    if n < 0:
+    if as_int(n, "n") < 0:
         raise ParameterError("n must be nonnegative")
     rng = rng_for(seed, STREAM_SUBSAMPLE)
     return np.flatnonzero(rng.random(n) < gamma).astype(np.int64)
@@ -263,9 +266,7 @@ def induced_subgraph(g: Graph, kept: Union[np.ndarray, Sequence[int]]):
     Returns (subgraph, index_map) where index_map[i] is the original index
     of subgraph node i; truth labels are restricted when present.
     """
-    kept = np.unique(np.asarray(kept, dtype=np.int64))
-    if kept.size and (kept[0] < 0 or kept[-1] >= g.n):
-        raise ParameterError("kept index out of range")
+    kept = np.unique(as_node_indices(kept, g.n))
     k = kept.size
     sub_truth = g.truth[kept] if g.truth is not None else None
     if k == g.n:  # every node kept: the relabeling is the identity
@@ -282,6 +283,18 @@ def induced_subgraph(g: Graph, kept: Union[np.ndarray, Sequence[int]]):
         np.take(pos, u[inside], out=sub_edges[:, 0])
         np.take(pos, v[inside], out=sub_edges[:, 1])
     return Graph(n=int(k), edges=sub_edges, truth=sub_truth), kept
+
+
+def as_node_indices(kept, n: int) -> np.ndarray:
+    """`kept` as an int64 array; ParameterError unless every entry is an
+    integer in range(n). An empty sequence passes whatever its dtype."""
+    kept = np.asarray(kept)
+    if kept.size and not np.issubdtype(kept.dtype, np.integer):
+        raise ParameterError("kept indices must be integers")
+    kept = kept.astype(np.int64, copy=False)
+    if kept.size and (kept.min() < 0 or kept.max() >= n):
+        raise ParameterError("kept index out of range")
+    return kept
 
 
 def is_complete(labels: np.ndarray) -> bool:

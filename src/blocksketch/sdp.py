@@ -59,7 +59,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import CapacityError, ParameterError
+from .errors import CapacityError, ParameterError, as_int
 from .rng import RngSeed, STREAM_SDP, rng_for, seed_sequence
 from .sbm import Graph, is_complete, partitions_equal, require_nonempty
 
@@ -117,7 +117,7 @@ class SdpConfig:
     seed: RngSeed = 0
 
     def __post_init__(self):
-        if not isinstance(self.rank, (int, np.integer)) or self.rank < 2:
+        if as_int(self.rank, "rank") < 2:
             raise ParameterError("rank must be an integer of at least 2")
         require_multiplier(self.lam)
         if not isinstance(self.seed, np.random.SeedSequence):

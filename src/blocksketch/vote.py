@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import ParameterError
 from .rng import RngSeed
-from .sbm import UNASSIGNED, Graph, is_complete, partitions_equal, subsample_nodes
+from .sbm import (UNASSIGNED, Graph, as_node_indices, is_complete, partitions_equal,
+                  subsample_nodes)
 
 
 @dataclass(eq=False)
@@ -35,13 +36,11 @@ class VoteOutcome:
 
 def majority_vote(g: Graph, kept, sample_labels) -> VoteOutcome:
     """Extend the labels given on the kept indices to all nodes by strict
-    majority; the kept indices must be distinct and in range."""
-    kept = np.asarray(kept, dtype=np.int64)
+    majority; the kept indices must be distinct integers in range."""
+    kept = as_node_indices(kept, g.n)
     lab = np.asarray(sample_labels)
     if lab.shape != (kept.size,):
         raise ParameterError("sample_labels must align with the kept indices")
-    if kept.size and (kept.min() < 0 or kept.max() >= g.n):
-        raise ParameterError("kept index out of range")
     if not is_complete(lab):
         raise ParameterError("sample labels must be complete (+-1)")
     off = np.ones(g.n, dtype=bool)

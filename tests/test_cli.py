@@ -419,6 +419,13 @@ class TestParsingAndSeeds:
         ["bounds", "--K1", "100", "--K2", "100", "--p", "0.2", "--q", "0.05", "--beta", "2"],
         ["bounds", "--gamma", "0.5"],
         ["bounds", "--p", "0.2", "--q", "0.1", "--gamma", "0.5"],
+        ["bounds", "--alpha", "30", "--beta", "2", "--gamma", "nan"],
+        ["bounds", "--alpha", "30", "--beta", "2", "--gamma", "inf"],
+        # both rate pairs at once; a partial explicit model; a file with no labels line
+        ["solve", "--in", "{cliques}", "--p", "0.9", "--q", "0.1", "--alpha", "3",
+         "--beta", "0.5"],
+        ["gen", "--n1", "3", "--p", "1", "--q", "0", "--out", "{out}"],
+        ["vote-oracle", "--in", "{empty}", "--gamma", "0.5"],
     ])
     def test_bad_numbers_are_parameter_errors(self, argv, clique_file, tmp_path, capsys):
         empty = tmp_path / "empty.txt"

@@ -224,6 +224,18 @@ class TestTracedComposition:
                     == run_trial(params, cfg, seed).overall_success)
 
 
+def mask_wall(csv):
+    rows = []
+    for i, ln in enumerate(csv.splitlines()):
+        if i == 0:
+            rows.append(ln)
+            continue
+        parts = ln.split(",")
+        parts[10] = "X"
+        rows.append(",".join(parts))
+    return "\n".join(rows)
+
+
 class TestRunSweep:
     def test_axis_and_count_validation(self, tmp_path):
         with pytest.raises(ParameterError):
@@ -234,6 +246,20 @@ class TestRunSweep:
             run_sweep([60], [9.0], [1.0], [0.5], trials=0, master_seed=0)
         with pytest.raises(ParameterError):
             run_sweep([60], [9.0], [1.0], [0.5], trials=1, master_seed=0, jobs=0)
+        # integer inputs must be integers: True would write "True" as the trials
+        # column, 12.9 would run n=12, and floats reached numpy as TypeErrors
+        for bad in (dict(n_values=[12.9]), dict(n_values=[True]), dict(trials=True),
+                    dict(trials=1.5), dict(jobs=1.5), dict(master_seed=1.5),
+                    dict(master_seed=True)):
+            kw = dict(n_values=[12], alpha_values=[2.0], beta_values=[0.5],
+                      gamma_values=[1.0], trials=1, master_seed=0)
+            with pytest.raises(ParameterError, match="integer"):
+                run_sweep(**{**kw, **bad})
+        # numpy integers pass and write the same table as Python ints
+        tab = run_sweep([np.int64(12)], [2.0], [0.5], [1.0], np.int64(2), np.int64(5),
+                        jobs=np.int64(1))
+        want = run_sweep([12], [2.0], [0.5], [1.0], 2, 5)
+        assert mask_wall(tab.to_csv()) == mask_wall(want.to_csv())
         # a negative master seed fails before the trial log is opened
         log = tmp_path / "trials.jsonl"
         with pytest.raises(ParameterError):
@@ -256,18 +282,6 @@ class TestRunSweep:
         kw = dict(trials=5, master_seed=3)
         t1 = run_sweep([60], [9.0], [1.0], [0.5, 1.0], jobs=1, **kw)
         t4 = run_sweep([60], [9.0], [1.0], [0.5, 1.0], jobs=4, **kw)
-
-        def mask_wall(csv):
-            rows = []
-            for i, ln in enumerate(csv.splitlines()):
-                if i == 0:
-                    rows.append(ln)
-                    continue
-                parts = ln.split(",")
-                parts[10] = "X"
-                rows.append(",".join(parts))
-            return "\n".join(rows)
-
         assert mask_wall(t1.to_csv()) == mask_wall(t4.to_csv())
 
     def test_single_cell_matches_direct_trial(self):
@@ -377,12 +391,6 @@ class TestRunSweep:
         assert [r["seed"] for r in recs] == [
             list(map(repr, bs.seed_fingerprint(seed_sequence(5, 0, 0, 0, 0, t))))
             for t in range(2)]
-
-    def test_gamma_override_per_cell(self):
-        template = SketchConfig(gamma=0.123, lam=0.3)
-        tab = run_sweep([12], [2.0], [0.5], [1.0], trials=2, master_seed=9,
-                        config=template)
-        assert tab.cells[0].mean_sample_size == 12.0
 
 
 def masked_log(path):
@@ -518,9 +526,17 @@ class TestSweepCsv:
         back = parse_sweep_csv(csv)
         assert back.to_csv() == csv
         assert back.master_seed == 31
-        assert back.trials_per_cell == 2
-        assert back.n_values == (12, 10)
-        assert back.gamma_values == (1.0, 0.5)
+        assert {c.trials for c in back.cells} == {2}
+        assert list(dict.fromkeys(c.n for c in back.cells)) == [12, 10]
+        assert list(dict.fromkeys(c.gamma for c in back.cells)) == [1.0, 0.5]
+
+    def test_table_is_seed_and_cells(self):
+        # each row holds its cell's n, alpha, beta, gamma and trials; a config
+        # template, which no row would record, is not an input
+        assert [f.name for f in dataclasses.fields(pipeline.SweepTable)] == \
+            ["master_seed", "cells"]
+        with pytest.raises(TypeError, match="config"):
+            run_sweep([12], [2.0], [0.5], [1.0], 1, 0, config=SketchConfig(gamma=1.0))
 
     def test_rejects_malformed(self):
         tab = run_sweep([10], [2.0], [0.5], [1.0], trials=1, master_seed=0)
@@ -553,8 +569,7 @@ class TestSweepCsv:
         csv = tab.to_csv()
         assert csv.splitlines()[1].startswith("10,2.0000001,2,0.3333333333333333,")
         back = parse_sweep_csv(csv)
-        assert (back.alpha_values, back.beta_values, back.gamma_values) == \
-            ((2.0000001,), (2.0,), (1 / 3,))
+        assert [(c.alpha, c.beta, c.gamma) for c in back.cells] == [(2.0000001, 2.0, 1 / 3)]
         assert back.to_csv() == csv
 
     def test_accepts_rounded_mean_at_large_n(self):
@@ -563,5 +578,5 @@ class TestSweepCsv:
                             successes=1, success_rate=1.0, subgraph_success_rate=1.0,
                             mean_sample_size=1234568.0, mean_tie_count=0.0,
                             mean_wall_ms=1.0)
-        tab = pipeline.SweepTable((1234568,), (2.0,), (0.5,), (1.0,), 1, 0, [cell])
+        tab = pipeline.SweepTable(master_seed=0, cells=[cell])
         assert parse_sweep_csv(tab.to_csv()).to_csv() == tab.to_csv()

@@ -34,6 +34,12 @@ class TestSbmParams:
             bs.SbmParams.from_rates(200, 1.0, 2.0)   # alpha <= beta
         with pytest.raises(ParameterError):
             bs.SbmParams.from_rates(60, 30.0, 2.0)   # derived p > 1
+        for n in (400.0, 12.9, True):  # not an integer, though 400.0 is integral
+            with pytest.raises(ParameterError, match="integer"):
+                bs.SbmParams.from_rates(n, 30.0, 2.0)
+        params = bs.SbmParams.from_rates(np.int64(400), 30.0, 2.0)
+        assert params == bs.SbmParams.from_rates(400, 30.0, 2.0)
+        assert type(params.n1) is int
 
     def test_explicit_mode(self):
         params = bs.SbmParams.explicit(3, 5, 0.8, 0.2)
@@ -45,6 +51,12 @@ class TestSbmParams:
             bs.SbmParams.explicit(3, 3, 0.2, 0.8)    # p < q
         with pytest.raises(ParameterError):
             bs.SbmParams.explicit(3, 3, 1.2, 0.1)
+        for n1, n2 in ((3.0, 3), (3, 2.5), (True, 3)):
+            with pytest.raises(ParameterError, match="integer"):
+                bs.SbmParams.explicit(n1, n2, 0.5, 0.1)
+        assert bs.SbmParams.explicit(np.int64(3), 5, 0.8, 0.2).n == 8
+        with pytest.raises(ParameterError):  # balanced needs equal sizes
+            bs.SbmParams(3, 4, 0.5, 0.1, balanced=True)
 
     def test_explicit_allows_p_equal_q(self):
         # structureless edge case used by the K4 fixture
@@ -74,8 +86,14 @@ class TestSampleSbm:
         assert int((g.truth == -1).sum()) == 5
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(ParameterError):
-            bs.sample_sbm(bs.SbmParams.from_rates(100, 5.0, 1.0), -1)
+        params = bs.SbmParams.from_rates(100, 5.0, 1.0)
+        for seed in (-1, 1.5, 2.0, True):  # negative or not an integer
+            with pytest.raises(ParameterError):
+                bs.sample_sbm(params, seed)
+        # numpy integers pass and draw what the equal Python int draws
+        assert np.array_equal(bs.sample_sbm(params, np.int64(4)).edges,
+                              bs.sample_sbm(params, 4).edges)
+        assert bs.seed_sequence(np.uint8(4), 1).entropy == 4
 
     def test_determinism(self):
         params = bs.SbmParams.from_rates(100, 9.0, 1.0)
@@ -395,6 +413,9 @@ class TestSubsample:
             bs.subsample_nodes(10, -0.1, 0)
         with pytest.raises(ParameterError):
             bs.subsample_nodes(10, 1.1, 0)
+        for n in (-1, 2.5, True):  # a negative n, or not an integer
+            with pytest.raises(ParameterError):
+                bs.subsample_nodes(n, 0.5, 0)
 
     def test_mean_size(self):
         sizes = [bs.subsample_nodes(1000, 0.3, s).size for s in range(1000)]
@@ -446,8 +467,9 @@ class TestInducedSubgraph:
 
     def test_empty_mask(self):
         g = two_triangles()
-        sub, idx = bs.induced_subgraph(g, np.array([], dtype=np.int64))
-        assert sub.n == 0 and sub.m == 0 and idx.size == 0
+        for kept in (np.array([], dtype=np.int64), []):  # [] is float64 to numpy
+            sub, idx = bs.induced_subgraph(g, kept)
+            assert sub.n == 0 and sub.m == 0 and idx.size == 0
 
     def test_hand_enumerated_case(self):
         g = two_triangles()
@@ -459,8 +481,12 @@ class TestInducedSubgraph:
 
     def test_out_of_range_mask(self):
         g = two_triangles()
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="out of range"):
             bs.induced_subgraph(g, np.array([0, 6]))
+        # indices that are not integers are rejected, not truncated to 0 and 1
+        for kept in ([0.5, 1.7], np.array([0.0, 1.0]), [True, False]):
+            with pytest.raises(ParameterError, match="integers"):
+                bs.induced_subgraph(g, kept)
 
     def test_edges_map_back(self):
         params = bs.SbmParams.explicit(8, 8, 0.6, 0.2)
@@ -592,6 +618,11 @@ class TestGraphType:
     def test_rejects_negative_n(self):
         with pytest.raises(ParameterError):
             bs.Graph.from_edges(-3, [])
+        for n in (5.0, True):  # not an integer
+            with pytest.raises(ParameterError, match="integer"):
+                bs.Graph.from_edges(n, [(0, 1)])
+        g = bs.Graph.from_edges(np.int64(5), [(0, 1)])
+        assert type(g.n) is int and g.edges.tolist() == [[0, 1]]
 
     @settings(max_examples=80, deadline=None)
     @given(n=st.integers(2, 10), data=st.data())
@@ -704,6 +735,11 @@ class TestGraphFileIO:
         "3 1\n0 1 # c\n",          # no comment syntax
         "3037000500 1\n0 1\n",     # too many nodes for int64 edge keys
         "-3 0\n",                  # negative node count
+        "",                        # empty graph file
+        "\n  \n",                  # only blank lines
+        "a b\n",                   # header not two integers
+        "3 -1\n",                  # negative edge count
+        "3 1\n0 1 2\n",            # edge line with three fields
     ])
     def test_reader_rejects_malformed(self, tmp_path, content):
         path = tmp_path / "bad.txt"

@@ -614,6 +614,8 @@ class TestBalancedSolver:
         g = bs.Graph.from_edges(3, [(0, 1)])
         with pytest.raises(ParameterError):
             bs.solve_balanced_sdp(g, bs.SdpConfig())
+        with pytest.raises(ParameterError, match="even"):
+            bs.round_solution(np.ones((3, 2)), balanced=True)
 
     def test_rounded_always_balanced(self):
         rng = np.random.default_rng(13)

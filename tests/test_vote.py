@@ -78,6 +78,12 @@ class TestMajorityVote:
         for kept in ([0], [0, 1, 2], mask_of([], 3)):  # misaligned with the labels
             with pytest.raises(ParameterError, match="align"):
                 bs.majority_vote(g, kept, labels)
+        # not integers: truncation would vote from nodes 0 and 1
+        for kept in ([0.9, 1.2], np.array([0.0, 1.0]), [True, False]):
+            with pytest.raises(ParameterError, match="integers"):
+                bs.majority_vote(g, kept, labels)
+        empty = bs.majority_vote(g, [], [])  # an empty list still passes
+        assert empty.labels.tolist() == [0, 0, 0] and empty.tie_count == 3
         path = star([(0, 2), (2, 1)], 3)  # the path 0-2-1
         for kept, sample in (([0, 0], [1, -1]), ([0, 0], [1, 1]),  # conflicting, agreeing
                              ([1, 0, 1], [1, 1, 1])):
@@ -176,6 +182,9 @@ class TestOracleVoteTrial:
                 found = True
                 break
         assert found
+        # an empty sample leaves every node tied
+        assert bs.subsample_nodes(3, 1e-12, 0).size == 0
+        assert bs.oracle_vote_trial(g, 1e-12, 0) is False
 
     def test_disjoint_cliques_half_sample(self):
         params = bs.SbmParams.explicit(20, 20, 1.0, 0.0)
