@@ -4,6 +4,8 @@ import json
 import math
 import os
 import pickle
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -16,6 +18,8 @@ from blocksketch.pipeline import (CSV_HEADER, SketchConfig, TrialRecord,
                                   parse_sweep_csv, run_sweep, run_trial,
                                   sketch_and_recover)
 from blocksketch.rng import seed_fingerprint, seed_sequence
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def cliques_plus_isolate():
@@ -580,3 +584,66 @@ class TestSweepCsv:
                             mean_wall_ms=1.0)
         tab = pipeline.SweepTable(master_seed=0, cells=[cell])
         assert parse_sweep_csv(tab.to_csv()).to_csv() == tab.to_csv()
+
+
+class TestGoldenSweep:
+    """Seeded sweeps pinned to the bit: SHA-256 of the sweep CSV with
+    `mean_wall_ms` masked, and of the trial-log lines with `wall_time` dropped
+    (keys sorted). The grids: the paper's n = 400 graph (alpha 30, beta 2) at
+    0.5 gamma*, gamma* and gamma = 1 with 3 trials per cell, and the control
+    model below the threshold (n = 300, alpha 3, beta 1) at gamma = 1 with 2
+    trials. Each runs at jobs = 1 and jobs = 2, in a fresh interpreter on one
+    BLAS thread, and both must give the same digests. They pin every seeded
+    input of a sweep trial: the draw, the sample, the multiplier, the solve
+    and the vote."""
+
+    SWEEPS = {  # name: [csv digest, trial-log digest]
+        "threshold": ["c084af5caf33566333c21eb8c79f231818f6321e93e3e4edb1c401ef91389247",
+                      "58581ddc9329d1fe951d53298a19e4ff01295c1b973fb8610b5288d87a443350"],
+        "control": ["472c7eb220c461c2b7ebc4d2aec2f3fb149e294bb82fcac64c2281ad5366b76d",
+                    "45dc25d996224c24bcef49d65dffcdb8f0b25fba227fae9149ba05e6c4728acc"],
+    }
+
+    RUN = """
+import hashlib, json, os, sys
+import blocksketch as bs
+GS = bs.gamma_star(30.0, 2.0)
+SWEEPS = {
+    "threshold": ([400], [30.0], [2.0], [0.5 * GS, GS, 1.0], 3),
+    "control": ([300], [3.0], [1.0], [1.0], 2),
+}
+log = os.path.join(sys.argv[1], "trials.jsonl")
+result = {}
+for name, (ns, alphas, betas, gammas, trials) in SWEEPS.items():
+    for jobs in (1, 2):
+        table = bs.run_sweep(ns, alphas, betas, gammas, trials, 2929, jobs=jobs,
+                             trial_log=log)
+        rows = [ln.split(",") for ln in table.to_csv().splitlines()]
+        for row in rows[1:]:
+            row[10] = "X"
+        csv = "\\n".join(",".join(row) for row in rows)
+        lines = []
+        with open(log) as f:
+            for ln in f:
+                d = json.loads(ln)
+                del d["wall_time"]
+                lines.append(json.dumps(d, sort_keys=True))
+        result[f"{name}/jobs={jobs}"] = [hashlib.sha256(csv.encode()).hexdigest(),
+                                         hashlib.sha256("\\n".join(lines).encode()).hexdigest()]
+print(json.dumps(result))
+"""
+
+    @pytest.fixture(scope="class")
+    def sweeps(self, src_env, tmp_path_factory):
+        """{"name/jobs=k": [csv digest, trial-log digest]} of every pinned sweep."""
+        env = dict(src_env, **dict.fromkeys(BLAS_THREAD_VARS, "1"))
+        out = subprocess.run([sys.executable, "-c", self.RUN,
+                              str(tmp_path_factory.mktemp("golden_sweep"))],
+                             env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        return json.loads(out.stdout)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("name", sorted(SWEEPS))
+    def test_sweep(self, name, jobs, sweeps):
+        assert sweeps[f"{name}/jobs={jobs}"] == self.SWEEPS[name]
