@@ -157,8 +157,7 @@ def cmd_sketch(args) -> int:
         raise ParameterError("rates required: --p/--q or --alpha/--beta")
     p, q = rates
     seed = _resolve_seed(args.seed)
-    cfg = SketchConfig(gamma=args.gamma, lam=args.lam, sdp=SdpConfig(rank=args.rank),
-                       tie_mode=args.tie_mode)
+    cfg = SketchConfig(gamma=args.gamma, sdp=SdpConfig(rank=args.rank))
     res = sketch_and_recover(g, p, q, cfg, seed)
     print(f"sample_size={res.kept.size}")
     print(f"lambda={'none' if res.lambda_used is None else _fmt_data(res.lambda_used)}")
@@ -274,8 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--gamma", type=float, required=True)
     _add_rate_flags(p)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--tie-mode", choices=("strict", "coin"), default="strict")
     p.add_argument("--seed", type=int, default=None)
     _add_rank_flag(p)
     p.set_defaults(func=cmd_sketch)

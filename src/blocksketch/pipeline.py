@@ -41,30 +41,23 @@ import numpy as np
 
 from .analytics import lambda_star
 from .errors import ParameterError, as_int
-from .rng import RngSeed, STREAM_TIEBREAK, rng_for, seed_fingerprint, seed_sequence
+from .rng import RngSeed, seed_fingerprint, seed_sequence
 from .sbm import (Graph, SbmParams, induced_subgraph, partitions_equal, require_nonempty,
                   sample_sbm, subsample_nodes)
-from .sdp import (Certificate, SdpConfig, SdpSolution, require_multiplier,
-                  solve_lagrangian_sdp)
+from .sdp import Certificate, SdpConfig, SdpSolution, solve_lagrangian_sdp
 from .vote import VoteOutcome, majority_vote
 
 @dataclass(frozen=True)
 class SketchConfig:
-    """Pipeline knobs: sampling rate, multiplier, solver rank, tie policy."""
+    """Pipeline knobs: sampling rate and solver rank."""
 
     gamma: float
-    lam: Optional[float] = None     # None -> lambda_star(p, q) of the model rates
     sdp: SdpConfig = SdpConfig()    # carries only the rank: the pipeline sets the
-                                    # multiplier from `lam` and the seed from the trial
-    tie_mode: str = "strict"        # "strict" | "coin"
+                                    # multiplier from the rates and the seed from the trial
 
     def __post_init__(self):
         if not (0.0 < self.gamma <= 1.0):
             raise ParameterError(f"gamma must lie in (0, 1], got {self.gamma}")
-        if self.lam is not None:
-            require_multiplier(self.lam)
-        if self.tie_mode not in ("strict", "coin"):
-            raise ParameterError(f"unknown tie_mode {self.tie_mode!r}")
         if self.sdp != SdpConfig(rank=self.sdp.rank):
             raise ParameterError("sdp sets only the rank: lam and the seed are set per call")
 
@@ -79,7 +72,6 @@ class SketchResult:
     solution: Optional[SdpSolution]
     vote: Optional[VoteOutcome]
     lambda_used: Optional[float]
-    tie_flips: int
 
 
 TIMING_FIELDS = ("wall_time",)   # the TrialRecord fields that vary between equal runs
@@ -168,11 +160,12 @@ def sketch_and_recover(g: Graph, p: float, q: float, cfg: SketchConfig,
                        seed: RngSeed) -> SketchResult:
     """Subsample nodes, solve the relaxation on the kept subgraph, vote out.
 
-    The multiplier is cfg.lam, or lambda_star(p, q) of the model rates when
-    that is None; the same value is correct on the subgraph because the
-    parametrization is invariant to its size. The solve is seeded by `seed`.
-    A sample of at most one node short-circuits to a degenerate failure (all
-    labels unassigned).
+    The multiplier is lambda_star(p, q) of the model rates; the same value is
+    correct on the subgraph because the parametrization is invariant to its
+    size. The solve is seeded by `seed`.
+    The vote is by strict majority: a tied node stays unassigned (label 0),
+    so it counts as a failure. A sample of at most one node short-circuits to
+    a degenerate failure (all labels unassigned).
     """
     require_nonempty(g)
     if not (0.0 <= q < p <= 1.0):
@@ -180,21 +173,13 @@ def sketch_and_recover(g: Graph, p: float, q: float, cfg: SketchConfig,
     kept = subsample_nodes(g.n, cfg.gamma, seed)
     if kept.size <= 1:
         return SketchResult(labels=np.zeros(g.n, dtype=np.int8), kept=kept,
-                            solution=None, vote=None, lambda_used=None, tie_flips=0)
+                            solution=None, vote=None, lambda_used=None)
     sub, _ = induced_subgraph(g, kept)
-    lam = lambda_star(p, q) if cfg.lam is None else cfg.lam
-    sdp_cfg = dataclasses.replace(cfg.sdp, lam=lam, seed=seed)
-    sol = solve_lagrangian_sdp(sub, sdp_cfg)
+    lam = lambda_star(p, q)
+    sol = solve_lagrangian_sdp(sub, dataclasses.replace(cfg.sdp, lam=lam, seed=seed))
     outcome = majority_vote(g, kept, sol.rounded)
-    labels = outcome.labels.copy()
-    tie_flips = 0
-    if cfg.tie_mode == "coin" and outcome.tie_count:
-        tied = np.flatnonzero(labels == 0)
-        coin = rng_for(seed, STREAM_TIEBREAK)
-        labels[tied] = (2 * coin.integers(0, 2, size=tied.size) - 1).astype(np.int8)
-        tie_flips = int(tied.size)
-    return SketchResult(labels=labels, kept=kept, solution=sol, vote=outcome,
-                        lambda_used=lam, tie_flips=tie_flips)
+    return SketchResult(labels=outcome.labels, kept=kept, solution=sol, vote=outcome,
+                        lambda_used=lam)
 
 
 def run_trial(params: SbmParams, cfg: SketchConfig, seed: RngSeed) -> TrialRecord:

@@ -19,7 +19,6 @@ RngSeed = Union[int, np.random.SeedSequence]
 STREAM_SBM = 0
 STREAM_SUBSAMPLE = 1
 STREAM_SDP = 2
-STREAM_TIEBREAK = 3
 
 
 def seed_sequence(seed: RngSeed, *stream: int) -> np.random.SeedSequence:

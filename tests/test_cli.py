@@ -173,20 +173,20 @@ class TestSolve:
 class TestSketch:
     def test_full_sample_succeeds(self, clique_file, capsys):
         code, out, _ = run(["sketch", "--in", clique_file, "--gamma", "1",
-                            "--p", "1", "--q", "0", "--lambda", "0.3",
-                            "--seed", "2"], capsys)
+                            "--p", "0.9", "--q", "0.1", "--seed", "2"], capsys)
         assert code == 0
         pairs = kv(out)
         assert pairs["success"] == "true"
         assert pairs["sample_size"] == "6"
         assert pairs["ties"] == "0"
-        assert pairs["lambda"] == "0.3"
+        assert pairs["certificate"] == "tight"
+        assert pairs["lambda"] == "0.364095690651"  # lambda_star(0.9, 0.1)
 
     def test_gamma_out_of_range(self, clique_file, capsys):
         assert run(["sketch", "--in", clique_file, "--gamma", "1.5",
-                    "--p", "1", "--q", "0"], capsys)[0] == 2
+                    "--p", "0.9", "--q", "0.1"], capsys)[0] == 2
         assert run(["sketch", "--in", clique_file, "--gamma", "0",
-                    "--p", "1", "--q", "0"], capsys)[0] == 2
+                    "--p", "0.9", "--q", "0.1"], capsys)[0] == 2
 
     def test_needs_labels_line(self, tmp_path, capsys):
         path = tmp_path / "plain.txt"
@@ -196,9 +196,9 @@ class TestSketch:
         assert code == 2
 
     def test_needs_rates(self, clique_file, capsys):
-        code, _, _ = run(["sketch", "--in", clique_file, "--gamma", "1",
-                          "--lambda", "0.3"], capsys)
+        code, _, err = run(["sketch", "--in", clique_file, "--gamma", "1"], capsys)
         assert code == 2
+        assert "rates required" in err
 
     def test_missing_file(self, tmp_path, capsys):
         code, _, _ = run(["sketch", "--in", str(tmp_path / "nope.txt"),
@@ -390,14 +390,13 @@ class TestParsingAndSeeds:
         ["solve", "--in", "{empty}", "--alpha", "30", "--beta", "2"],
         ["solve", "--in", "{cliques}", "--lambda", "nan"],
         ["solve", "--in", "{cliques}", "--lambda", "inf"],
-        ["sketch", "--in", "{cliques}", "--gamma", "1", "--p", "1", "--q", "0",
-         "--lambda", "nan"],
+        ["sketch", "--in", "{cliques}", "--gamma", "1", "--p", "1", "--q", "0"],
         ["gen", "--n", "100", "--alpha", "5", "--beta", "1", "--seed", "-1",
          "--out", "{out}"],
         ["sweep", "--n", "12", "--alpha", "2", "--beta", "0.5", "--gamma", "1.0",
          "--trials", "1", "--master-seed", "-2"],
         ["solve", "--in", "{cliques}", "--lambda", "0.5", "--seed", "-4"],
-        ["sketch", "--in", "{cliques}", "--gamma", "1", "--p", "1", "--q", "0",
+        ["sketch", "--in", "{cliques}", "--gamma", "1", "--p", "0.9", "--q", "0.1",
          "--seed", "-4"],
         # a half rate pair, or a second multiplier source, is a usage error
         ["sketch", "--in", "{cliques}", "--gamma", "1", "--alpha", "3", "--beta", "0.5",
@@ -443,7 +442,7 @@ class TestParsingAndSeeds:
 
     @pytest.mark.parametrize("command", [
         ["solve", "--lambda", "0.3"],
-        ["sketch", "--gamma", "1", "--p", "1", "--q", "0", "--lambda", "0.3"],
+        ["sketch", "--gamma", "1", "--p", "0.9", "--q", "0.1"],
     ])
     @pytest.mark.parametrize("flag", ["--max-iters", "--restarts"])
     def test_iteration_cap_and_restart_bound_are_not_flags(self, command, flag,
@@ -452,6 +451,10 @@ class TestParsingAndSeeds:
         assert run(argv, capsys)[0] == 0
         code, out, _ = run(argv + [flag, "5"], capsys)
         assert code == 2 and out == ""
+        if command[0] == "sketch":  # it runs lambda_star(p, q) and strict ties only
+            for extra in (["--lambda", "0.3"], ["--tie-mode", "coin"]):
+                code, out, _ = run(argv + extra, capsys)
+                assert code == 2 and out == ""
 
     def test_env_seed_default(self, tmp_path, capsys, monkeypatch):
         a, b = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")

@@ -1,7 +1,6 @@
 """Sketch pipeline wiring, trial records, and the sweep harness."""
 import dataclasses
 import json
-import math
 import os
 import pickle
 import subprocess
@@ -12,7 +11,7 @@ import numpy as np
 import pytest
 
 import blocksketch as bs
-from blocksketch import pipeline
+from blocksketch import pipeline, rng
 from blocksketch.errors import ParameterError
 from blocksketch.pipeline import (CSV_HEADER, SketchConfig, TrialRecord,
                                   parse_sweep_csv, run_sweep, run_trial,
@@ -38,16 +37,17 @@ class TestSketchConfig:
         SketchConfig(gamma=1.0)
 
     def test_lambda_rules(self):
-        for lam in (-1.0, float("nan"), math.inf, -math.inf):
-            with pytest.raises(ParameterError):
-                SketchConfig(gamma=0.5, lam=lam)
-        assert SketchConfig(gamma=0.5).lam is None  # None -> lambda_star(p, q)
-        assert SketchConfig(gamma=0.5, lam=0.3).lam == 0.3
-        assert SketchConfig(gamma=0.5, lam=0.0).lam == 0.0
+        # the pipeline always solves at lambda_star(p, q): no multiplier knob
+        assert [f.name for f in dataclasses.fields(SketchConfig)] == ["gamma", "sdp"]
+        with pytest.raises(TypeError, match="lam"):
+            SketchConfig(gamma=0.5, lam=0.3)
 
     def test_tie_mode_and_solver_mode(self):
-        with pytest.raises(ParameterError):
-            SketchConfig(gamma=0.5, tie_mode="drop")
+        # the vote always leaves ties unassigned: no tie mode
+        with pytest.raises(TypeError, match="tie_mode"):
+            SketchConfig(gamma=0.5, tie_mode="coin")
+        assert not hasattr(bs.rng, "STREAM_TIEBREAK")
+        assert (rng.STREAM_SBM, rng.STREAM_SUBSAMPLE, rng.STREAM_SDP) == (0, 1, 2)
         with pytest.raises(ParameterError):
             SketchConfig(gamma=0.5, sdp=bs.SdpConfig(lam=0.3))  # the pipeline sets it
         with pytest.raises(ParameterError):
@@ -72,13 +72,6 @@ class TestSketchAndRecover:
         assert res.kept.size == 10
         assert res.lambda_used == bs.lambda_star(0.9, 0.1)
         assert res.vote.tie_count == 0
-        assert bs.partitions_equal(res.labels, g.truth)
-
-    def test_fixed_multiplier_passed_through(self):
-        g = bs.sample_sbm(bs.SbmParams.explicit(5, 5, 1.0, 0.0), 2)
-        cfg = SketchConfig(gamma=1.0, lam=0.25)
-        res = sketch_and_recover(g, 1.0, 0.0, cfg, 2)
-        assert res.lambda_used == 0.25
         assert bs.partitions_equal(res.labels, g.truth)
 
     def test_auto_mode_needs_positive_q(self):
@@ -111,25 +104,10 @@ class TestSketchAndRecover:
     def test_strict_ties_stay_unassigned(self):
         # seed 14 samples nodes 0..6, leaving the isolated node 8 with no votes
         g = cliques_plus_isolate()
-        cfg = SketchConfig(gamma=0.85, lam=0.3)
-        res = sketch_and_recover(g, 0.9, 0.1, cfg, 14)
-        assert 8 not in res.kept
+        res = sketch_and_recover(g, 0.9, 0.1, SketchConfig(gamma=0.85), 14)
+        assert np.array_equal(res.kept, np.arange(7))
         assert res.vote.tie_count == 1
         assert res.labels[8] == 0
-        assert res.tie_flips == 0
-
-    def test_coin_ties_get_resolved(self):
-        g = cliques_plus_isolate()
-        strict = SketchConfig(gamma=0.85, lam=0.3)
-        coin = SketchConfig(gamma=0.85, lam=0.3, tie_mode="coin")
-        rs = sketch_and_recover(g, 0.9, 0.1, strict, 14)
-        rc = sketch_and_recover(g, 0.9, 0.1, coin, 14)
-        assert rc.tie_flips == rs.vote.tie_count == 1
-        assert rc.labels[8] in (-1, 1)
-        keep = np.arange(9) != 8
-        assert np.array_equal(rc.labels[keep], rs.labels[keep])
-        rc2 = sketch_and_recover(g, 0.9, 0.1, coin, 14)
-        assert np.array_equal(rc.labels, rc2.labels)
 
 
 class TestRunTrial:
