@@ -48,15 +48,15 @@ class BoundParams:
 
 def gamma_star(alpha: float, beta: float) -> float:
     """Conjectured sampling threshold 2 / (sqrt(alpha) - sqrt(beta))^2."""
-    if not (alpha > beta >= 0.0):
-        raise ParameterError(f"need alpha > beta >= 0, got alpha={alpha}, beta={beta}")
+    if not (math.inf > alpha > beta >= 0.0):
+        raise ParameterError(f"need finite alpha > beta >= 0, got alpha={alpha}, beta={beta}")
     return 2.0 / (math.sqrt(alpha) - math.sqrt(beta)) ** 2
 
 
 def exact_recovery_possible(alpha: float, beta: float) -> str:
     """Classify sqrt(alpha) - sqrt(beta) against sqrt(2): BELOW / ABOVE / BOUNDARY."""
-    if not (alpha >= beta >= 0.0):
-        raise ParameterError(f"need alpha >= beta >= 0, got alpha={alpha}, beta={beta}")
+    if not (math.inf > alpha >= beta >= 0.0):
+        raise ParameterError(f"need finite alpha >= beta >= 0, got alpha={alpha}, beta={beta}")
     d = (math.sqrt(alpha) - math.sqrt(beta)) - math.sqrt(2.0)
     if abs(d) <= _BOUNDARY_TOL:
         return BOUNDARY
@@ -73,8 +73,8 @@ def lambda_star(p: float, q: float) -> float:
 
 def lemma2_exponent(alpha: float, beta: float, gamma: float) -> float:
     """Rate exponent (alpha + beta) * gamma / 2 - gamma * sqrt(alpha * beta)."""
-    if not (alpha > beta >= 0.0):
-        raise ParameterError(f"need alpha > beta >= 0, got alpha={alpha}, beta={beta}")
+    if not (math.inf > alpha > beta >= 0.0):
+        raise ParameterError(f"need finite alpha > beta >= 0, got alpha={alpha}, beta={beta}")
     if not 0.0 <= gamma < math.inf:
         raise ParameterError(f"gamma must be finite and nonnegative, got {gamma}")
     return (alpha + beta) * gamma / 2.0 - gamma * math.sqrt(alpha * beta)

@@ -1,8 +1,10 @@
 """Sketch-solve-vote pipeline and the deterministic Monte Carlo harness.
 
-Trial seeds are split from a master seed by (cell index tuple, trial index),
-so every trial's result is a pure function of (inputs, master seed): sweep
-tables do not depend on worker count or completion order.
+Every run solves at lambda_star(p, q) of the model rates and votes by strict
+majority, as the paper's experiment does. Trial seeds are split from a master
+seed by (cell index tuple, trial index), so every trial's result is a pure
+function of (inputs, master seed): sweep tables do not depend on worker count
+or completion order.
 
 The on-disk schemas come from the record dataclasses. A trial-log line holds
 the fields of `TrialRecord` (nested `SbmParams` and `Certificate` fields
@@ -160,22 +162,20 @@ def sketch_and_recover(g: Graph, p: float, q: float, cfg: SketchConfig,
                        seed: RngSeed) -> SketchResult:
     """Subsample nodes, solve the relaxation on the kept subgraph, vote out.
 
-    The multiplier is lambda_star(p, q) of the model rates; the same value is
-    correct on the subgraph because the parametrization is invariant to its
-    size. The solve is seeded by `seed`.
+    The multiplier is lambda_star(p, q) of the model rates, which needs
+    0 < q < p <= 1; the same value is correct on the subgraph because the
+    parametrization is invariant to its size. The solve is seeded by `seed`.
     The vote is by strict majority: a tied node stays unassigned (label 0),
     so it counts as a failure. A sample of at most one node short-circuits to
     a degenerate failure (all labels unassigned).
     """
+    lam = lambda_star(p, q)
     require_nonempty(g)
-    if not (0.0 <= q < p <= 1.0):
-        raise ParameterError(f"pipeline needs 0 <= q < p <= 1, got p={p}, q={q}")
     kept = subsample_nodes(g.n, cfg.gamma, seed)
     if kept.size <= 1:
         return SketchResult(labels=np.zeros(g.n, dtype=np.int8), kept=kept,
                             solution=None, vote=None, lambda_used=None)
     sub, _ = induced_subgraph(g, kept)
-    lam = lambda_star(p, q)
     sol = solve_lagrangian_sdp(sub, dataclasses.replace(cfg.sdp, lam=lam, seed=seed))
     outcome = majority_vote(g, kept, sol.rounded)
     return SketchResult(labels=outcome.labels, kept=kept, solution=sol, vote=outcome,
@@ -293,6 +293,7 @@ def run_sweep(n_values: Sequence[int], alpha_values: Sequence[float],
             enumerate(n_values), enumerate(alpha_values),
             enumerate(beta_values), enumerate(gamma_values)):
         params = SbmParams.from_rates(n, float(a), float(b))
+        lambda_star(params.p, params.q)  # q > 0, which every trial needs
         cfg = SketchConfig(gamma=float(gm))
         cell = (i_n, i_a, i_b, i_g)
         for t in range(trials):
@@ -357,7 +358,8 @@ def _check_csv_row(row: dict) -> None:
     model and gamma pass run_sweep's own checks, 0 <= successes <= trials,
     rates lie in [0, 1], and means are finite and non-negative, with the
     mean sample size at most n as written (.6g rounding keeps the order)."""
-    SbmParams.from_rates(row["n"], row["alpha"], row["beta"])
+    params = SbmParams.from_rates(row["n"], row["alpha"], row["beta"])
+    lambda_star(params.p, params.q)
     SketchConfig(gamma=row["gamma"])
     if row["trials"] < 1 or not 0 <= row["successes"] <= row["trials"]:
         raise ParameterError("need trials >= 1 and 0 <= successes <= trials")

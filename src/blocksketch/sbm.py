@@ -55,7 +55,9 @@ class SbmParams:
     balanced: bool = False
 
     def __post_init__(self):
-        if as_int(self.n1, "n1") < 1 or as_int(self.n2, "n2") < 1:
+        for name in ("n1", "n2"):  # stored as Python ints, so every record serializes
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
+        if self.n1 < 1 or self.n2 < 1:
             raise ParameterError(f"both communities need a node, got sizes {self.n1}, {self.n2}")
         if not (0.0 <= self.q <= 1.0 and 0.0 <= self.p <= 1.0):
             raise ParameterError(f"probabilities outside [0, 1]: p={self.p}, q={self.q}")

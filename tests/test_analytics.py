@@ -151,6 +151,16 @@ class TestLemma2Exponent:
                 bs.lemma2_exponent(30.0, 2.0, gamma)
 
 
+@pytest.mark.parametrize("alpha, beta", [(math.inf, 2.0), (math.inf, math.inf),
+                                         (math.nan, 2.0)])
+def test_threshold_functions_need_finite_alpha(alpha, beta):
+    # an infinite alpha read as gamma* = 0, theorem1 = above and exponent nan
+    for f, args in ((bs.gamma_star, ()), (bs.exact_recovery_possible, ()),
+                    (bs.lemma2_exponent, (0.5,))):
+        with pytest.raises(ParameterError):
+            f(alpha, beta, *args)
+
+
 class TestBoundParams:
     def test_validation(self):
         with pytest.raises(ParameterError):

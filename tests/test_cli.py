@@ -425,6 +425,11 @@ class TestParsingAndSeeds:
          "--beta", "0.5"],
         ["gen", "--n1", "3", "--p", "1", "--q", "0", "--out", "{out}"],
         ["vote-oracle", "--in", "{empty}", "--gamma", "0.5"],
+        # beta = 0 gives q = 0, where lambda_star is undefined; alpha must be finite
+        ["sweep", "--n", "60", "--alpha", "5", "--beta", "0", "--gamma", "1",
+         "--trials", "2"],
+        ["bounds", "--alpha", "inf", "--beta", "2"],
+        ["bounds", "--alpha", "inf", "--beta", "2", "--gamma", "0.5"],
     ])
     def test_bad_numbers_are_parameter_errors(self, argv, clique_file, tmp_path, capsys):
         empty = tmp_path / "empty.txt"

@@ -129,6 +129,16 @@ class TestRunTrial:
         assert rec.sample_size <= 1
         assert rec.sdp_certificate is None
 
+    def test_numpy_integer_sizes_serialize(self):
+        # the sizes are stored as Python ints, so the record's JSON matches
+        params = bs.SbmParams.explicit(np.int64(4), np.int32(4), 0.9, 0.1)
+        assert type(params.n1) is int and type(params.n2) is int
+        got = run_trial(params, SketchConfig(gamma=1.0), 0).json_dict()
+        want = run_trial(bs.SbmParams.explicit(4, 4, 0.9, 0.1),
+                         SketchConfig(gamma=1.0), 0).json_dict()
+        del got["wall_time"], want["wall_time"]
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
     def test_canonical_dict_excludes_wall_time(self):
         params = bs.SbmParams.explicit(4, 4, 0.9, 0.1)
         a = run_trial(params, SketchConfig(gamma=0.8), 5)
@@ -242,10 +252,13 @@ class TestRunSweep:
                         jobs=np.int64(1))
         want = run_sweep([12], [2.0], [0.5], [1.0], 2, 5)
         assert mask_wall(tab.to_csv()) == mask_wall(want.to_csv())
-        # a negative master seed fails before the trial log is opened
+        # a negative master seed, or beta = 0 (lambda_star needs q > 0), fails
+        # before the trial log is opened
         log = tmp_path / "trials.jsonl"
         with pytest.raises(ParameterError):
             run_sweep([60], [9.0], [1.0], [0.5], trials=1, master_seed=-2, trial_log=log)
+        with pytest.raises(ParameterError, match="q"):
+            run_sweep([60], [5.0], [0.0], [1.0], trials=2, master_seed=0, trial_log=log)
         assert not log.exists()
 
     def test_rate_improves_with_sampling_budget(self):
@@ -533,10 +546,11 @@ class TestSweepCsv:
                                        lines[1][:-1] + "9"]) + "\n")
         row = lines[1].split(",")
         # a non-number, a fraction in the int n column, a negative master_seed,
-        # then values run_sweep never writes: n, rates, gamma, counts, means
+        # then values run_sweep never writes: n, rates (beta = 0 gives q = 0,
+        # which lambda_star rejects), gamma, counts, means
         for col, bad in ((1, "x"), (0, "12.5"), (11, "-1"),
                          (0, "-5"), (0, "9"), (1, "nan"), (2, "inf"), (1, "0.5"),
-                         (3, "2.5"), (3, "0"), (4, "0"), (5, "7"), (5, "-1"),
+                         (2, "0"), (3, "2.5"), (3, "0"), (4, "0"), (5, "7"), (5, "-1"),
                          (6, "1.5"), (7, "-0.1"), (8, "11"), (8, "nan"),
                          (9, "inf"), (10, "-1")):
             cells = row[:col] + [bad] + row[col + 1:]
