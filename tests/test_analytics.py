@@ -154,7 +154,7 @@ class TestLemma2Exponent:
 @pytest.mark.parametrize("alpha, beta", [(math.inf, 2.0), (math.inf, math.inf),
                                          (math.nan, 2.0)])
 def test_threshold_functions_need_finite_alpha(alpha, beta):
-    # an infinite alpha read as gamma* = 0, theorem1 = above and exponent nan
+    # unchecked, an infinite alpha gives gamma* = 0, theorem1 = above, exponent nan
     for f, args in ((bs.gamma_star, ()), (bs.exact_recovery_possible, ()),
                     (bs.lemma2_exponent, (0.5,))):
         with pytest.raises(ParameterError):

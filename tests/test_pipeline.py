@@ -46,7 +46,7 @@ class TestSketchConfig:
         # the vote always leaves ties unassigned: no tie mode
         with pytest.raises(TypeError, match="tie_mode"):
             SketchConfig(gamma=0.5, tie_mode="coin")
-        assert not hasattr(bs.rng, "STREAM_TIEBREAK")
+        assert not hasattr(rng, "STREAM_TIEBREAK")
         assert (rng.STREAM_SBM, rng.STREAM_SUBSAMPLE, rng.STREAM_SDP) == (0, 1, 2)
         with pytest.raises(ParameterError):
             SketchConfig(gamma=0.5, sdp=bs.SdpConfig(lam=0.3))  # the pipeline sets it
@@ -587,7 +587,8 @@ class TestGoldenSweep:
     trials. Each runs at jobs = 1 and jobs = 2, in a fresh interpreter on one
     BLAS thread, and both must give the same digests. They pin every seeded
     input of a sweep trial: the draw, the sample, the multiplier, the solve
-    and the vote."""
+    and the vote. The digests were recorded before the sketch pipeline lost
+    its multiplier override and coin tie mode, which must keep every bit."""
 
     SWEEPS = {  # name: [csv digest, trial-log digest]
         "threshold": ["c084af5caf33566333c21eb8c79f231818f6321e93e3e4edb1c401ef91389247",
