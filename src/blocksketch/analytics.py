@@ -72,12 +72,14 @@ def lambda_star(p: float, q: float) -> float:
 
 
 def lemma2_exponent(alpha: float, beta: float, gamma: float) -> float:
-    """Rate exponent (alpha + beta) * gamma / 2 - gamma * sqrt(alpha * beta)."""
+    """Rate exponent (alpha + beta) * gamma / 2 - gamma * sqrt(alpha * beta),
+    computed as gamma (sqrt(alpha) - sqrt(beta))^2 / 2, which cannot overflow
+    in alpha * beta and loses less to cancellation when alpha is near beta."""
     if not (math.inf > alpha > beta >= 0.0):
         raise ParameterError(f"need finite alpha > beta >= 0, got alpha={alpha}, beta={beta}")
     if not 0.0 <= gamma < math.inf:
         raise ParameterError(f"gamma must be finite and nonnegative, got {gamma}")
-    return (alpha + beta) * gamma / 2.0 - gamma * math.sqrt(alpha * beta)
+    return gamma * (math.sqrt(alpha) - math.sqrt(beta)) ** 2 / 2.0
 
 
 def lemma2_bound(bp: BoundParams) -> float:

@@ -65,11 +65,6 @@ def _add_rate_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument(name, type=float)
 
 
-def _add_rank_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rank", type=int, default=SdpConfig.rank,
-                   help="factor rank, a performance setting (default %(default)s)")
-
-
 def _require_whole_pairs(args, pairs=_RATE_PAIRS) -> None:
     """Each flag pair is given whole or not at all; a lone half is a usage error."""
     for a, b in pairs:
@@ -130,10 +125,10 @@ def cmd_solve(args) -> int:
         raise ParameterError("solve needs exactly one multiplier source: --lambda, "
                              "--p/--q, --alpha/--beta, or --balanced")
     if args.balanced:
-        sol = solve_balanced_sdp(g, SdpConfig(rank=args.rank, seed=seed))
+        sol = solve_balanced_sdp(g, SdpConfig(seed=seed))
     else:
         lam = args.lam if args.lam is not None else lambda_star(*rates)
-        sol = solve_lagrangian_sdp(g, SdpConfig(rank=args.rank, lam=lam, seed=seed))
+        sol = solve_lagrangian_sdp(g, SdpConfig(lam=lam, seed=seed))
     print(f"objective={_fmt_data(sol.objective)}")
     print(f"rounded_objective={_fmt_data(sol.rounded_objective)}")
     print(f"certificate={'tight' if sol.certificate.tight else 'not-tight'}")
@@ -157,7 +152,7 @@ def cmd_sketch(args) -> int:
         raise ParameterError("rates required: --p/--q or --alpha/--beta")
     p, q = rates
     seed = _resolve_seed(args.seed)
-    cfg = SketchConfig(gamma=args.gamma, sdp=SdpConfig(rank=args.rank))
+    cfg = SketchConfig(gamma=args.gamma)
     res = sketch_and_recover(g, p, q, cfg, seed)
     print(f"sample_size={res.kept.size}")
     print(f"lambda={'none' if res.lambda_used is None else _fmt_data(res.lambda_used)}")
@@ -266,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     _add_rate_flags(p)
     p.add_argument("--seed", type=int, default=None)
-    _add_rank_flag(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("sketch", help="subsample, solve, and vote on a graph file")
@@ -274,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, required=True)
     _add_rate_flags(p)
     p.add_argument("--seed", type=int, default=None)
-    _add_rank_flag(p)
     p.set_defaults(func=cmd_sketch)
 
     p = sub.add_parser("sweep", help="Monte Carlo sweep over a parameter product")

@@ -1,7 +1,8 @@
 """Sketch-solve-vote pipeline and the deterministic Monte Carlo harness.
 
-Every run solves at lambda_star(p, q) of the model rates and votes by strict
-majority, as the paper's experiment does. Trial seeds are split from a master
+Every run solves at lambda_star(p, q) of the model rates, at the solver's fixed
+rank, and votes by strict majority, as the paper's experiment does; its one
+setting is the sampling rate gamma. Trial seeds are split from a master
 seed by (cell index tuple, trial index), so every trial's result is a pure
 function of (inputs, master seed): sweep tables do not depend on worker count
 or completion order.
@@ -11,8 +12,8 @@ the fields of `TrialRecord` (nested `SbmParams` and `Certificate` fields
 included); `TIMING_FIELDS` names the one field, `wall_time`, that
 `canonical_dict` leaves out and `json_dict` adds back. A sweep table is what
 its CSV holds: `master_seed` plus one `CellStats` per cell, each row the
-fields of `CellStats` followed by `master_seed`. Each cell of `run_sweep`
-runs the default `SketchConfig` at its own gamma.
+fields of `CellStats` followed by `master_seed`, so a row names every input
+of its cell's trials.
 
 `run_sweep(jobs=k)` with k > 1 needs `os.fork` (POSIX) and a caller with no
 other threads running. Task i of the sweep runs in worker i mod k: worker 0 is
@@ -51,17 +52,20 @@ from .vote import VoteOutcome, majority_vote
 
 @dataclass(frozen=True)
 class SketchConfig:
-    """Pipeline knobs: sampling rate and solver rank."""
+    """The pipeline's one knob, the sampling rate gamma, stored as a Python float.
+
+    `sdp` is a class attribute, not a field: the default SdpConfig, kept for
+    callers that build the solve's config from it with their own multiplier
+    and seed, as perfbench's traced_sketch does.
+    """
 
     gamma: float
-    sdp: SdpConfig = SdpConfig()    # carries only the rank: the pipeline sets the
-                                    # multiplier from the rates and the seed from the trial
+    sdp = SdpConfig()
 
     def __post_init__(self):
         if not (0.0 < self.gamma <= 1.0):
             raise ParameterError(f"gamma must lie in (0, 1], got {self.gamma}")
-        if self.sdp != SdpConfig(rank=self.sdp.rank):
-            raise ParameterError("sdp sets only the rank: lam and the seed are set per call")
+        object.__setattr__(self, "gamma", float(self.gamma))
 
 
 @dataclass(eq=False)
@@ -176,7 +180,7 @@ def sketch_and_recover(g: Graph, p: float, q: float, cfg: SketchConfig,
         return SketchResult(labels=np.zeros(g.n, dtype=np.int8), kept=kept,
                             solution=None, vote=None, lambda_used=None)
     sub, _ = induced_subgraph(g, kept)
-    sol = solve_lagrangian_sdp(sub, dataclasses.replace(cfg.sdp, lam=lam, seed=seed))
+    sol = solve_lagrangian_sdp(sub, SdpConfig(lam=lam, seed=seed))
     outcome = majority_vote(g, kept, sol.rounded)
     return SketchResult(labels=outcome.labels, kept=kept, solution=sol, vote=outcome,
                         lambda_used=lam)
@@ -259,8 +263,8 @@ def run_sweep(n_values: Sequence[int], alpha_values: Sequence[float],
               trial_log=None) -> SweepTable:
     """Full product sweep over (n, alpha, beta, gamma) with `trials` per cell.
 
-    Each cell runs the default SketchConfig at its own gamma, so the cell's
-    CSV row names every input of its trials. An exception of any
+    Each cell runs SketchConfig at its own gamma, so the cell's CSV row
+    names every input of its trials. An exception of any
     type inside a trial is recorded as a failed trial with an error tag
     rather than aborting the sweep.
     `jobs` only sets the worker count; results are identical for any value

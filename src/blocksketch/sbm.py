@@ -63,6 +63,9 @@ class SbmParams:
             raise ParameterError(f"probabilities outside [0, 1]: p={self.p}, q={self.q}")
         if self.p < self.q:
             raise ParameterError(f"need p >= q, got p={self.p} < q={self.q}")
+        for name in ("p", "q", "alpha", "beta"):  # Python floats too, for the same reason
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, float(getattr(self, name)))
         if self.balanced and self.n1 != self.n2:
             raise ParameterError("balanced mode needs equal community sizes")
 
@@ -78,6 +81,7 @@ class SbmParams:
             raise ParameterError(f"balanced mode needs even n >= 2, got {n}")
         if not (alpha > beta >= 0.0):
             raise ParameterError(f"need alpha > beta >= 0, got alpha={alpha}, beta={beta}")
+        alpha, beta = float(alpha), float(beta)  # a numpy float32 would round the rates
         scale = math.log(n) / n
         return cls(n1=n // 2, n2=n // 2, p=alpha * scale, q=beta * scale,
                    alpha=alpha, beta=beta, balanced=True)

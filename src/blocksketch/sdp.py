@@ -46,9 +46,10 @@ where a rank stop changed partitions. They and full-rank factors wait for a
 restart that confirms the best converged one: at its own converged stop, its
 objective is within the gap test's tolerance of the best's and it rounds to
 the best's partition; the best stays. The dual certificate carries
-correctness, so the rank is a performance setting chosen by benchmark: outside
-the worst case a low rank suffices (Bandeira-Boumal-Voroninski,
-arXiv:1602.04426).
+correctness, so the rank is the constant _RANK, a performance setting chosen by
+benchmark: outside the worst case a low rank suffices
+(Bandeira-Boumal-Voroninski, arXiv:1602.04426). `SdpConfig` holds only the
+multiplier and the seed, which each caller sets.
 """
 from __future__ import annotations
 
@@ -59,7 +60,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import CapacityError, ParameterError, as_int
+from .errors import CapacityError, ParameterError
 from .rng import RngSeed, STREAM_SDP, rng_for, seed_sequence
 from .sbm import Graph, is_complete, partitions_equal, require_nonempty
 
@@ -99,6 +100,7 @@ _DENSE_MIN_FILL = 0.2     # and only when 2m >= this share of its n^2 entries. R
 _SPECTRAL_STEPS = 12      # Krylov dimension of the spectral candidate labels
 _MAX_ITERS = 500          # iteration cap of one restart
 _RESTARTS = 5             # upper bound on the restarts of one solve
+_RANK = 8                 # factor rank, a performance setting picked by benchmark; may exceed n
 _RANK_TOL = 1e-6          # rank-deficient: lambda_min(Y^T Y) <= this lambda_max. Restart 0 of 200
                           # n = 300 control graphs read <= 1e-6 on 186, <= 1e-5 on 193, <= 1e-3
                           # on 196, median 3.1e-10, no natural gap; every result held at 1e-6
@@ -111,14 +113,10 @@ def require_multiplier(lam: float) -> None:
 
 @dataclass(frozen=True)
 class SdpConfig:
-    rank: int = 8                   # the solver's one setting, for performance, picked
-                                    # by benchmark; may exceed n
     lam: float = 0.0                # the Lagrangian multiplier; must be 0 in the balanced solve
     seed: RngSeed = 0
 
     def __post_init__(self):
-        if as_int(self.rank, "rank") < 2:
-            raise ParameterError("rank must be an integer of at least 2")
         require_multiplier(self.lam)
         if not isinstance(self.seed, np.random.SeedSequence):
             seed_sequence(self.seed)  # a negative seed fails even when no restart runs
@@ -220,13 +218,12 @@ class _Restart(NamedTuple):
 
 
 def _ascent(adj, n: int, r: int, lam: float, balanced: bool, max_iters: int, rng):
-    """One restart of the ascent from a random start drawn from `rng`."""
-    # the balanced variant handles the constraint by projection, not penalty
-    lam_eff = 0.0 if balanced else lam
+    """One restart of the ascent from a random start drawn from `rng`; the
+    balanced program handles its constraint by projection and takes lam = 0."""
     product = _product(adj, r)
     y = _project(rng.standard_normal((n, r)), balanced)
     ay = product(y)
-    f, cs = _value(y, ay, lam_eff)
+    f, cs = _value(y, ay, lam)
     objectives = []
     step = 1.0
     y_prev = h_prev = None
@@ -237,8 +234,8 @@ def _ascent(adj, n: int, r: int, lam: float, balanced: bool, max_iters: int, rng
         # scalar instead: scaling by a power of two is exact, so every value is
         # the one the full gradient gives, to the bit
         h = ay
-        if lam_eff:
-            h -= lam_eff * cs
+        if lam:
+            h -= lam * cs
         if balanced:
             h -= h.mean(axis=0, keepdims=True)
         h -= np.einsum("ij,ij->i", h, y)[:, None] * y
@@ -260,7 +257,7 @@ def _ascent(adj, n: int, r: int, lam: float, balanced: bool, max_iters: int, rng
         for _ in range(_MAX_HALVINGS):
             cand = _project(y + (2.0 * t) * h, balanced)
             ayc = product(cand)
-            fc, csc = _value(cand, ayc, lam_eff)
+            fc, csc = _value(cand, ayc, lam)
             if fc >= f + _ARMIJO * t * gsq:
                 break
             t *= 0.5
@@ -537,19 +534,16 @@ def _solve(g: Graph, cfg: SdpConfig, balanced: bool) -> SdpSolution:
 
     # spectral labels that certify are optimal: x x^T is the SDP optimum and
     # no ascent runs; its Riemannian gradient at a +-1 rank-1 point is zero.
-    # x is its own rounding, signed as leading_eigenvector signs it, with
-    # objective f and gap 0; S is the same for x and -x
+    # The rank-1 factor x rounds to +-x, with objective f and gap 0
     x = _spectral_labels(adj, mu, balanced)
     f = labeling_objective(g, x, lam=lam)
-    y = x[:, None].astype(np.float64)
-    labels = (np.copysign(1.0, y[:, 0] @ _start_vector(g.n)) * x).astype(np.int8)
-    tight = _dual_certified(adj, x, mu, _DUAL_RTOL * (1.0 + abs(f)))
-    rounding = (labels, f, Certificate(tight=tight, gap=0.0))
-    best = _Restart(factor=y, objective=f, iterations=0, converged=True, objectives=[])
+    best = _Restart(factor=x[:, None].astype(np.float64), objective=f, iterations=0,
+                    converged=True, objectives=[])
+    rounding = _round_and_certify(g, adj, best.factor, f, True, lam, mu, balanced)
     # exits: a certified rounding, the restart bound, the rank stop, a confirmation
     runs = []
     while not rounding[2].tight and len(runs) < _RESTARTS:
-        out = _ascent(adj, g.n, cfg.rank, lam, balanced, _MAX_ITERS,
+        out = _ascent(adj, g.n, _RANK, lam, balanced, _MAX_ITERS,
                       rng_for(cfg.seed, STREAM_SDP, len(runs)))
         runs.append(out)
         if (len(runs) > 1 and best.converged and out.converged

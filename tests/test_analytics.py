@@ -120,15 +120,16 @@ class TestLemma2Exponent:
             assert bs.lemma2_exponent(alpha, beta, g) == pytest.approx(1.0, rel=1e-12)
 
     def test_half_square_identity(self):
-        # draws keep alpha/beta away from 1: at alpha ~ beta both algebraic
-        # forms lose all relative accuracy to cancellation
+        # the function computes the half square; it must match the expanded
+        # form. Draws keep alpha/beta away from 1, where the expanded form
+        # loses all relative accuracy to cancellation
         rng = np.random.default_rng(8)
         for _ in range(1000):
             beta = float(rng.uniform(0.05, 8.0))
             alpha = beta * float(rng.uniform(1.5, 12.0))
             gamma = float(rng.uniform(0.0, 1.0))
             lhs = bs.lemma2_exponent(alpha, beta, gamma)
-            rhs = gamma * (math.sqrt(alpha) - math.sqrt(beta)) ** 2 / 2.0
+            rhs = (alpha + beta) * gamma / 2.0 - gamma * math.sqrt(alpha * beta)
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-300)
 
     def test_frozen_value(self):

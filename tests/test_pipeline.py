@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import blocksketch as bs
-from blocksketch import pipeline, rng
+from blocksketch import pipeline, rng, sdp
 from blocksketch.errors import ParameterError
 from blocksketch.pipeline import (CSV_HEADER, SketchConfig, TrialRecord,
                                   parse_sweep_csv, run_sweep, run_trial,
@@ -38,7 +38,7 @@ class TestSketchConfig:
 
     def test_lambda_rules(self):
         # the pipeline always solves at lambda_star(p, q): no multiplier knob
-        assert [f.name for f in dataclasses.fields(SketchConfig)] == ["gamma", "sdp"]
+        assert [f.name for f in dataclasses.fields(SketchConfig)] == ["gamma"]
         with pytest.raises(TypeError, match="lam"):
             SketchConfig(gamma=0.5, lam=0.3)
 
@@ -48,20 +48,20 @@ class TestSketchConfig:
             SketchConfig(gamma=0.5, tie_mode="coin")
         assert not hasattr(rng, "STREAM_TIEBREAK")
         assert (rng.STREAM_SBM, rng.STREAM_SUBSAMPLE, rng.STREAM_SDP) == (0, 1, 2)
-        with pytest.raises(ParameterError):
-            SketchConfig(gamma=0.5, sdp=bs.SdpConfig(lam=0.3))  # the pipeline sets it
-        with pytest.raises(ParameterError):
-            SketchConfig(gamma=0.5, sdp=bs.SdpConfig(seed=3))  # and the seed
-        assert SketchConfig(gamma=0.5, sdp=bs.SdpConfig(rank=4)).sdp.rank == 4
+        # nor a solver config: the rank is a constant, and the pipeline sets the
+        # multiplier and the seed; `sdp` stays a class attribute, not a field
+        with pytest.raises(TypeError, match="sdp"):
+            SketchConfig(gamma=0.5, sdp=bs.SdpConfig())
+        assert SketchConfig.sdp == SketchConfig(gamma=0.5).sdp == bs.SdpConfig()
 
 
 class TestSketchAndRecover:
-    def test_rank_reaches_the_solve(self):
-        # below the threshold, so the ascent runs at the rank the config carries
+    def test_rank_reaches_the_solve(self, monkeypatch):
+        # below the threshold, so the ascent runs at the solver's rank
         params = bs.SbmParams.from_rates(100, 3.0, 1.0)
         g = bs.sample_sbm(params, 1)
-        cfg = SketchConfig(gamma=1.0, sdp=bs.SdpConfig(rank=3))
-        res = sketch_and_recover(g, params.p, params.q, cfg, 1)
+        monkeypatch.setattr(sdp, "_RANK", 3)
+        res = sketch_and_recover(g, params.p, params.q, SketchConfig(gamma=1.0), 1)
         assert res.solution.diagnostics.restarts_used > 0
         assert res.solution.factor.shape == (100, 3)
 
@@ -138,6 +138,27 @@ class TestRunTrial:
                          SketchConfig(gamma=1.0), 0).json_dict()
         del got["wall_time"], want["wall_time"]
         assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+    def test_numpy_float_rates_serialize(self):
+        # rates and gamma are stored as Python floats, so the record's JSON matches
+        p, q, gamma = np.float32(0.9), np.float32(0.1), np.float32(0.7)
+        params = bs.SbmParams(4, 4, p, q, alpha=np.float64(3.0), beta=np.float32(1.0))
+        cfg = SketchConfig(gamma=gamma)
+        assert all(type(v) is float for v in (params.p, params.q, params.alpha,
+                                               params.beta, cfg.gamma))
+        assert bs.SbmParams.explicit(4, 4, p, q).alpha is None
+        assert (bs.SbmParams.from_rates(400, np.float32(30.0), np.float32(2.0))
+                == bs.SbmParams.from_rates(400, 30.0, 2.0))
+        got = run_trial(params, cfg, 0).json_dict()
+        want = run_trial(bs.SbmParams(4, 4, float(p), float(q), alpha=3.0, beta=1.0),
+                         SketchConfig(gamma=float(gamma)), 0).json_dict()
+        del got["wall_time"], want["wall_time"]
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+        for bad in ("0.5", None):  # non-numbers still fail the range checks
+            with pytest.raises(TypeError):
+                SketchConfig(gamma=bad)
+            with pytest.raises(TypeError):
+                bs.SbmParams.explicit(4, 4, bad, 0.1)
 
     def test_canonical_dict_excludes_wall_time(self):
         params = bs.SbmParams.explicit(4, 4, 0.9, 0.1)

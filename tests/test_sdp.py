@@ -88,19 +88,23 @@ def dense_lambda_min(g, x, mu):
 
 class TestDefaultRank:
     def test_fixed_default(self):
-        # a performance setting, the same at every n; no n-dependent rule is left
-        assert bs.SdpConfig().rank == 8
+        # a performance constant, the same at every n; no n-dependent rule is left
+        assert sdp._RANK == 8 and not hasattr(bs.SdpConfig(), "rank")
         assert not hasattr(bs, "default_rank") and not hasattr(sdp, "default_rank")
 
-    def test_control_partitions_match_old_default(self):
+    def test_control_partitions_match_old_default(self, monkeypatch):
         # below the threshold no certificate holds and the default rank must
         # land where rank 25, the old sqrt(2n) rule at n = 300, does
         params = bs.SbmParams.from_rates(300, 3.0, 1.0)
         lam = bs.lambda_star(params.p, params.q)
         for seed in range(5):
             g = bs.sample_sbm(params, seed)
-            sol = bs.solve_lagrangian_sdp(g, bs.SdpConfig(lam=lam, seed=seed))
-            ref = bs.solve_lagrangian_sdp(g, bs.SdpConfig(rank=25, lam=lam, seed=seed))
+            cfg = bs.SdpConfig(lam=lam, seed=seed)
+            sol = bs.solve_lagrangian_sdp(g, cfg)
+            with monkeypatch.context() as m:
+                m.setattr(sdp, "_RANK", 25)
+                ref = bs.solve_lagrangian_sdp(g, cfg)
+            assert ref.factor.shape == (300, 25)
             assert sol.factor.shape == (300, 8)
             assert bs.partitions_equal(sol.rounded, ref.rounded)
             assert sol.diagnostics.restarts_used == 1  # restart 0 is rank-deficient
@@ -198,7 +202,7 @@ class TestRankStop:
         sol = bs.solve_lagrangian_sdp(g, cfg)
         d = sol.diagnostics
         adj = sdp._operator(g)
-        first, second = (sdp._ascent(adj, g.n, cfg.rank, self.LAM, False, sdp._MAX_ITERS,
+        first, second = (sdp._ascent(adj, g.n, sdp._RANK, self.LAM, False, sdp._MAX_ITERS,
                                      rng_for(seed, STREAM_SDP, k)) for k in range(2))
         assert first.converged and rank_ratio(first.factor) > sdp._RANK_TOL
         assert second.converged and sdp._agrees(second.objective, first.objective)
@@ -246,7 +250,7 @@ class TestConfirmation:
         sol = bs.solve_balanced_sdp(g, cfg)
         d = sol.diagnostics
         adj = sdp._operator(g)
-        first, second = (sdp._ascent(adj, g.n, cfg.rank, 0.0, True, sdp._MAX_ITERS,
+        first, second = (sdp._ascent(adj, g.n, sdp._RANK, 0.0, True, sdp._MAX_ITERS,
                                      rng_for(seed, STREAM_SDP, k)) for k in range(2))
         assert first.converged and second.converged
         assert first.objective < second.objective and sdp._agrees(first.objective,
@@ -290,23 +294,19 @@ class TestConfirmation:
         sol = bs.solve_lagrangian_sdp(g, bs.SdpConfig(lam=LAM_STAR, seed=1))
         assert bs.partitions_equal(sol.rounded, g.truth) and not sol.certificate.tight
         assert sol.diagnostics.restarts_used == 1
-        assert sol.factor.shape == (g.n, bs.SdpConfig().rank) and sol.iterations > 0
+        assert sol.factor.shape == (g.n, sdp._RANK) and sol.iterations > 0
 
 
 class TestSdpConfig:
     def test_rank_is_the_one_solver_setting(self):
-        # the iteration cap and the restart bound are module constants; the
-        # callers set the multiplier and the seed
-        assert [f.name for f in dataclasses.fields(bs.SdpConfig)] == ["rank", "lam", "seed"]
-        assert (sdp._MAX_ITERS, sdp._RESTARTS) == (500, 5)
+        # the iteration cap, the restart bound and the rank are module
+        # constants; the callers set the multiplier and the seed
+        assert [f.name for f in dataclasses.fields(bs.SdpConfig)] == ["lam", "seed"]
+        with pytest.raises(TypeError, match="rank"):
+            bs.SdpConfig(rank=8)
+        assert (sdp._MAX_ITERS, sdp._RESTARTS, sdp._RANK) == (500, 5, 8)
 
     def test_validation(self):
-        with pytest.raises(ParameterError):
-            bs.SdpConfig(rank=1)
-        for rank in (2.5, 8.0):  # not an integer, though 8.0 is integral
-            with pytest.raises(ParameterError):
-                bs.SdpConfig(rank=rank)
-        assert bs.SdpConfig(rank=np.int64(8)).rank == 8
         with pytest.raises(ParameterError):
             bs.SdpConfig(lam=-0.5)
         with pytest.raises(ParameterError):
@@ -389,7 +389,7 @@ class TestSolver:
         # The full solvers certify this graph spectrally, so the ascent is run directly
         g = two_cliques(6, p=0.8, q=0.2, seed=5)
         for lam, balanced in ((0.2, False), (0.0, True)):
-            out = sdp._ascent(g.adjacency, g.n, bs.SdpConfig().rank, lam, balanced,
+            out = sdp._ascent(g.adjacency, g.n, sdp._RANK, lam, balanced,
                               500, rng_for(0, STREAM_SDP, 0))
             trace = out.objectives
             assert len(trace) >= 1
@@ -408,7 +408,7 @@ class TestSolver:
             k2, lam = k1, 0.0
         g = bs.sample_sbm(bs.SbmParams.explicit(k1, k2, p, q), graph_seed)
         with watch_retractions() as deviations:
-            out = sdp._ascent(g.adjacency, g.n, bs.SdpConfig().rank, lam, balanced, 500,
+            out = sdp._ascent(g.adjacency, g.n, sdp._RANK, lam, balanced, 500,
                               rng_for(graph_seed, STREAM_SDP, restart))
         y, f = out.factor, out.objective
         assert np.all(np.diff(out.objectives) >= 0.0)
@@ -893,7 +893,7 @@ class TestDualCertificate:
         # restart 0's factor is rank-deficient, which ends the solve
         assert sol.diagnostics.restarts_used == 1 == len(sol.diagnostics.restart_objectives)
         # it returns the partition that running every restart would
-        outs = [sdp._ascent(g.adjacency, g.n, cfg.rank, LAM_STAR, False, sdp._MAX_ITERS,
+        outs = [sdp._ascent(g.adjacency, g.n, sdp._RANK, LAM_STAR, False, sdp._MAX_ITERS,
                             rng_for(cfg.seed, STREAM_SDP, k)) for k in range(sdp._RESTARTS)]
         best = max(outs, key=lambda out: out.objective)
         assert bs.partitions_equal(sol.rounded, bs.round_solution(best.factor))
@@ -1018,7 +1018,7 @@ class TestDenseOperator:
                 assert (sdp._dual_certified(dense, x, mu, tol)
                         == sdp._dual_certified(csr, x, mu, tol) == (lmin >= -tol))
         # the same ascent, up to the summation order of the products
-        outs = [sdp._ascent(a, g.n, bs.SdpConfig().rank, lam, balanced, 500,
+        outs = [sdp._ascent(a, g.n, sdp._RANK, lam, balanced, 500,
                             np.random.default_rng(seed)) for a in (dense, csr)]
         assert outs[0].iterations == outs[1].iterations
         assert outs[0].converged == outs[1].converged
@@ -1085,7 +1085,7 @@ for name, (model, dense, balanced, max_iters, *_) in json.loads(sys.argv[1]).ite
     g = bs.sample_sbm(params, 0)
     adj = g.adjacency.toarray() if dense else g.adjacency
     lam = 0.0 if balanced else bs.lambda_star(params.p, params.q)
-    out = sdp._ascent(adj, g.n, 8, lam, balanced, max_iters, rng_for(7, STREAM_SDP, 0))
+    out = sdp._ascent(adj, g.n, sdp._RANK, lam, balanced, max_iters, rng_for(7, STREAM_SDP, 0))
     h = hashlib.sha256(out.factor.tobytes())
     h.update(np.asarray(out.objectives + [out.objective], dtype=np.float64).tobytes())
     h.update(np.array([out.iterations, out.converged], dtype=np.int64).tobytes())
