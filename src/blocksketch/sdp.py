@@ -14,6 +14,9 @@ penalizing it.
 The lambda * J term is never materialized: its gradient contribution is the
 rank-one correction lambda * 1 (1^T Y). A factor is rounded by the signs of
 the exact leading eigenvector of Y Y^T, from one eigh of the r x r Gram matrix.
+The solve computes the objective of labels x on the matrix it multiplies, as
+x (A x) - lambda (1^T x)^2: every partial sum of x (A x) is an integer, so
+this is labeling_objective's edge-list sum to the bit.
 
 Labels x carry a dual certificate (Abbe-Bandeira-Hall, arXiv:1405.3267)
 when S = diag(((A - mu J) x) * x) - A + mu J, with mu = lambda (mu = 1 in
@@ -31,10 +34,12 @@ graphs, dense or CSR, run a short Lanczos iteration that never forms S.
 The proof never looks at a factor, so the solve first tries spectral
 labels: the signs of the top Ritz vector of A - mu J after a few Lanczos
 steps, cleaned up by two rounds of x <- sign((A - mu J) x) (a median split
-in the balanced program). Above the recovery threshold these are usually
-exact (Abbe-Fan-Wang-Zhong, arXiv:1709.09565). If they certify, the rank-1
-factor x, its own rounding, is returned and no ascent runs. Otherwise `_solve`
-runs up to _RESTARTS restarts of the ascent, each capped at _MAX_ITERS
+in the balanced program). The Ritz vector is oriented by the fixed start
+vector, as the rounding's eigenvector is, so the labels do not follow the
+eigensolver's arbitrary sign. Above the recovery threshold these labels are
+usually exact (Abbe-Fan-Wang-Zhong, arXiv:1709.09565). If they certify, the
+rank-1 factor x, its own rounding, is returned and no ascent runs. Otherwise
+`_solve` runs up to _RESTARTS restarts of the ascent, each capped at _MAX_ITERS
 iterations, and alone decides when they stop. The first restart whose rounded
 labels certify ends the solve. Without a certificate, so does a converged
 Lagrangian best restart with a rank-deficient factor: a rank-deficient
@@ -76,6 +81,12 @@ _BRUTE_FORCE_CAP = 22
 _START_SEED = 0x9E3779B9  # fixed start vectors: rounding and the dual check are pure functions
 _DUAL_RTOL = 1e-9         # lambda_min(S) tolerance, relative to 1 + |rounded objective|
 _LANCZOS_STEPS = 80       # Krylov dimension cap of the dual check
+_LANCZOS_MARGIN = 100     # a residual-tested acceptance needs a Ritz value >= this tol. The mle
+                          # labels of a 13-node graph (k1 = 6, k2 = 7, p = 0.140625, q = 0,
+                          # seed 6, mu = 5.96e-8) have a smallest Ritz value of +5.8e-8 = 4 tol,
+                          # residual 1.45e-8, at step 9, while lambda_min(S) is -6.0e-8.
+                          # lambda_min(S + x x^T / n) of the labels of 71 tight full-graph
+                          # solves (n = 400, alpha 8, 10, 30, beta 2) was 2.7e4 to 1.4e5 tol
 _DENSE_DUAL_MAX = 180     # largest n solved on a dense adjacency at any density, and the
                           # largest whose dual check is a dense Cholesky: on accepting labels,
                           # build and factor took 0.04/0.07/0.15/0.48 ms at n = 50/100/150/180
@@ -97,7 +108,13 @@ _DENSE_MIN_FILL = 0.2     # and only when 2m >= this share of its n^2 entries. R
                           # dense time over CSR time (mean of 4-6 graphs; Lagrangian, then
                           # balanced): fill 0.15 0.89-0.92, 0.95-1.15; 0.17 0.87-0.89, 1.03;
                           # 0.19 0.86, 0.81; 0.21 0.78, 0.71; 0.24 0.80, 0.64; 0.37 0.57, 0.49
-_SPECTRAL_STEPS = 12      # Krylov dimension of the spectral candidate labels
+_SPECTRAL_STEPS = 8       # Krylov dimension of the spectral candidate labels. Skipping solves
+                          # at 4/6/8/12 steps: n = 400 sketches at 0.5 gamma* 209/230/233/233
+                          # of 300, at gamma* 269/294/297/297 of 300; n = 5000 at gamma*
+                          # 22/28/28/29 of 30, at 2 gamma* 26/30/30/30 of 30; n = 20000 at
+                          # gamma* 5/7/7/7 of 8 (alpha 30, beta 2). On other seeds 8 and 12
+                          # steps tied in all five cells. Unoriented, 8 steps gave complementary
+                          # balanced candidates on the dense and CSR operators of an n = 300 graph
 _MAX_ITERS = 500          # iteration cap of one restart
 _RESTARTS = 5             # upper bound on the restarts of one solve
 _RANK = 8                 # factor rank, a performance setting picked by benchmark; may exceed n
@@ -331,6 +348,17 @@ def labeling_objective(g: Graph, labels, lam: float = 0.0) -> float:
     return quad
 
 
+def _operator_objective(adj, x: np.ndarray, lam: float) -> float:
+    """labeling_objective of float +-1 labels x, through the solve's operator:
+    x (A x) - lam (1^T x)^2. Every partial sum of x (A x) is an integer, so
+    the float equals labeling_objective's to the bit."""
+    quad = float(x @ (adj @ x))
+    if lam:
+        s = float(x.sum())
+        quad -= lam * s * s
+    return quad
+
+
 def _certificate_from_values(objective: float, rounded_objective: float) -> Certificate:
     """Gap test, a precondition of the solver's certificate and no proof:
     tight iff objective - rounded_objective <= 1e-6 (1 + |objective|)."""
@@ -351,38 +379,41 @@ def _lanczos(apply, n: int, steps: int):
     it, and the norm of the next residual. Stops after `steps` steps, or once
     beta is 0 and the Krylov space is invariant.
     """
-    basis = np.empty((steps, n))
+    basis = np.empty((steps + 1, n))
     tri = np.zeros((steps + 1, steps + 1))
-    v = _start_vector(n)
+    basis[0] = _start_vector(n)
     for j in range(steps):
-        basis[j] = v
-        w = apply(v)
+        w = apply(basis[j])
         q = basis[: j + 1]
         h = q @ w
         tri[j, j] = h[j]
         w -= q.T @ h
         w -= q.T @ (q @ w)  # a second pass keeps the basis orthonormal
-        beta = float(np.linalg.norm(w))
+        beta = math.sqrt(w @ w)  # np.linalg.norm(w), without its dispatch
         yield q, tri[: j + 1, : j + 1], beta
         if not beta:
             return
         tri[j, j + 1] = tri[j + 1, j] = beta
-        v = w / beta
+        np.divide(w, beta, out=basis[j + 1])
 
 
 def _spectral_labels(adj, mu: float, balanced: bool) -> np.ndarray:
-    """Candidate labels from the top Ritz vector of A - mu J.
+    """Candidate labels from the top Ritz vector v of A - mu J.
 
     _SPECTRAL_STEPS Lanczos steps, one eigh of the tridiagonal at the end.
-    Free labels are the vector's signs after two cleanup rounds
-    x <- sign((A - mu J) x), where a zero keeps its label; balanced labels
-    split the vector at its median.
+    v is signed so that v . v0 >= 0 for the start vector v0, the first basis
+    vector, as leading_eigenvector signs its vector: the sign of the
+    tridiagonal's eigenvector is arbitrary, and a balanced split of -v is
+    the complement of v's. Free labels are the vector's signs after two
+    cleanup rounds x <- sign((A - mu J) x), where a zero keeps its label;
+    balanced labels split the vector at its median.
     """
     n = adj.shape[0]
     for basis, tri, _ in _lanczos(lambda v: adj @ v - mu * v.sum(), n,
                                   min(n, _SPECTRAL_STEPS)):
         pass
-    v = basis.T @ np.linalg.eigh(tri)[1][:, -1]
+    u = np.linalg.eigh(tri)[1][:, -1]
+    v = basis.T @ (u if u[0] >= 0.0 else -u)  # u[0] = v . v0
     if balanced:
         return _split_at_median(v)
     x = np.where(v >= 0.0, 1.0, -1.0)
@@ -402,8 +433,8 @@ def _dual_certified(adj, x: np.ndarray, mu: float, tol: float) -> bool:
     at n = 180), which only blurs the boundary at -tol and sits far below
     tol = _DUAL_RTOL (1 + |obj|) at a sketched subgraph's objective. Every
     other operator, dense or CSR, gets the Lanczos check, whose acceptance
-    rests on a residual test: the route goes by size, where Cholesky pays,
-    and by type, since a CSR cannot be subtracted from a scalar.
+    rests on a residual test and a margin: the route goes by size, where
+    Cholesky pays, and by type, since a CSR cannot be subtracted from a scalar.
     """
     x = x.astype(np.float64)
     d = (adj @ x - mu * x.sum()) * x
@@ -431,9 +462,13 @@ def _lanczos_certified(adj, x: np.ndarray, d: np.ndarray, mu: float, tol: float)
 
     Lanczos on S + x x^T / n, which moves the zero eigenvalue of x to 1;
     J and S are never formed. The smallest Ritz value never undershoots
-    lambda_min, so one below -tol rejects at once; acceptance needs its
-    residual within tol. No convergence within _LANCZOS_STEPS means "not
-    certified".
+    lambda_min, so one below -tol rejects at once. Acceptance needs the
+    whole space, a Krylov space invariant to within tol (beta <= tol: every
+    Ritz value is then within tol of an eigenvalue, and further steps would
+    build on rounding noise), or a smallest Ritz value that clears
+    _LANCZOS_MARGIN tol with its residual within tol: a converged Ritz value
+    near 0 can sit in a cluster that hides a lower eigenvalue. No acceptance
+    within _LANCZOS_STEPS means "not certified".
     """
     n = x.size
 
@@ -444,7 +479,8 @@ def _lanczos_certified(adj, x: np.ndarray, d: np.ndarray, mu: float, tol: float)
         theta, s = np.linalg.eigh(tri)
         if theta[0] < -tol:
             return False
-        if beta * abs(s[-1, 0]) <= tol or len(basis) == n:
+        if len(basis) == n or beta <= tol or (theta[0] >= _LANCZOS_MARGIN * tol
+                                              and beta * abs(s[-1, 0]) <= tol):
             return True
     return False
 
@@ -513,11 +549,11 @@ def _operator(g: Graph):
     return a.reshape(n, n)
 
 
-def _round_and_certify(g: Graph, adj, y: np.ndarray, f: float, converged: bool,
+def _round_and_certify(adj, y: np.ndarray, f: float, converged: bool,
                        lam: float, mu: float, balanced: bool):
     """Round a factor; tight iff converged, gap-tight and dual-certified."""
     labels = round_solution(y, balanced)
-    rounded_obj = labeling_objective(g, labels, lam=lam)
+    rounded_obj = _operator_objective(adj, labels.astype(np.float64), lam)
     cert = _certificate_from_values(f, rounded_obj)
     tight = cert.tight and converged and _dual_certified(
         adj, labels, mu, _DUAL_RTOL * (1.0 + abs(rounded_obj)))
@@ -535,11 +571,11 @@ def _solve(g: Graph, cfg: SdpConfig, balanced: bool) -> SdpSolution:
     # spectral labels that certify are optimal: x x^T is the SDP optimum and
     # no ascent runs; its Riemannian gradient at a +-1 rank-1 point is zero.
     # The rank-1 factor x rounds to +-x, with objective f and gap 0
-    x = _spectral_labels(adj, mu, balanced)
-    f = labeling_objective(g, x, lam=lam)
-    best = _Restart(factor=x[:, None].astype(np.float64), objective=f, iterations=0,
+    x = _spectral_labels(adj, mu, balanced).astype(np.float64)
+    f = _operator_objective(adj, x, lam)
+    best = _Restart(factor=x[:, None], objective=f, iterations=0,
                     converged=True, objectives=[])
-    rounding = _round_and_certify(g, adj, best.factor, f, True, lam, mu, balanced)
+    rounding = _round_and_certify(adj, best.factor, f, True, lam, mu, balanced)
     # exits: a certified rounding, the restart bound, the rank stop, a confirmation
     runs = []
     while not rounding[2].tight and len(runs) < _RESTARTS:
@@ -552,7 +588,7 @@ def _solve(g: Graph, cfg: SdpConfig, balanced: bool) -> SdpSolution:
             break  # out confirms the best, which stays
         if len(runs) == 1 or out.objective > best.objective:
             best = out
-            rounding = _round_and_certify(g, adj, out.factor, out.objective,
+            rounding = _round_and_certify(adj, out.factor, out.objective,
                                           out.converged, lam, mu, balanced)
             ev = np.linalg.eigvalsh(out.factor.T @ out.factor)  # of the Gram Y^T Y
             if out.converged and not balanced and ev[0] <= _RANK_TOL * ev[-1]:

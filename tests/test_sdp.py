@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.sparse import csr_matrix
 
 import blocksketch as bs
@@ -261,7 +261,7 @@ class TestConfirmation:
         assert d.restart_objectives[1] == second.objective
         assert sol.iterations == first.iterations
         # the partition and verdict restart 1 would have given
-        labels, _, cert = sdp._round_and_certify(g, adj, second.factor, second.objective,
+        labels, _, cert = sdp._round_and_certify(adj, second.factor, second.objective,
                                                  True, 0.0, 1.0, True)
         assert bs.partitions_equal(sol.rounded, labels)
         assert not sol.certificate.tight and not cert.tight
@@ -489,7 +489,8 @@ class TestSolver:
     def test_matmult_budget_spectral_skip(self):
         # full sample above the threshold, too sparse for a dense operator: the
         # spectral labels certify, and the solve costs the Krylov steps, two
-        # cleanup rounds and the Lanczos dual check, all on the CSR
+        # cleanup rounds, the two label objectives and the Lanczos dual check,
+        # all on the CSR
         params = bs.SbmParams.from_rates(400, 10, 1)
         g = bs.sample_sbm(params, 0)
         assert g.n > sdp._DENSE_DUAL_MAX and 2 * g.m < sdp._DENSE_MIN_FILL * g.n ** 2
@@ -498,8 +499,8 @@ class TestSolver:
             g, bs.SdpConfig(lam=bs.lambda_star(params.p, params.q)))
         assert sol.certificate.tight
         assert sol.diagnostics.iterations_total == 0
-        assert sdp._SPECTRAL_STEPS + 2 < g.adjacency.calls
-        assert g.adjacency.calls <= sdp._SPECTRAL_STEPS + 2 + sdp._LANCZOS_STEPS + 1
+        assert sdp._SPECTRAL_STEPS + 4 < g.adjacency.calls
+        assert g.adjacency.calls <= sdp._SPECTRAL_STEPS + 4 + sdp._LANCZOS_STEPS + 1
 
     def test_dense_full_graph_builds_no_csr_and_takes_lanczos(self, monkeypatch):
         # the paper's full n = 400 graph is dense enough for the dense operator,
@@ -772,10 +773,15 @@ class TestDualCertificate:
            graph_seed=st.integers(0, 2**32 - 1), mu=st.floats(0.0, 1.5),
            pick=st.sampled_from(["truth", "mle", "random"]),
            label_seed=st.integers(0, 2**32 - 1))
+    @example(k1=6, k2=7, pq=[0.0, 0.140625], graph_seed=6, mu=5.960464477539063e-08,
+             pick="mle", label_seed=0)
     def test_lanczos_verdict_matches_dense_and_oracle(self, k1, k2, pq, graph_seed, mu,
                                                       pick, label_seed):
         # both branches on every example: the dense Cholesky one that these
-        # sizes' dense operator routes to, and the Lanczos one of a CSR
+        # sizes' dense operator routes to, and the Lanczos one of a CSR. The
+        # pinned example's mle labels have lambda_min(S) = -4 tol, hidden by a
+        # cluster of 5 eigenvalues: at step 9 the smallest Ritz value is +4 tol
+        # with its residual within tol, which the Lanczos check must not accept
         q, p = pq
         g = bs.sample_sbm(bs.SbmParams.explicit(k1, k2, p, q), graph_seed)
         if pick == "truth":
@@ -959,6 +965,12 @@ class TestDualCertificate:
                                            "True SdpSolution True"]
 
 
+def full(model, seed):
+    """(graph, lambda_star) of a full SBM sample of the model (n, alpha, beta)."""
+    params = bs.SbmParams.from_rates(*model)
+    return bs.sample_sbm(params, seed), bs.lambda_star(params.p, params.q)
+
+
 def dense_and_sparse_cases():
     """(graph, mu): SBM graphs of at most 40 nodes, edgeless graphs, the
     crossover graphs of test_branches_agree_at_the_crossover, and two full
@@ -978,10 +990,6 @@ def dense_and_sparse_cases():
         g = bs.sample_sbm(bs.SbmParams.explicit(n // 2, n - n // 2, rates.p, rates.q), seed)
         return g, bs.lambda_star(rates.p, rates.q)
 
-    def full(model, seed):
-        params = bs.SbmParams.from_rates(*model)
-        return bs.sample_sbm(params, seed), bs.lambda_star(params.p, params.q)
-
     large = st.one_of(
         st.builds(crossover, st.sampled_from([sdp._DENSE_DUAL_MAX, sdp._DENSE_DUAL_MAX + 1]),
                   st.sampled_from([(30.0, 2.0), (3.0, 1.0)]), st.integers(0, 2)),
@@ -992,6 +1000,11 @@ def dense_and_sparse_cases():
 class TestDenseOperator:
     @settings(max_examples=60, deadline=None)
     @given(case=dense_and_sparse_cases(), balanced=st.booleans(), seed=st.integers(0, 99))
+    # a balanced candidate whose Ritz vector, unsigned, split into complements
+    # under the two operators; an edgeless graph; the paper's dense full graph
+    @example(case=full((300, 3.0, 1.0), 1), balanced=True, seed=0)
+    @example(case=(bs.Graph.from_edges(12, []), 0.5), balanced=False, seed=0)
+    @example(case=full((400, 30.0, 2.0), 0), balanced=False, seed=0)
     def test_dense_and_sparse_operators_agree(self, case, balanced, seed):
         g, mu = case
         op = sdp._operator(g)
@@ -1010,6 +1023,11 @@ class TestDenseOperator:
         # entries (twin or isolated nodes) those entries' signs are rounding
         # noise under either operator, and the summation order differs
         for x in labels:
+            # the solve's objective through either operator is labeling_objective's
+            # float, at lambda = 0 and at the case's multiplier
+            for a, lam_x in itertools.product((dense, csr), (0.0, case[1])):
+                assert (sdp._operator_objective(a, x.astype(np.float64), lam_x)
+                        == bs.labeling_objective(g, x, lam=lam_x))
             # up to _DENSE_DUAL_MAX nodes the dense operator's Cholesky verdict
             # and the CSR's Lanczos verdict, above it both operators' Lanczos
             tol = sdp._DUAL_RTOL * (1.0 + abs(bs.labeling_objective(g, x, lam=lam)))
