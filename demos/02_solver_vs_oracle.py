@@ -2,8 +2,8 @@
 
 At n <= 22 the exact maximum-likelihood partition is computable by brute
 force, so the low-rank solver can be validated instance by instance: a
-tight certificate means the rounded labels attain the relaxation value and
-carry a dual certificate, which proves they are the exact optimum.
+tight certificate means the rounded labels carry a dual certificate, which
+proves they are the exact optimum.
 Instances without a tight certificate are reported honestly; the relaxation
 sometimes has a real gap.
 """

@@ -44,6 +44,8 @@ class BoundParams:
             raise ParameterError("K1 and K2 must be nonnegative integers")
         if not (0.0 <= self.p <= 1.0 and 0.0 <= self.q <= 1.0):
             raise ParameterError("p and q must lie in [0, 1]")
+        for name in ("p", "q"):  # Python floats: a numpy float32 would round every bound
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 def gamma_star(alpha: float, beta: float) -> float:
@@ -67,6 +69,7 @@ def lambda_star(p: float, q: float) -> float:
     """Optimal multiplier (p - q) / (log p - log q); invariant to the (alpha, beta, n) form."""
     if not (0.0 < q < p <= 1.0):
         raise ParameterError(f"need 0 < q < p <= 1, got p={p}, q={q}")
+    p, q = float(p), float(q)
     # log(p/q) written as log1p keeps the p -> q+ limit (-> q) well conditioned
     return (p - q) / math.log1p((p - q) / q)
 

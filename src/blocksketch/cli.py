@@ -9,7 +9,6 @@ explicit flags always win.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from pathlib import Path
@@ -22,7 +21,7 @@ from .errors import (CapacityError, DomainError, GraphFormatError,
                      ParameterError)
 from .pipeline import SketchConfig, run_sweep, sketch_and_recover
 from .rng import seed_sequence
-from .sbm import SbmParams, partitions_equal, read_graph, sample_sbm, write_graph
+from .sbm import SbmParams, log_rates, partitions_equal, read_graph, sample_sbm, write_graph
 from .sdp import SdpConfig, solve_balanced_sdp, solve_lagrangian_sdp
 from .vote import oracle_vote_trial
 
@@ -104,8 +103,7 @@ def _rates_from_flags(args, n: int) -> Optional[tuple[float, float]]:
 def _scaled_rates(alpha: float, beta: float, n: int) -> tuple[float, float]:
     if n < 2:
         raise ParameterError(f"--alpha/--beta rates need n >= 2, got n={n}")
-    scale = math.log(n) / n
-    return alpha * scale, beta * scale
+    return log_rates(n, alpha, beta)
 
 
 def cmd_gen(args) -> int:

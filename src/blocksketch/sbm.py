@@ -42,6 +42,13 @@ if TYPE_CHECKING:
 
 UNASSIGNED = 0
 
+
+def log_rates(n: int, alpha: float, beta: float) -> tuple[float, float]:
+    """The rates p = alpha log(n) / n and q = beta log(n) / n."""
+    scale = math.log(n) / n
+    return alpha * scale, beta * scale
+
+
 @dataclass(frozen=True)
 class SbmParams:
     """Parameters of G(n1, n2; p, q); p is the within-, q the cross-rate."""
@@ -82,9 +89,8 @@ class SbmParams:
         if not (alpha > beta >= 0.0):
             raise ParameterError(f"need alpha > beta >= 0, got alpha={alpha}, beta={beta}")
         alpha, beta = float(alpha), float(beta)  # a numpy float32 would round the rates
-        scale = math.log(n) / n
-        return cls(n1=n // 2, n2=n // 2, p=alpha * scale, q=beta * scale,
-                   alpha=alpha, beta=beta, balanced=True)
+        p, q = log_rates(n, alpha, beta)
+        return cls(n1=n // 2, n2=n // 2, p=p, q=q, alpha=alpha, beta=beta, balanced=True)
 
     @classmethod
     def explicit(cls, n1: int, n2: int, p: float, q: float) -> "SbmParams":

@@ -14,14 +14,15 @@ penalizing it.
 The lambda * J term is never materialized: its gradient contribution is the
 rank-one correction lambda * 1 (1^T Y). A factor is rounded by the signs of
 the exact leading eigenvector of Y Y^T, from one eigh of the r x r Gram matrix.
-The solve computes the objective of labels x on the matrix it multiplies, as
-x (A x) - lambda (1^T x)^2: every partial sum of x (A x) is an integer, so
-this is labeling_objective's edge-list sum to the bit.
 
 Labels x carry a dual certificate (Abbe-Bandeira-Hall, arXiv:1405.3267)
 when S = diag(((A - mu J) x) * x) - A + mu J, with mu = lambda (mu = 1 in
 the balanced program), is PSD: S x = 0 by construction, so S >= 0 proves
 x x^T optimal for the relaxation and x optimal for the integral program.
+A solve is tight exactly when this check passed on the labels it returns:
+neither the ascent's convergence nor the gap to the factor's objective is
+part of the proof, and the gap is only reported. `_certify` derives the
+labels' objective and the diagonal of S from one product A x.
 `_operator` picks the one adjacency the whole solve multiplies. On at most
 _DENSE_DUAL_MAX nodes, which covers the sketched subgraphs, and on dense
 graphs of at most _DENSE_OPERATOR_MAX nodes, such as the paper's full
@@ -49,7 +50,7 @@ arXiv:1606.04970). The stop rule is first order, so this is no proof, and
 `tight` never rests on it. Balanced restarts end off the balance constraint,
 where a rank stop changed partitions. They and full-rank factors wait for a
 restart that confirms the best converged one: at its own converged stop, its
-objective is within the gap test's tolerance of the best's and it rounds to
+objective is within the agreement tolerance of the best's and it rounds to
 the best's partition; the best stays. The dual certificate carries
 correctness, so the rank is the constant _RANK, a performance setting chosen by
 benchmark: outside the worst case a low rank suffices
@@ -135,6 +136,7 @@ class SdpConfig:
 
     def __post_init__(self):
         require_multiplier(self.lam)
+        object.__setattr__(self, "lam", float(self.lam))  # a numpy float32 rounds the objective
         if not isinstance(self.seed, np.random.SeedSequence):
             seed_sequence(self.seed)  # a negative seed fails even when no restart runs
 
@@ -341,6 +343,7 @@ def labeling_objective(g: Graph, labels, lam: float = 0.0) -> float:
     x = np.asarray(labels, dtype=np.float64)
     if x.shape != (g.n,) or not is_complete(x):
         raise ParameterError("labels must be complete +-1 of length n")
+    lam = float(lam)
     quad = 2.0 * float(x[g.edges[:, 0]] @ x[g.edges[:, 1]]) if g.m else 0.0
     if lam:
         s = float(x.sum())
@@ -348,27 +351,10 @@ def labeling_objective(g: Graph, labels, lam: float = 0.0) -> float:
     return quad
 
 
-def _operator_objective(adj, x: np.ndarray, lam: float) -> float:
-    """labeling_objective of float +-1 labels x, through the solve's operator:
-    x (A x) - lam (1^T x)^2. Every partial sum of x (A x) is an integer, so
-    the float equals labeling_objective's to the bit."""
-    quad = float(x @ (adj @ x))
-    if lam:
-        s = float(x.sum())
-        quad -= lam * s * s
-    return quad
-
-
-def _certificate_from_values(objective: float, rounded_objective: float) -> Certificate:
-    """Gap test, a precondition of the solver's certificate and no proof:
-    tight iff objective - rounded_objective <= 1e-6 (1 + |objective|)."""
-    gap = objective - rounded_objective
-    return Certificate(tight=bool(gap <= 1e-6 * (1.0 + abs(objective))), gap=float(gap))
-
-
 def _agrees(a: float, b: float) -> bool:
-    """a and b are within the gap test's tolerance of each other."""
-    return _certificate_from_values(max(a, b), min(a, b)).tight
+    """a and b are within the agreement tolerance 1e-6 (1 + |max(a, b)|)."""
+    hi, lo = max(a, b), min(a, b)
+    return hi - lo <= 1e-6 * (1.0 + abs(hi))
 
 
 def _lanczos(apply, n: int, steps: int):
@@ -423,8 +409,27 @@ def _spectral_labels(adj, mu: float, balanced: bool) -> np.ndarray:
     return x.astype(np.int8)
 
 
-def _dual_certified(adj, x: np.ndarray, mu: float, tol: float) -> bool:
-    """True iff lambda_min(S) >= -tol for S = diag(((A - mu J) x) * x) - A + mu J.
+def _certify(adj, labels: np.ndarray, lam: float, mu: float):
+    """(objective, certified) of +-1 labels x, both from one product A x.
+
+    The objective is x (A x) - lam (1^T x)^2: every partial sum of x (A x) is
+    an integer, so the float is labeling_objective's to the bit. Certified
+    means the dual check passed on x, at tol = _DUAL_RTOL (1 + |objective|),
+    with the diagonal ((A - mu J) x) * x of S taken from the same product.
+    """
+    x = labels.astype(np.float64)
+    ax = adj @ x
+    s = float(x.sum())
+    obj = float(x @ ax)
+    if lam:
+        obj -= lam * s * s
+    d = (ax - mu * s) * x
+    return obj, _dual_certified(adj, x, d, mu, _DUAL_RTOL * (1.0 + abs(obj)))
+
+
+def _dual_certified(adj, x: np.ndarray, d: np.ndarray, mu: float, tol: float) -> bool:
+    """True iff lambda_min(S) >= -tol for S = diag(d) - A + mu J, where
+    d = ((A - mu J) x) * x for the float +-1 labels x.
 
     A dense adjacency on at most _DENSE_DUAL_MAX nodes gets a dense Cholesky
     factorization of S + tol I, and its success is a proof that S + tol I
@@ -436,8 +441,6 @@ def _dual_certified(adj, x: np.ndarray, mu: float, tol: float) -> bool:
     rests on a residual test and a margin: the route goes by size, where
     Cholesky pays, and by type, since a CSR cannot be subtracted from a scalar.
     """
-    x = x.astype(np.float64)
-    d = (adj @ x - mu * x.sum()) * x
     if isinstance(adj, np.ndarray) and x.size <= _DENSE_DUAL_MAX:
         return _cholesky_certified(adj, d, mu, tol)
     return _lanczos_certified(adj, x, d, mu, tol)
@@ -549,17 +552,6 @@ def _operator(g: Graph):
     return a.reshape(n, n)
 
 
-def _round_and_certify(adj, y: np.ndarray, f: float, converged: bool,
-                       lam: float, mu: float, balanced: bool):
-    """Round a factor; tight iff converged, gap-tight and dual-certified."""
-    labels = round_solution(y, balanced)
-    rounded_obj = _operator_objective(adj, labels.astype(np.float64), lam)
-    cert = _certificate_from_values(f, rounded_obj)
-    tight = cert.tight and converged and _dual_certified(
-        adj, labels, mu, _DUAL_RTOL * (1.0 + abs(rounded_obj)))
-    return labels, rounded_obj, Certificate(tight=tight, gap=cert.gap)
-
-
 def _solve(g: Graph, cfg: SdpConfig, balanced: bool) -> SdpSolution:
     require_nonempty(g)
     lam = 0.0 if balanced else cfg.lam
@@ -570,43 +562,42 @@ def _solve(g: Graph, cfg: SdpConfig, balanced: bool) -> SdpSolution:
 
     # spectral labels that certify are optimal: x x^T is the SDP optimum and
     # no ascent runs; its Riemannian gradient at a +-1 rank-1 point is zero.
-    # The rank-1 factor x rounds to +-x, with objective f and gap 0
+    # The rank-1 factor x rounds to +-x, whose objective is x's, so the gap is 0
     x = _spectral_labels(adj, mu, balanced).astype(np.float64)
-    f = _operator_objective(adj, x, lam)
-    best = _Restart(factor=x[:, None], objective=f, iterations=0,
+    labels = round_solution(x[:, None], balanced)
+    rounded_obj, tight = _certify(adj, labels, lam, mu)
+    best = _Restart(factor=x[:, None], objective=rounded_obj, iterations=0,
                     converged=True, objectives=[])
-    rounding = _round_and_certify(adj, best.factor, f, True, lam, mu, balanced)
     # exits: a certified rounding, the restart bound, the rank stop, a confirmation
     runs = []
-    while not rounding[2].tight and len(runs) < _RESTARTS:
+    while not tight and len(runs) < _RESTARTS:
         out = _ascent(adj, g.n, _RANK, lam, balanced, _MAX_ITERS,
                       rng_for(cfg.seed, STREAM_SDP, len(runs)))
         runs.append(out)
+        out_labels = round_solution(out.factor, balanced)
         if (len(runs) > 1 and best.converged and out.converged
                 and _agrees(out.objective, best.objective)
-                and partitions_equal(round_solution(out.factor, balanced), rounding[0])):
+                and partitions_equal(out_labels, labels)):
             break  # out confirms the best, which stays
         if len(runs) == 1 or out.objective > best.objective:
-            best = out
-            rounding = _round_and_certify(adj, out.factor, out.objective,
-                                          out.converged, lam, mu, balanced)
+            best, labels = out, out_labels
+            rounded_obj, tight = _certify(adj, labels, lam, mu)
             ev = np.linalg.eigvalsh(out.factor.T @ out.factor)  # of the Gram Y^T Y
             if out.converged and not balanced and ev[0] <= _RANK_TOL * ev[-1]:
                 break
-    labels, rounded_obj, cert = rounding
     cs = best.factor.sum(axis=0)
     diag = SolveDiagnostics(
         converged=best.converged,
         iterations_total=sum(out.iterations for out in runs),
         restarts_used=len(runs),
-        restart_objectives=np.asarray([out.objective for out in runs] or [f]),
+        restart_objectives=np.asarray([out.objective for out in runs] or [best.objective]),
     )
     return SdpSolution(
         factor=best.factor,
         objective=best.objective,
         rounded=labels,
         rounded_objective=rounded_obj,
-        certificate=cert,
+        certificate=Certificate(tight=tight, gap=best.objective - rounded_obj),
         iterations=best.iterations,
         balance_residual=float(cs @ cs),
         diagnostics=diag,

@@ -38,6 +38,10 @@ class TestCriterion1OracleEquivalence:
             else:
                 sol = bs.solve_lagrangian_sdp(g, bs.SdpConfig(lam=lam, seed=idx))
                 mle, mle_obj = bs.brute_force_mle(g, lam=lam)
+            # tight is the dual check on the returned labels, nothing more
+            lam_x, mu = (0.0, 1.0) if balanced else (lam, lam)
+            assert sol.certificate.tight == sdp._certify(sdp._operator(g), sol.rounded,
+                                                         lam_x, mu)[1]
             if not sol.certificate.tight:
                 continue
             tight += 1

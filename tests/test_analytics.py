@@ -85,6 +85,12 @@ class TestLambdaStar:
         q = 0.3
         assert bs.lambda_star(q * (1 + 1e-8), q) == pytest.approx(q, rel=1e-6)
 
+    def test_numpy_float_rates(self):
+        # float32 rates give the bits of the Python floats of their values
+        p, q = np.float32(0.2), np.float32(0.1)
+        got = bs.lambda_star(p, q)
+        assert type(got) is float and got == bs.lambda_star(float(p), float(q))
+
     def test_rejects_invalid(self):
         with pytest.raises(ParameterError):
             bs.lambda_star(0.5, 0.0)
@@ -239,6 +245,16 @@ class TestBinomDiffTailExact:
         bp = bs.BoundParams(K1=3, K2=5, p=0.1, q=0.9)
         v = bs.binom_diff_tail_exact(bp)
         assert v == pytest.approx(scipy_tail_oracle(3, 5, 0.1, 0.9), rel=1e-12)
+
+    def test_numpy_float_rates(self):
+        # BoundParams stores p and q as Python floats: float32 rates give the
+        # bits of the Python floats of their values
+        p, q = np.float32(0.2), np.float32(0.05)
+        bp = bs.BoundParams(K1=100, K2=100, p=p, q=q)
+        assert type(bp.p) is float and type(bp.q) is float
+        got = bs.binom_diff_tail_exact(bp)
+        want = bs.binom_diff_tail_exact(bs.BoundParams(K1=100, K2=100, p=float(p), q=float(q)))
+        assert type(got) is float and got == want
 
     def test_capacity_error(self):
         with pytest.raises(CapacityError):

@@ -44,6 +44,15 @@ class CountingCSR(csr_matrix):
         return super().__matmul__(other)
 
 
+def sketched_graph(i):
+    """(graph, seed) of tools/replay_solver.py's sketched battery: subgraph i of
+    the paper's full n = 400 model (alpha 30, beta 2) at half the threshold rate."""
+    full = bs.SbmParams.from_rates(400, 30.0, 2.0)
+    seed = bs.seed_sequence(20261020, 0, i)
+    kept = bs.subsample_nodes(full.n, 0.5 * bs.gamma_star(30.0, 2.0), seed)
+    return bs.induced_subgraph(bs.sample_sbm(full, seed), kept)[0], seed
+
+
 def random_graph(n, density, rng):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
              if rng.uniform() < density]
@@ -150,7 +159,7 @@ class TestStopTolerance:
             assert bs.partitions_equal(sol.rounded, ref.rounded)
             assert sol.certificate.tight == ref.certificate.tight
             assert sol.diagnostics.restarts_used <= ref.diagnostics.restarts_used
-            # within the gap test's tolerance, which restarts need to agree
+            # within the agreement tolerance, which restarts need to agree
             assert ref.objective - sol.objective <= 1e-6 * (1.0 + abs(ref.objective))
         assert (sum(s.diagnostics.iterations_total for s in default)
                 < sum(s.diagnostics.iterations_total for s in tighter))
@@ -239,12 +248,9 @@ class TestConfirmation:
     def test_confirming_restart_above_the_best_keeps_the_best(self):
         # graph 66 of tools/replay_solver.py's sketched battery, a balanced
         # solve on 24 nodes: both restarts converge uncertified, and restart 1
-        # ends above restart 0 by less than the gap test's tolerance, on the
+        # ends above restart 0 by less than the agreement tolerance, on the
         # same partition. It confirms restart 0, which is returned
-        full = bs.SbmParams.from_rates(400, 30.0, 2.0)
-        seed = bs.seed_sequence(20261020, 0, 66)
-        kept = bs.subsample_nodes(full.n, 0.5 * bs.gamma_star(30.0, 2.0), seed)
-        g = bs.induced_subgraph(bs.sample_sbm(full, seed), kept)[0]
+        g, seed = sketched_graph(66)
         assert g.n == 24
         cfg = bs.SdpConfig(seed=seed)
         sol = bs.solve_balanced_sdp(g, cfg)
@@ -261,10 +267,9 @@ class TestConfirmation:
         assert d.restart_objectives[1] == second.objective
         assert sol.iterations == first.iterations
         # the partition and verdict restart 1 would have given
-        labels, _, cert = sdp._round_and_certify(adj, second.factor, second.objective,
-                                                 True, 0.0, 1.0, True)
+        labels = bs.round_solution(second.factor, balanced=True)
         assert bs.partitions_equal(sol.rounded, labels)
-        assert not sol.certificate.tight and not cert.tight
+        assert not sol.certificate.tight and not sdp._certify(adj, labels, 0.0, 1.0)[1]
 
     def test_capped_restarts_neither_confirm_nor_are_confirmed(self, monkeypatch):
         # TestRankStop's graph 12, where restart 1 confirms restart 0. Reported
@@ -305,6 +310,21 @@ class TestSdpConfig:
         with pytest.raises(TypeError, match="rank"):
             bs.SdpConfig(rank=8)
         assert (sdp._MAX_ITERS, sdp._RESTARTS, sdp._RANK) == (500, 5, 8)
+
+    def test_numpy_float_multiplier(self):
+        # lam is stored as a Python float: a float32 multiplier solves as the
+        # Python float of the same value does, to the bit
+        params = bs.SbmParams.from_rates(400, 3, 1)
+        g = bs.sample_sbm(params, 0)
+        v = np.float32(bs.lambda_star(params.p, params.q))
+        cfg = bs.SdpConfig(lam=v, seed=1)
+        assert type(cfg.lam) is float and cfg == bs.SdpConfig(lam=float(v), seed=1)
+        sol = bs.solve_lagrangian_sdp(g, cfg)
+        ref = bs.solve_lagrangian_sdp(g, bs.SdpConfig(lam=float(v), seed=1))
+        values = (sol.objective, sol.rounded_objective, sol.certificate.gap)
+        assert all(type(value) is float for value in values)
+        assert values == (ref.objective, ref.rounded_objective, ref.certificate.gap)
+        assert np.array_equal(sol.factor, ref.factor)
 
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -463,10 +483,10 @@ class TestSolver:
         assert a.certificate == b.certificate
 
     def test_matmult_budget(self, monkeypatch):
-        # below the recovery threshold no restart passes the gap test and the
-        # spectral candidate fails the dual check within a few Lanczos steps,
-        # so nearly every product is the ascent's. Those bypass the CSR's `@`
-        # and are counted at sdp._product
+        # below the recovery threshold the spectral candidate and the best
+        # restart's labels each cost one product and fail the dual check within
+        # a few Lanczos steps, so nearly every product is the ascent's. Those
+        # bypass the CSR's `@` and are counted at sdp._product
         params = bs.SbmParams.from_rates(300, 3, 1)
         g = bs.sample_sbm(params, 0)
         g.adjacency = CountingCSR(g.adjacency)
@@ -486,21 +506,31 @@ class TestSolver:
         assert (len(ascent_products) + g.adjacency.calls
                 <= 1.5 * diag.iterations_total + diag.restarts_used)
 
-    def test_matmult_budget_spectral_skip(self):
+    def test_matmult_budget_spectral_skip(self, monkeypatch):
         # full sample above the threshold, too sparse for a dense operator: the
         # spectral labels certify, and the solve costs the Krylov steps, two
-        # cleanup rounds, the two label objectives and the Lanczos dual check,
-        # all on the CSR
+        # cleanup rounds, one product for the labels' objective and the dual
+        # check's diagonal, and the Lanczos dual check's steps, all on the CSR
         params = bs.SbmParams.from_rates(400, 10, 1)
         g = bs.sample_sbm(params, 0)
         assert g.n > sdp._DENSE_DUAL_MAX and 2 * g.m < sdp._DENSE_MIN_FILL * g.n ** 2
         g.adjacency = CountingCSR(g.adjacency)
+        steps, lanczos = [], sdp._lanczos
+
+        def counting_lanczos(apply, n, max_steps):
+            steps.append(0)
+            for item in lanczos(apply, n, max_steps):  # one product per step taken
+                steps[-1] += 1
+                yield item
+
+        monkeypatch.setattr(sdp, "_lanczos", counting_lanczos)
         sol = bs.solve_lagrangian_sdp(
             g, bs.SdpConfig(lam=bs.lambda_star(params.p, params.q)))
         assert sol.certificate.tight
         assert sol.diagnostics.iterations_total == 0
-        assert sdp._SPECTRAL_STEPS + 4 < g.adjacency.calls
-        assert g.adjacency.calls <= sdp._SPECTRAL_STEPS + 4 + sdp._LANCZOS_STEPS + 1
+        spectral, dual = steps
+        assert spectral == sdp._SPECTRAL_STEPS and 0 < dual <= sdp._LANCZOS_STEPS
+        assert g.adjacency.calls == sdp._SPECTRAL_STEPS + 2 + 1 + dual
 
     def test_dense_full_graph_builds_no_csr_and_takes_lanczos(self, monkeypatch):
         # the paper's full n = 400 graph is dense enough for the dense operator,
@@ -553,8 +583,10 @@ class TestSolver:
         assert np.array_equal(again.rounded, sol.rounded)
         assert again.objective == sol.objective
 
-    def test_nonconvergence_blocks_certificate(self, monkeypatch):
-        g = relaxation_gap_graph()  # no spectral skip: the capped ascent is returned
+    def test_capped_solve_reports_unconverged(self, monkeypatch):
+        # no spectral skip: the capped ascent is returned. The graph has a
+        # relaxation gap, so no labels certify and the solve is not tight
+        g = relaxation_gap_graph()
         monkeypatch.setattr(sdp, "_MAX_ITERS", 1)
         monkeypatch.setattr(sdp, "_RESTARTS", 1)
         sol = bs.solve_lagrangian_sdp(g, bs.SdpConfig(lam=LAM_STAR, seed=0))
@@ -745,25 +777,25 @@ class TestBruteForce:
 
 
 class TestCertificate:
+    """The restarts' agreement test and the certificate's printed form; whether
+    a certificate is tight is the dual check's verdict alone."""
+
     def test_arithmetic_example(self):
-        cert = sdp._certificate_from_values(24.0, 23.5)
-        assert not cert.tight
-        assert cert.gap == 0.5
-        assert str(cert) == "not-tight(0.5)"
+        assert not sdp._agrees(24.0, 23.5) and not sdp._agrees(23.5, 24.0)
         assert str(bs.Certificate(tight=False, gap=0.5)) == "not-tight(0.5)"
 
     def test_zero_gap_tight(self):
-        cert = sdp._certificate_from_values(24.0, 24.0)
-        assert cert.tight and cert.gap == 0.0
-        assert str(cert) == "tight"
+        assert sdp._agrees(24.0, 24.0)
         assert str(bs.Certificate(tight=True, gap=0.0)) == "tight"
+        # a tight certificate prints the same whatever gap it reports
+        assert str(bs.Certificate(tight=True, gap=0.5)) == "tight"
 
     def test_default_tolerance_scales(self):
-        # the tolerance is 1e-6 (1 + |objective|): 1.001e-3 at objective 1000
-        assert sdp._certificate_from_values(1000.0, 1000.0 - 9e-4).tight
-        assert not sdp._certificate_from_values(1000.0, 1000.0 - 2e-3).tight
-        assert sdp._certificate_from_values(0.0, -9e-7).tight
-        assert not sdp._certificate_from_values(0.0, -2e-6).tight
+        # the tolerance is 1e-6 (1 + |larger value|): 1.001e-3 at 1000
+        assert sdp._agrees(1000.0, 1000.0 - 9e-4)
+        assert not sdp._agrees(1000.0, 1000.0 - 2e-3)
+        assert sdp._agrees(0.0, -9e-7)
+        assert not sdp._agrees(0.0, -2e-6)
 
 
 class TestDualCertificate:
@@ -794,7 +826,8 @@ class TestDualCertificate:
         tol = sdp._DUAL_RTOL * (1.0 + abs(obj))
         lmin = dense_lambda_min(g, x, mu)
         verdicts = dual_verdicts(g, x, mu, tol)
-        assert sdp._dual_certified(sdp._operator(g), x, mu, tol) == verdicts[0]
+        # the solve's own check: its objective and its routed verdict
+        assert sdp._certify(sdp._operator(g), x, mu, mu) == (obj, verdicts[0])
         for certified in verdicts:
             if not -2.0 * tol <= lmin <= -0.5 * tol:  # verdicts compared clear of tol only
                 assert certified == (lmin >= -tol)
@@ -833,7 +866,7 @@ class TestDualCertificate:
                     for x in (g.truth, sdp._spectral_labels(g.adjacency, mu, False)):
                         tol = sdp._DUAL_RTOL * (1.0 + abs(bs.labeling_objective(g, x, lam=mu)))
                         dense, lanczos = dual_verdicts(g, x, mu, tol)
-                        routed = sdp._dual_certified(sdp._operator(g), x, mu, tol)
+                        _, routed = sdp._certify(sdp._operator(g), x, mu, mu)
                         assert dense == lanczos == routed
                         lmin = dense_lambda_min(g, x, mu)
                         if not -2.0 * tol <= lmin <= -0.5 * tol:
@@ -890,6 +923,25 @@ class TestDualCertificate:
             assert np.array_equal(sol.rounded, bs.round_solution(sol.factor, balanced))
             assert sol.certificate.gap == 0.0 and sol.rounded_objective == obj
             assert obj == pytest.approx(best, rel=0, abs=g.n * sdp._DUAL_RTOL * (1.0 + abs(obj)))
+
+    def test_unconverged_restart_certifies(self, monkeypatch):
+        # TestGoldenSolve's certified_restart graph: the spectral labels fail
+        # the dual check and restart 0's labels pass it. Reported capped,
+        # restart 0 still ends the solve tight on the same labels: the proof is
+        # the dual check on the labels alone, whatever the ascent reports
+        g, seed = sketched_graph(341)
+        full = bs.SbmParams.from_rates(400, 30.0, 2.0)
+        cfg = bs.SdpConfig(lam=bs.lambda_star(full.p, full.q), seed=seed)
+        ref = bs.solve_lagrangian_sdp(g, cfg)
+        assert ref.certificate.tight and ref.diagnostics.restarts_used == 1
+        ascent = sdp._ascent
+        monkeypatch.setattr(sdp, "_ascent",
+                            lambda *args: ascent(*args)._replace(converged=False))
+        sol = bs.solve_lagrangian_sdp(g, cfg)
+        assert sol.certificate.tight and not sol.diagnostics.converged
+        assert sol.diagnostics.restarts_used == 1
+        assert np.array_equal(sol.rounded, ref.rounded)
+        assert sol.certificate == ref.certificate
 
     def test_uncertified_solve_stops_on_a_rank_deficient_restart(self):
         g = relaxation_gap_graph()
@@ -1024,17 +1076,17 @@ class TestDenseOperator:
         # noise under either operator, and the summation order differs
         for x in labels:
             # the solve's objective through either operator is labeling_objective's
-            # float, at lambda = 0 and at the case's multiplier
-            for a, lam_x in itertools.product((dense, csr), (0.0, case[1])):
-                assert (sdp._operator_objective(a, x.astype(np.float64), lam_x)
-                        == bs.labeling_objective(g, x, lam=lam_x))
-            # up to _DENSE_DUAL_MAX nodes the dense operator's Cholesky verdict
-            # and the CSR's Lanczos verdict, above it both operators' Lanczos
+            # float, at lambda = 0 and at the case's multiplier. At the solve's own
+            # lambda, one of the two, up to _DENSE_DUAL_MAX nodes the dense
+            # operator's Cholesky verdict and the CSR's Lanczos verdict, above it
+            # both operators' Lanczos, match the dense lambda_min
             tol = sdp._DUAL_RTOL * (1.0 + abs(bs.labeling_objective(g, x, lam=lam)))
             lmin = dense_lambda_min(g, x, mu)
-            if not -2.0 * tol <= lmin <= -0.5 * tol:
-                assert (sdp._dual_certified(dense, x, mu, tol)
-                        == sdp._dual_certified(csr, x, mu, tol) == (lmin >= -tol))
+            for a, lam_x in itertools.product((dense, csr), (0.0, case[1])):
+                obj, certified = sdp._certify(a, x, lam_x, mu)
+                assert obj == bs.labeling_objective(g, x, lam=lam_x)
+                if lam_x == lam and not -2.0 * tol <= lmin <= -0.5 * tol:
+                    assert certified == (lmin >= -tol)
         # the same ascent, up to the summation order of the products
         outs = [sdp._ascent(a, g.n, sdp._RANK, lam, balanced, 500,
                             np.random.default_rng(seed)) for a in (dense, csr)]
@@ -1229,6 +1281,12 @@ class TestLabelingObjective:
         x2 = np.ones(6, dtype=np.int8)
         want2 = float(x2 @ a @ x2) - lam * 36.0
         assert bs.labeling_objective(g, x2, lam=lam) == pytest.approx(want2, rel=1e-14)
+
+    def test_numpy_float_multiplier(self):
+        # a float32 multiplier gives the bits of the Python float of its value
+        g, x, lam = two_cliques(3), np.ones(6, dtype=np.int8), np.float32(0.37)
+        got = bs.labeling_objective(g, x, lam=lam)
+        assert type(got) is float and got == bs.labeling_objective(g, x, lam=float(lam))
 
     def test_rejects_incomplete(self):
         g = two_cliques(3)
