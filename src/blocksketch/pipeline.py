@@ -171,7 +171,8 @@ def sketch_and_recover(g: Graph, p: float, q: float, cfg: SketchConfig,
     parametrization is invariant to its size. The solve is seeded by `seed`.
     The vote is by strict majority: a tied node stays unassigned (label 0),
     so it counts as a failure. A sample of at most one node short-circuits to
-    a degenerate failure (all labels unassigned).
+    a degenerate failure (all labels unassigned). A full sample is solved in
+    place: the solve reads `g` itself, not a copy of its edges.
     """
     lam = lambda_star(p, q)
     require_nonempty(g)
@@ -179,7 +180,7 @@ def sketch_and_recover(g: Graph, p: float, q: float, cfg: SketchConfig,
     if kept.size <= 1:
         return SketchResult(labels=np.zeros(g.n, dtype=np.int8), kept=kept,
                             solution=None, vote=None, lambda_used=None)
-    sub, _ = induced_subgraph(g, kept)
+    sub = g if kept.size == g.n else induced_subgraph(g, kept)[0]
     sol = solve_lagrangian_sdp(sub, SdpConfig(lam=lam, seed=seed))
     outcome = majority_vote(g, kept, sol.rounded)
     return SketchResult(labels=outcome.labels, kept=kept, solution=sol, vote=outcome,

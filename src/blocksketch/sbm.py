@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 import numpy as np
 
 from .errors import EmptyGraphError, GraphFormatError, ParameterError, as_int
-from .rng import RngSeed, STREAM_SBM, STREAM_SUBSAMPLE, rng_for
+from .rng import RngSeed, STREAM_SBM, STREAM_SUBSAMPLE, rng_for, seed_sequence
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
@@ -221,7 +221,10 @@ def _block_keys(codes: np.ndarray, rows: np.ndarray, cols: np.ndarray, n: int) -
     s, i = rows.size, np.arange(rows.size, dtype=np.int64)
     triangle = rows is cols
     starts = i * (2 * s - i - 1) // 2 if triangle else i * cols.size
-    counts = np.diff(np.searchsorted(codes, starts), append=codes.size)
+    first = np.searchsorted(codes, starts)  # each row's first code
+    counts = np.empty_like(first)
+    np.subtract(first[1:], first[:-1], out=counts[:-1])
+    counts[-1:] = codes.size - first[-1:]  # slices: with s = 0 there is no last row
     u = np.repeat(rows, counts)
     v = cols[codes + np.repeat(i + 1 - starts if triangle else -starts, counts)]
     if not triangle:
@@ -263,11 +266,16 @@ def sample_sbm(params: SbmParams, seed: RngSeed) -> Graph:
 
 def subsample_nodes(n: int, gamma: float, seed: RngSeed) -> np.ndarray:
     """Keep each of the n nodes independently with probability gamma; returns
-    the sorted int64 kept indices."""
+    the sorted int64 kept indices. gamma = 1 keeps every node without a draw:
+    random() < 1 always holds, so the STREAM_SUBSAMPLE generator is not built."""
     if not (0.0 <= gamma <= 1.0):
         raise ParameterError(f"gamma must lie in [0, 1], got {gamma}")
     if as_int(n, "n") < 0:
         raise ParameterError("n must be nonnegative")
+    if gamma == 1.0:
+        if not isinstance(seed, np.random.SeedSequence):
+            seed_sequence(seed)  # a bad seed fails here too, as rng_for fails it
+        return np.arange(n, dtype=np.int64)
     rng = rng_for(seed, STREAM_SUBSAMPLE)
     return np.flatnonzero(rng.random(n) < gamma).astype(np.int64)
 

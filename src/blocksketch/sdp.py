@@ -34,10 +34,11 @@ Cholesky factorization of S + tol I, whose success is a proof; larger
 graphs, dense or CSR, run a short Lanczos iteration that never forms S.
 The proof never looks at a factor, so the solve first tries spectral
 labels: the signs of the top Ritz vector of A - mu J after a few Lanczos
-steps, cleaned up by two rounds of x <- sign((A - mu J) x) (a median split
-in the balanced program). The Ritz vector is oriented by the fixed start
-vector, as the rounding's eigenvector is, so the labels do not follow the
-eigensolver's arbitrary sign. Above the recovery threshold these labels are
+steps, cleaned up by up to two rounds of x <- sign((A - mu J) x), where a
+round that changes no label ends it (a median split in the balanced
+program). The Ritz vector is oriented by the fixed start vector, as the
+rounding's eigenvector is, so the labels do not follow the eigensolver's
+arbitrary sign. Above the recovery threshold these labels are
 usually exact (Abbe-Fan-Wang-Zhong, arXiv:1709.09565). If they certify, the
 rank-1 factor x, its own rounding, is returned and no ascent runs. Otherwise
 `_solve` runs up to _RESTARTS restarts of the ascent, each capped at _MAX_ITERS
@@ -65,6 +66,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import CapacityError, ParameterError
 from .rng import RngSeed, STREAM_SDP, rng_for, seed_sequence
@@ -227,6 +229,39 @@ def _product(adj, r: int):
     return product
 
 
+# numpy.linalg's eigh, eigvalsh and cholesky check the stacking, shape and type
+# of their input and enter an errstate on every call, which costs about as much
+# as LAPACK itself on the solver's small matrices (eigh of a 1 x 1 took 9.6
+# against 2.5 us, of an 8 x 8 24.5 against 15.4 us). The helpers call the
+# gufuncs numpy.linalg calls, with the signature it passes for float64, so each
+# result is its own to the bit; the solver passes only float64 square matrices.
+# An eigensolver that fails to converge, which numpy.linalg raises as
+# LinAlgError, returns NaNs here with a RuntimeWarning instead.
+def _eigh(a: np.ndarray):
+    """(eigenvalues ascending, eigenvectors as columns) of the symmetric a, read
+    from its lower triangle, as np.linalg.eigh(a)."""
+    return _umath_linalg.eigh_lo(a, signature="d->dd")
+
+
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues, ascending, of the symmetric a, as np.linalg.eigvalsh(a)."""
+    return _umath_linalg.eigvalsh_lo(a, signature="d->d")
+
+
+def _has_cholesky(a: np.ndarray) -> bool:
+    """np.linalg.cholesky's verdict on a: False where it raises LinAlgError.
+
+    The gufunc reports a failed factorization as an invalid floating-point
+    operation, as numpy.linalg reads it; here it raises instead of warning.
+    """
+    with np.errstate(invalid="raise"):
+        try:
+            _umath_linalg.cholesky_lo(a, signature="d->d")
+        except FloatingPointError:
+            return False
+    return True
+
+
 class _Restart(NamedTuple):
     """One run of the ascent: its last accepted factor and objective."""
     factor: np.ndarray
@@ -310,7 +345,7 @@ def leading_eigenvector(factor: np.ndarray):
     Returns (vector, converged, iterations), always (v, True, 0)."""
     y = np.asarray(factor, dtype=np.float64)
     v0 = _start_vector(y.shape[0])
-    v = y @ np.linalg.eigh(y.T @ y)[1][:, -1]
+    v = y @ _eigh(y.T @ y)[1][:, -1]
     if not v.any():  # Y = 0: every vector is a leading eigenvector
         v = v0
     return np.copysign(1.0 / np.linalg.norm(v), v @ v0) * v, True, 0
@@ -390,22 +425,26 @@ def _spectral_labels(adj, mu: float, balanced: bool) -> np.ndarray:
     v is signed so that v . v0 >= 0 for the start vector v0, the first basis
     vector, as leading_eigenvector signs its vector: the sign of the
     tridiagonal's eigenvector is arbitrary, and a balanced split of -v is
-    the complement of v's. Free labels are the vector's signs after two
-    cleanup rounds x <- sign((A - mu J) x), where a zero keeps its label;
-    balanced labels split the vector at its median.
+    the complement of v's. Free labels are the vector's signs after up to two
+    cleanup rounds x <- sign((A - mu J) x), where a zero keeps its label; a
+    round that changes no label ends it, as the next would change none either.
+    Balanced labels split the vector at its median.
     """
     n = adj.shape[0]
     for basis, tri, _ in _lanczos(lambda v: adj @ v - mu * v.sum(), n,
                                   min(n, _SPECTRAL_STEPS)):
         pass
-    u = np.linalg.eigh(tri)[1][:, -1]
+    u = _eigh(tri)[1][:, -1]
     v = basis.T @ (u if u[0] >= 0.0 else -u)  # u[0] = v . v0
     if balanced:
         return _split_at_median(v)
     x = np.where(v >= 0.0, 1.0, -1.0)
     for _ in range(2):
         z = adj @ x - mu * x.sum()
-        x = np.where(z > 0.0, 1.0, np.where(z < 0.0, -1.0, x))
+        cleaned = np.where(z > 0.0, 1.0, np.where(z < 0.0, -1.0, x))
+        if np.array_equal(cleaned, x):
+            break
+        x = cleaned
     return x.astype(np.int8)
 
 
@@ -453,11 +492,7 @@ def _cholesky_certified(adj: np.ndarray, d: np.ndarray, mu: float, tol: float) -
     """
     s = mu - adj
     s[np.diag_indices_from(s)] += d + tol
-    try:
-        np.linalg.cholesky(s)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    return _has_cholesky(s)
 
 
 def _lanczos_certified(adj, x: np.ndarray, d: np.ndarray, mu: float, tol: float) -> bool:
@@ -479,7 +514,7 @@ def _lanczos_certified(adj, x: np.ndarray, d: np.ndarray, mu: float, tol: float)
         return d * v - adj @ v + mu * v.sum() + x * ((x @ v) / n)
 
     for basis, tri, beta in _lanczos(apply, n, min(n, _LANCZOS_STEPS)):
-        theta, s = np.linalg.eigh(tri)
+        theta, s = _eigh(tri)
         if theta[0] < -tol:
             return False
         if len(basis) == n or beta <= tol or (theta[0] >= _LANCZOS_MARGIN * tol
@@ -582,7 +617,7 @@ def _solve(g: Graph, cfg: SdpConfig, balanced: bool) -> SdpSolution:
         if len(runs) == 1 or out.objective > best.objective:
             best, labels = out, out_labels
             rounded_obj, tight = _certify(adj, labels, lam, mu)
-            ev = np.linalg.eigvalsh(out.factor.T @ out.factor)  # of the Gram Y^T Y
+            ev = _eigvalsh(out.factor.T @ out.factor)  # of the Gram Y^T Y
             if out.converged and not balanced and ev[0] <= _RANK_TOL * ev[-1]:
                 break
     cs = best.factor.sum(axis=0)

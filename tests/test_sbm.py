@@ -1,5 +1,6 @@
 """Generation, subsampling, partition utilities, and graph file I/O."""
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from scipy.sparse.csgraph import connected_components
 import blocksketch as bs
 from blocksketch import sbm as sbm_mod
 from blocksketch.errors import GraphFormatError, ParameterError
+from blocksketch.rng import STREAM_SUBSAMPLE, rng_for
 
 
 def two_triangles(truth=(1, 1, 1, -1, -1, -1)):
@@ -407,6 +409,12 @@ class TestSubsample:
     def test_gamma_endpoints(self):
         assert bs.subsample_nodes(10, 1.0, 0).tolist() == list(range(10))
         assert bs.subsample_nodes(10, 0.0, 0).tolist() == []
+        # gamma = 1 draws nothing and keeps what the draw kept
+        for n, seed in itertools.product((0, 1, 2, 400),
+                                         (0, 7, 2**40, bs.seed_sequence(5, 0, 0, 0, 4, 1))):
+            drawn = np.flatnonzero(rng_for(seed, STREAM_SUBSAMPLE).random(n) < 1.0)
+            kept = bs.subsample_nodes(n, 1.0, seed)
+            assert kept.dtype == np.int64 and np.array_equal(kept, drawn)
 
     def test_gamma_out_of_range(self):
         with pytest.raises(ParameterError):
@@ -416,6 +424,9 @@ class TestSubsample:
         for n in (-1, 2.5, True):  # a negative n, or not an integer
             with pytest.raises(ParameterError):
                 bs.subsample_nodes(n, 0.5, 0)
+        for gamma in (0.5, 1.0):  # a bad seed fails also where no draw is made
+            with pytest.raises(ParameterError):
+                bs.subsample_nodes(10, gamma, -1)
 
     def test_mean_size(self):
         sizes = [bs.subsample_nodes(1000, 0.3, s).size for s in range(1000)]

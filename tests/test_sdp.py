@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -508,9 +509,10 @@ class TestSolver:
 
     def test_matmult_budget_spectral_skip(self, monkeypatch):
         # full sample above the threshold, too sparse for a dense operator: the
-        # spectral labels certify, and the solve costs the Krylov steps, two
-        # cleanup rounds, one product for the labels' objective and the dual
-        # check's diagonal, and the Lanczos dual check's steps, all on the CSR
+        # spectral labels certify, and the solve costs the Krylov steps, one
+        # cleanup round, which changes no label here and so ends the cleanup,
+        # one product for the labels' objective and the dual check's diagonal,
+        # and the Lanczos dual check's steps, all on the CSR
         params = bs.SbmParams.from_rates(400, 10, 1)
         g = bs.sample_sbm(params, 0)
         assert g.n > sdp._DENSE_DUAL_MAX and 2 * g.m < sdp._DENSE_MIN_FILL * g.n ** 2
@@ -530,7 +532,7 @@ class TestSolver:
         assert sol.diagnostics.iterations_total == 0
         spectral, dual = steps
         assert spectral == sdp._SPECTRAL_STEPS and 0 < dual <= sdp._LANCZOS_STEPS
-        assert g.adjacency.calls == sdp._SPECTRAL_STEPS + 2 + 1 + dual
+        assert g.adjacency.calls == sdp._SPECTRAL_STEPS + 1 + 1 + dual
 
     def test_dense_full_graph_builds_no_csr_and_takes_lanczos(self, monkeypatch):
         # the paper's full n = 400 graph is dense enough for the dense operator,
@@ -1023,6 +1025,24 @@ def full(model, seed):
     return bs.sample_sbm(params, seed), bs.lambda_star(params.p, params.q)
 
 
+def two_round_spectral_labels(adj, mu, balanced):
+    """sdp._spectral_labels with both cleanup rounds always run, through
+    numpy.linalg's own eigh: the reference for the cleanup's early end."""
+    n = adj.shape[0]
+    for basis, tri, _ in sdp._lanczos(lambda v: adj @ v - mu * v.sum(), n,
+                                      min(n, sdp._SPECTRAL_STEPS)):
+        pass
+    u = np.linalg.eigh(tri)[1][:, -1]
+    v = basis.T @ (u if u[0] >= 0.0 else -u)
+    if balanced:
+        return sdp._split_at_median(v)
+    x = np.where(v >= 0.0, 1.0, -1.0)
+    for _ in range(2):
+        z = adj @ x - mu * x.sum()
+        x = np.where(z > 0.0, 1.0, np.where(z < 0.0, -1.0, x))
+    return x.astype(np.int8)
+
+
 def dense_and_sparse_cases():
     """(graph, mu): SBM graphs of at most 40 nodes, edgeless graphs, the
     crossover graphs of test_branches_agree_at_the_crossover, and two full
@@ -1069,6 +1089,8 @@ class TestDenseOperator:
             assert op is csr
         lam, mu = (0.0, 1.0) if balanced else (mu, mu)  # as in sdp._solve
         labels = [sdp._spectral_labels(a, mu, balanced) for a in (dense, csr)]
+        for a, x in zip((dense, csr), labels):
+            assert np.array_equal(x, two_round_spectral_labels(a, mu, balanced))
         if g.n > 40 or not g.m:
             assert np.array_equal(*labels)
         # else not always: on small graphs with tied or vanishing eigenvector
@@ -1113,6 +1135,43 @@ class TestAscentKernels:
         assert np.array_equal(ay, want)
         dense = csr.toarray()
         assert np.array_equal(sdp._product(dense, r)(y), dense @ y)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_lapack_helpers_equal_numpy_linalg(self, n, seed):
+        # the solver calls numpy.linalg's LAPACK gufuncs itself; a numpy release
+        # that moves or changes them must fail here. Eigenproblems: a symmetric
+        # matrix, a leading block of a tridiagonal, a strided view as _lanczos
+        # yields it, and a 1 x 1; Cholesky: positive definite, indefinite, and
+        # a NaN on the diagonal. None may warn
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, n))
+        sym = a + a.T
+        tri = np.zeros((n + 1, n + 1))
+        i = np.arange(n)
+        tri[i, i] = rng.standard_normal(n)
+        tri[i[1:], i[:-1]] = tri[i[:-1], i[1:]] = rng.random(n - 1)
+        pd = a @ a.T + np.eye(n)
+        indefinite = pd - (np.linalg.eigvalsh(pd)[0] + 1.0) * np.eye(n)  # lambda_min -1
+        nan_diagonal = pd.copy()
+        nan_diagonal[(k := rng.integers(n)), k] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m in (sym, tri[:n, :n], sym[:1, :1]):
+                w, v = sdp._eigh(m)
+                want_w, want_v = np.linalg.eigh(m)
+                assert np.array_equal(w, want_w) and np.array_equal(v, want_v)
+                assert np.array_equal(sdp._eigvalsh(m), np.linalg.eigvalsh(m))
+            verdicts = []
+            for m in (pd, indefinite, nan_diagonal):
+                try:
+                    np.linalg.cholesky(m)
+                except np.linalg.LinAlgError:
+                    verdicts.append(False)
+                else:
+                    verdicts.append(True)
+                assert sdp._has_cholesky(m) == verdicts[-1]
+            assert verdicts[:2] == [True, False]
 
 
 class TestGoldenAscent:

@@ -1,6 +1,17 @@
 """Replay a fixed battery of seeded SDP solves; print one line per cell.
 
-    PYTHONPATH=src python tools/replay_solver.py    # about 20 s on a 2-vCPU host
+    PYTHONPATH=src python tools/replay_solver.py    # about 15 s on a 2-vCPU host
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/replay_solver.py --expect FILE
+
+With --expect FILE, each printed line is compared with the same line of FILE,
+and the exit status is 1 on any difference, which is then named on stderr.
+With FILE = tools/replay_solver.expected this is the solver's replay gate.
+That file is the output recorded with one BLAS thread
+(OPENBLAS_NUM_THREADS=1) on numpy 2.4.6 with its bundled OpenBLAS 0.3.31,
+which picks its kernels for the CPU at run time. The digests depend on that
+numpy/OpenBLAS build and CPU: another may round a product or an eigensolve
+differently, so there a change is compared with its parent commit's output
+recorded on the same host, not with this file.
 
 Cells: 300 sketched subgraphs of n = 400 graphs (alpha 30, beta 2) at half the
 threshold rate, every third even-sized one also on the balanced program; 10 at
@@ -18,9 +29,13 @@ and four SHA-256 digests, so that two commits' outputs can be diffed:
 - results_sha256 over every (partition with node 0 labelled +1, tight): the same
   results, however many restarts they took.
 """
+import argparse
 import collections
 import hashlib
+import itertools
 import struct
+import sys
+from pathlib import Path
 
 import blocksketch as bs
 
@@ -64,7 +79,8 @@ def battery():
         yield "control-555000 lagrangian", lagrangian(g, bs.SdpConfig(lam=lam, seed=seed))
 
 
-if __name__ == "__main__":
+def cell_lines():
+    """One line per cell of the battery, in battery order."""
     cells = collections.defaultdict(list)
     for name, sol in battery():
         d = sol.diagnostics
@@ -83,8 +99,24 @@ if __name__ == "__main__":
         results = hashlib.sha256(b"".join(x.tobytes() + bytes([t])
                                           for x, t in zip(labels, tight)))
         histogram = dict(sorted(collections.Counter(restarts).items()))
-        print(f"{name}: solves={len(rows)} ascents={sum(r > 0 for r in restarts)} "
-              f"tight={sum(tight)} restarts={histogram} iterations={sum(iters)} "
-              f"sha256={digest.hexdigest()} bits_sha256={bits.hexdigest()} "
-              f"returned_sha256={returned_digest.hexdigest()} "
-              f"results_sha256={results.hexdigest()}")
+        yield (f"{name}: solves={len(rows)} ascents={sum(r > 0 for r in restarts)} "
+               f"tight={sum(tight)} restarts={histogram} iterations={sum(iters)} "
+               f"sha256={digest.hexdigest()} bits_sha256={bits.hexdigest()} "
+               f"returned_sha256={returned_digest.hexdigest()} "
+               f"results_sha256={results.hexdigest()}")
+
+
+if __name__ == "__main__":
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--expect", type=Path, metavar="FILE",
+                    help="recorded output; exit 1 unless every line equals its own")
+    args = ap.parse_args()
+    lines = list(cell_lines())
+    print("\n".join(lines))
+    if args.expect is not None:
+        want = args.expect.read_text().splitlines()
+        differ = [(i, got, exp) for i, (got, exp)
+                  in enumerate(itertools.zip_longest(lines, want), 1) if got != exp]
+        for i, got, exp in differ:
+            print(f"line {i} differs:\n  got      {got}\n  expected {exp}", file=sys.stderr)
+        sys.exit(1 if differ else 0)
