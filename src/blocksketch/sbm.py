@@ -153,16 +153,20 @@ def _edges_from_keys(keys: np.ndarray, n: int) -> np.ndarray:
 
 def _canonical_graph(n: int, edges, truth, error: type[Exception]) -> Graph:
     """Orient each edge u < v and sort; raise `error` on a negative n or one
-    too large for int64 edge keys, an out-of-range endpoint, a self-loop, a
-    duplicate in either orientation, or a truth vector that is not a
-    complete +-1 vector of length n. A non-integer n, which only `from_edges`
-    can pass, raises ParameterError."""
+    too large for int64 edge keys, endpoints of a non-integer dtype (numpy
+    reads an integer past int64 as a float or an object), an out-of-range
+    endpoint, a self-loop, a duplicate in either orientation, or a truth
+    vector that is not a complete +-1 vector of length n. A non-integer n,
+    which only `from_edges` can pass, raises ParameterError."""
     n = as_int(n, "node count")
     if n < 0:
         raise error(f"node count must be nonnegative, got n={n}")
     if n ** 2 > 2 ** 63:
         raise error(f"n={n} nodes is too many: edge keys u * n + v must fit in int64")
-    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    e = np.asarray(edges)
+    if e.size and not np.issubdtype(e.dtype, np.integer):
+        raise error(f"edge endpoints must be integers, got dtype {e.dtype}")
+    e = e.astype(np.int64, copy=False).reshape(-1, 2)  # uint64 past int64 wraps negative
     u, v = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
     if e.size and (u.min() < 0 or v.max() >= n):
         raise error("edge endpoint out of range")

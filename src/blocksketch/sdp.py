@@ -12,8 +12,10 @@ Tr(X J) = ||Y^T 1||^2 itself to zero by alternating projection instead of
 penalizing it.
 
 The lambda * J term is never materialized: its gradient contribution is the
-rank-one correction lambda * 1 (1^T Y). A factor is rounded by the signs of
-the exact leading eigenvector of Y Y^T, from one eigh of the r x r Gram matrix.
+rank-one correction lambda * 1 (1^T Y). A restart converges on a relative
+step gain below _STEP_TOL or on an exhausted line search; _MAX_ITERS caps it.
+A factor is rounded by the signs of the exact leading eigenvector of Y Y^T,
+from one eigh of the r x r Gram matrix, which also gives the rank stop.
 
 Labels x carry a dual certificate (Abbe-Bandeira-Hall, arXiv:1405.3267)
 when S = diag(((A - mu J) x) * x) - A + mu J, with mu = lambda (mu = 1 in
@@ -78,7 +80,6 @@ _STEP_TOL = 1e-10         # stop on relative objective change below this. 5e-10 
                           # 60 and 200 more) 5 needed extra restarts and 1 rounded to a worse
                           # partition; 2e-10 to 4e-10 also added restarts, and 1e-9 added them
                           # on 8 of the 200 and on TestDefaultRank's control seed 0
-_GRAD_TOL = 1e-8          # stationarity tolerance on the projected gradient
 _MAX_HALVINGS = 30
 _BRUTE_FORCE_CAP = 22
 _START_SEED = 0x9E3779B9  # fixed start vectors: rounding and the dual check are pure functions
@@ -183,12 +184,9 @@ def _project(y: np.ndarray, balanced: bool) -> np.ndarray:
 
 
 def _value(y: np.ndarray, ay: np.ndarray, lam: float):
-    """The objective and the column sums 1^T Y (None when lam is 0), given A Y."""
-    f = float(np.vdot(y, ay))
-    cs = np.einsum("ij->j", y) if lam else None
-    if lam:
-        f -= lam * float(cs @ cs)
-    return f, cs
+    """The objective and the column sums 1^T Y, given A Y."""
+    cs = np.einsum("ij->j", y)
+    return float(np.vdot(y, ay)) - lam * float(cs @ cs), cs
 
 
 def objective_and_gradient(adj, y, lam: float = 0.0):
@@ -201,10 +199,7 @@ def objective_and_gradient(adj, y, lam: float = 0.0):
     y = np.asarray(y, dtype=np.float64)
     ay = adj @ y
     f, cs = _value(y, ay, lam)
-    grad = 2.0 * ay
-    if lam:
-        grad -= (2.0 * lam) * cs
-    return f, grad
+    return f, 2.0 * ay - (2.0 * lam) * cs
 
 
 def _product(adj, r: int):
@@ -229,7 +224,7 @@ def _product(adj, r: int):
     return product
 
 
-# numpy.linalg's eigh, eigvalsh and cholesky check the stacking, shape and type
+# numpy.linalg's eigh and cholesky check the stacking, shape and type
 # of their input and enter an errstate on every call, which costs about as much
 # as LAPACK itself on the solver's small matrices (eigh of a 1 x 1 took 9.6
 # against 2.5 us, of an 8 x 8 24.5 against 15.4 us). The helpers call the
@@ -241,11 +236,6 @@ def _eigh(a: np.ndarray):
     """(eigenvalues ascending, eigenvectors as columns) of the symmetric a, read
     from its lower triangle, as np.linalg.eigh(a)."""
     return _umath_linalg.eigh_lo(a, signature="d->dd")
-
-
-def _eigvalsh(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues, ascending, of the symmetric a, as np.linalg.eigvalsh(a)."""
-    return _umath_linalg.eigvalsh_lo(a, signature="d->d")
 
 
 def _has_cholesky(a: np.ndarray) -> bool:
@@ -271,33 +261,30 @@ class _Restart(NamedTuple):
     objectives: list                 # accepted objective per iteration; never decreases
 
 
-def _ascent(adj, n: int, r: int, lam: float, balanced: bool, max_iters: int, rng):
-    """One restart of the ascent from a random start drawn from `rng`; the
-    balanced program handles its constraint by projection and takes lam = 0."""
-    product = _product(adj, r)
-    y = _project(rng.standard_normal((n, r)), balanced)
+def _ascent(adj, lam: float, balanced: bool, rng):
+    """One restart of the ascent on n x _RANK factors from a random start drawn
+    from `rng`; the balanced program handles its constraint by projection and
+    takes lam = 0. It converges on a step gain of at most _STEP_TOL (1 + |f|)
+    or on a line search that no trial step passes; _MAX_ITERS caps it."""
+    product = _product(adj, _RANK)
+    y = _project(rng.standard_normal((adj.shape[0], _RANK)), balanced)
     ay = product(y)
     f, cs = _value(y, ay, lam)
     objectives = []
     step = 1.0
     y_prev = h_prev = None
     converged = False
-    for iters in range(1, max_iters + 1):
+    for iters in range(1, _MAX_ITERS + 1):
         # h, half the projected gradient, built in place in A Y, which is spent
         # once f is known. Each factor 2 of the gradient 2 h is folded into a
         # scalar instead: scaling by a power of two is exact, so every value is
         # the one the full gradient gives, to the bit
         h = ay
-        if lam:
-            h -= lam * cs
+        h -= lam * cs
         if balanced:
             h -= h.mean(axis=0, keepdims=True)
         h -= np.einsum("ij,ij->i", h, y)[:, None] * y
         gsq = 4.0 * float(np.vdot(h, h))
-        if math.sqrt(gsq) <= _GRAD_TOL * (1.0 + abs(f)):
-            converged = True
-            iters -= 1
-            break
         if h_prev is not None:
             # Barzilai-Borwein step, long and short formulas alternating; z is
             # half the gradient difference
@@ -338,17 +325,24 @@ def _start_vector(n: int) -> np.ndarray:
     return v
 
 
-def leading_eigenvector(factor: np.ndarray):
-    """Leading eigenvector v = Y u / ||Y u|| of Y Y^T, exact: u is the top
-    eigenvector of the r x r Gram matrix Y^T Y. Signed so that v . v0 >= 0 for
-    the fixed start vector v0, the sign a power iteration from v0 converges to.
-    Returns (vector, converged, iterations), always (v, True, 0)."""
-    y = np.asarray(factor, dtype=np.float64)
+def _gram_eigh(y: np.ndarray):
+    """(ev, v) of the float64 factor Y from one eigh of its Gram matrix Y^T Y:
+    the Gram's eigenvalues ev, ascending, and the exact leading eigenvector
+    v = Y u / ||Y u|| of Y Y^T, u the Gram's top eigenvector, signed so that
+    v . v0 >= 0 for the fixed start vector v0."""
+    ev, u = _eigh(y.T @ y)
     v0 = _start_vector(y.shape[0])
-    v = y @ _eigh(y.T @ y)[1][:, -1]
+    v = y @ u[:, -1]
     if not v.any():  # Y = 0: every vector is a leading eigenvector
         v = v0
-    return np.copysign(1.0 / np.linalg.norm(v), v @ v0) * v, True, 0
+    return ev, np.copysign(1.0 / np.linalg.norm(v), v @ v0) * v
+
+
+def leading_eigenvector(factor: np.ndarray):
+    """Leading eigenvector of Y Y^T, exact, signed as _gram_eigh signs it: the
+    sign a power iteration from the fixed start vector converges to.
+    Returns (vector, converged, iterations), always (v, True, 0)."""
+    return _gram_eigh(np.asarray(factor, dtype=np.float64))[1], True, 0
 
 
 def round_solution(factor: np.ndarray, balanced: bool = False) -> np.ndarray:
@@ -358,7 +352,11 @@ def round_solution(factor: np.ndarray, balanced: bool = False) -> np.ndarray:
     median instead (top n/2 entries get +1, stable index tie-break), which
     keeps the output feasible for the balanced program.
     """
-    v, _, _ = leading_eigenvector(factor)
+    return _round(leading_eigenvector(factor)[0], balanced)
+
+
+def _round(v: np.ndarray, balanced: bool) -> np.ndarray:
+    """round_solution's labels from the leading eigenvector v."""
     if balanced:
         if v.size % 2:
             raise ParameterError("balanced rounding needs an even number of nodes")
@@ -378,12 +376,9 @@ def labeling_objective(g: Graph, labels, lam: float = 0.0) -> float:
     x = np.asarray(labels, dtype=np.float64)
     if x.shape != (g.n,) or not is_complete(x):
         raise ParameterError("labels must be complete +-1 of length n")
-    lam = float(lam)
     quad = 2.0 * float(x[g.edges[:, 0]] @ x[g.edges[:, 1]]) if g.m else 0.0
-    if lam:
-        s = float(x.sum())
-        quad -= lam * s * s
-    return quad
+    s = float(x.sum())
+    return quad - float(lam) * s * s
 
 
 def _agrees(a: float, b: float) -> bool:
@@ -453,22 +448,9 @@ def _certify(adj, labels: np.ndarray, lam: float, mu: float):
 
     The objective is x (A x) - lam (1^T x)^2: every partial sum of x (A x) is
     an integer, so the float is labeling_objective's to the bit. Certified
-    means the dual check passed on x, at tol = _DUAL_RTOL (1 + |objective|),
-    with the diagonal ((A - mu J) x) * x of S taken from the same product.
-    """
-    x = labels.astype(np.float64)
-    ax = adj @ x
-    s = float(x.sum())
-    obj = float(x @ ax)
-    if lam:
-        obj -= lam * s * s
-    d = (ax - mu * s) * x
-    return obj, _dual_certified(adj, x, d, mu, _DUAL_RTOL * (1.0 + abs(obj)))
-
-
-def _dual_certified(adj, x: np.ndarray, d: np.ndarray, mu: float, tol: float) -> bool:
-    """True iff lambda_min(S) >= -tol for S = diag(d) - A + mu J, where
-    d = ((A - mu J) x) * x for the float +-1 labels x.
+    means lambda_min(S) >= -tol for S = diag(d) - A + mu J, at
+    tol = _DUAL_RTOL (1 + |objective|), with the diagonal d = ((A - mu J) x) * x
+    taken from the same product.
 
     A dense adjacency on at most _DENSE_DUAL_MAX nodes gets a dense Cholesky
     factorization of S + tol I, and its success is a proof that S + tol I
@@ -480,9 +462,15 @@ def _dual_certified(adj, x: np.ndarray, d: np.ndarray, mu: float, tol: float) ->
     rests on a residual test and a margin: the route goes by size, where
     Cholesky pays, and by type, since a CSR cannot be subtracted from a scalar.
     """
+    x = labels.astype(np.float64)
+    ax = adj @ x
+    s = float(x.sum())
+    obj = float(x @ ax) - lam * s * s
+    d = (ax - mu * s) * x
+    tol = _DUAL_RTOL * (1.0 + abs(obj))
     if isinstance(adj, np.ndarray) and x.size <= _DENSE_DUAL_MAX:
-        return _cholesky_certified(adj, d, mu, tol)
-    return _lanczos_certified(adj, x, d, mu, tol)
+        return obj, _cholesky_certified(adj, d, mu, tol)
+    return obj, _lanczos_certified(adj, x, d, mu, tol)
 
 
 def _cholesky_certified(adj: np.ndarray, d: np.ndarray, mu: float, tol: float) -> bool:
@@ -500,7 +488,8 @@ def _lanczos_certified(adj, x: np.ndarray, d: np.ndarray, mu: float, tol: float)
 
     Lanczos on S + x x^T / n, which moves the zero eigenvalue of x to 1;
     J and S are never formed. The smallest Ritz value never undershoots
-    lambda_min, so one below -tol rejects at once. Acceptance needs the
+    lambda_min, so one below -tol rejects at once, as does a NaN one, which a
+    failed eigensolve of the tridiagonal returns. Acceptance needs the
     whole space, a Krylov space invariant to within tol (beta <= tol: every
     Ritz value is then within tol of an eigenvalue, and further steps would
     build on rounding noise), or a smallest Ritz value that clears
@@ -515,7 +504,7 @@ def _lanczos_certified(adj, x: np.ndarray, d: np.ndarray, mu: float, tol: float)
 
     for basis, tri, beta in _lanczos(apply, n, min(n, _LANCZOS_STEPS)):
         theta, s = _eigh(tri)
-        if theta[0] < -tol:
+        if not theta[0] >= -tol:  # also true for nan
             return False
         if len(basis) == n or beta <= tol or (theta[0] >= _LANCZOS_MARGIN * tol
                                               and beta * abs(s[-1, 0]) <= tol):
@@ -606,10 +595,10 @@ def _solve(g: Graph, cfg: SdpConfig, balanced: bool) -> SdpSolution:
     # exits: a certified rounding, the restart bound, the rank stop, a confirmation
     runs = []
     while not tight and len(runs) < _RESTARTS:
-        out = _ascent(adj, g.n, _RANK, lam, balanced, _MAX_ITERS,
-                      rng_for(cfg.seed, STREAM_SDP, len(runs)))
+        out = _ascent(adj, lam, balanced, rng_for(cfg.seed, STREAM_SDP, len(runs)))
         runs.append(out)
-        out_labels = round_solution(out.factor, balanced)
+        ev, v = _gram_eigh(out.factor)  # ev of the Gram Y^T Y
+        out_labels = _round(v, balanced)
         if (len(runs) > 1 and best.converged and out.converged
                 and _agrees(out.objective, best.objective)
                 and partitions_equal(out_labels, labels)):
@@ -617,7 +606,6 @@ def _solve(g: Graph, cfg: SdpConfig, balanced: bool) -> SdpSolution:
         if len(runs) == 1 or out.objective > best.objective:
             best, labels = out, out_labels
             rounded_obj, tight = _certify(adj, labels, lam, mu)
-            ev = _eigvalsh(out.factor.T @ out.factor)  # of the Gram Y^T Y
             if out.converged and not balanced and ev[0] <= _RANK_TOL * ev[-1]:
                 break
     cs = best.factor.sum(axis=0)

@@ -196,7 +196,7 @@ class TestCriterion6SolverNumerics:
         g = bs.sample_sbm(bs.SbmParams.explicit(30, 30, 0.6, 0.1), 8)
         cfg = bs.SdpConfig(lam=bs.lambda_star(0.6, 0.1), seed=8)
         with watch_retractions() as deviations:
-            iters = sdp._ascent(g.adjacency, g.n, sdp._RANK, cfg.lam, False, sdp._MAX_ITERS,
+            iters = sdp._ascent(g.adjacency, cfg.lam, False,
                                 bs.rng_for(cfg.seed, STREAM_SDP, 0)).iterations
         assert len(deviations) >= iters + 1
         dev = float(np.max(deviations))

@@ -626,6 +626,18 @@ class TestGraphType:
         with pytest.raises(ParameterError):
             bs.Graph.from_edges(4, [(0, 4)])
 
+    def test_rejects_non_integer_endpoints(self):
+        # floats and strings are not cast to an edge, and an endpoint past
+        # int64, which numpy reads as a float or an object, is not an overflow
+        for edges in ([(0, 1.5)], [(0, "1")], np.array([[0, 1.9]]), [(False, True)],
+                      [(0, 2**63)], [(0, 2**64)]):
+            with pytest.raises(ParameterError, match="integers"):
+                bs.Graph.from_edges(3, edges)
+        with pytest.raises(ParameterError, match="out of range"):
+            bs.Graph.from_edges(3, np.array([[0, 2**63]], dtype=np.uint64))
+        assert bs.Graph.from_edges(3, np.array([[2, 0]], dtype=np.uint8)).edges.tolist() == [[0, 2]]
+        assert bs.Graph.from_edges(3, np.empty((0, 2))).m == 0
+
     def test_rejects_negative_n(self):
         with pytest.raises(ParameterError):
             bs.Graph.from_edges(-3, [])
